@@ -21,7 +21,7 @@ from multiprocessing import Pool
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bounds, digits, normalnum, numtheory, sumeval
-from .errors import BoundViolation, ConfigError, KorosumError, RangeViolation
+from .errors import BoundViolation, ConfigError, KorosumError
 from .numtheory import PrimeSet
 
 #: Relative slack allowed between an empirical sum and any proven bound.
@@ -396,6 +396,17 @@ def _parse_primes(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError("primes must be a comma-separated integer list")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts such as --workers (exit 2 below 1)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: rejected below like any non-positive value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _cmd_order(args) -> int:
     if args.primes:
         P = PrimeSet(args.primes)
@@ -561,7 +572,8 @@ def _cmd_verify(args) -> int:
     _emit(args, _to_jsonable(rep), [
         f"lhs^2 = {rep.lhs_squared:.6g}  rhs = {rep.rhs:.6g}  "
         f"(m'={rep.m_prime}, tau={rep.tau})",
-        f"holds: {rep.holds}",
+        f"holds: {rep.holds}  (decided by the {rep.path} path, "
+        f"certified margin rhs/lhs^2 = {rep.margin:.6g})",
     ])
     return 0 if rep.holds else 3
 
@@ -623,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("digits", help="pattern statistics in the expansion of a/m")
@@ -666,9 +678,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         print(json.dumps(_to_jsonable(exc.detail), indent=2), file=sys.stderr)
         return 3
-    except (ConfigError, RangeViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KorosumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

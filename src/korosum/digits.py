@@ -35,6 +35,8 @@ class DigitPattern:
     @classmethod
     def from_string(cls, text: str, base: int) -> "DigitPattern":
         # one character per digit; only sensible for base <= 10
+        if not all(ch in "0123456789" for ch in text):
+            raise OutOfRange(f"pattern {text!r} must be decimal digits, one per character")
         return cls(base, tuple(int(ch) for ch in text))
 
     def __len__(self) -> int:

@@ -2,10 +2,11 @@
 
 Every phase angle comes from the exact integer residue a*b^n mod m, kept
 by iterated modular multiplication, so the only floating-point steps are
-the final sin/cos and a compensated accumulation.  Large sums run through
-a block-vectorized path whose integer work stays exact in int64 and whose
-reduction tree has a fixed shape, making results bit-reproducible for a
-given input regardless of who calls them.
+the final sin/cos and a compensated accumulation (plus, in the
+differencing verifier's fast path, dot products with a certified error
+bound).  Large sums run through a block-vectorized path whose integer work
+stays exact in int64 and whose reduction tree has a fixed shape, making
+results bit-reproducible for a given input regardless of who calls them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,23 @@ _INT64_SAFE_M = 3_037_000_499
 #: never fabricate a counterexample to a proven statement.
 HOLDS_SLACK = 1e-9
 
+#: Unit roundoff of IEEE double precision.
+_U = 2.0**-53
+
+#: Assumed worst error of numpy's float64 cos and sin, in units of _U
+#: absolute (a 1-ulp library stays within 1 on [-1, 1]; 4 is a cushion).
+_TRIG_ULPS = 4
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _U / (1.0 - k * _U)
+
+
+#: Bound on |z_hat - e(r/m)| for one computed phase factor: three roundings
+#: in theta = r * (2 pi / m) with theta < 2 pi, then cos and sin.
+_E_Z = TWO_PI * _gamma(3) + _TRIG_ULPS * math.sqrt(2.0) * _U
+
 
 @dataclass
 class SumResult:
@@ -59,6 +77,12 @@ class DifferencingReport:
     m_prime: int
     tau: int
     holds: bool
+    #: which evaluation decided `holds`: "fast" (certified phase-vector dot
+    #: products) or "exact" (one exact-phase eval_sum per lag)
+    path: str
+    #: certified rhs over lhs_squared (inf when lhs_squared is 0); on the fast
+    #: path the rhs is lowered by the dot products' error bounds first
+    margin: float
 
 
 _POWER_TABLES: dict = {}
@@ -70,12 +94,14 @@ def _power_table(b_red: int, m: int):
     hit = _POWER_TABLES.get(key)
     if hit is not None:
         return hit
+    # doubling: b^(j+k) = b^j * b^k, every product below m^2 (int64-safe)
     pows = np.empty(_BLOCK, dtype=np.int64)
-    v = 1 % m
-    for j in range(_BLOCK):
-        pows[j] = v
-        v = v * b_red % m
-    entry = (pows, v)
+    pows[0] = 1 % m
+    k = 1
+    while k < _BLOCK:
+        pows[k : 2 * k] = pows[:k] * pow(b_red, k, m) % m
+        k *= 2
+    entry = (pows, pow(b_red, _BLOCK, m))
     if len(_POWER_TABLES) > 256:
         _POWER_TABLES.clear()
     _POWER_TABLES[key] = entry
@@ -96,21 +122,27 @@ def _eval_scalar(a0: int, b0: int, m: int, N: int) -> complex:
     return complex(fsum(res), fsum(ims))
 
 
-def _eval_blocked(a0: int, b0: int, m: int, N: int) -> complex:
+def _orbit_blocks(a0: int, b0: int, m: int, N: int):
+    """Exact residues a0 * b0^n mod m for n = 1..N, as int64 blocks of up to
+    _BLOCK entries.  Needs m <= _INT64_SAFE_M so every product fits int64."""
     pows, step = _power_table(b0, m)
-    scale = TWO_PI / m
-    re_parts = []
-    im_parts = []
     lead = a0 * b0 % m  # residue at n = 1
     done = 0
     while done < N:
         size = min(_BLOCK, N - done)
-        block = lead * pows[:size] % m
+        yield lead * pows[:size] % m
+        lead = lead * step % m
+        done += size
+
+
+def _eval_blocked(a0: int, b0: int, m: int, N: int) -> complex:
+    scale = TWO_PI / m
+    re_parts = []
+    im_parts = []
+    for block in _orbit_blocks(a0, b0, m, N):
         theta = block * scale
         re_parts.append(float(np.sum(np.cos(theta))))
         im_parts.append(float(np.sum(np.sin(theta))))
-        lead = lead * step % m
-        done += size
     return complex(fsum(re_parts), fsum(im_parts))
 
 
@@ -215,13 +247,61 @@ def m_bar(b: int, m: int, m_prime: int) -> int:
     return gcd((pow(b, tau, m) - 1) % m, m)
 
 
+def _dot_error_bound(n):
+    """A-priori bound E_L on | |computed inner sum| - |exact inner sum| | for
+    an inner sum of n terms taken as a dot product of computed phase factors
+    (elementwise when n is an array).
+
+    With e_z = _E_Z bounding |z_hat - z| and |z_hat| <= 1 + e_z:
+      * phase error: |z_hat' conj(z_hat) - z' conj(z)| <= 2 e_z + e_z^2 per term;
+      * the complex dot product in floating point (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 3, complex inner product) is
+        off by at most sqrt(2) gamma_{n+2} sum |z_hat'| |z_hat|, and that sum
+        is at most n (1 + e_z)^2, for any order of the additions;
+      * the final abs() rounds once more, within 2u of a value at most
+        n (1 + e_z)^2 (1 + sqrt(2) gamma_{n+2}).
+    """
+    g = math.sqrt(2.0) * _gamma(n + 2)
+    return n * (2.0 * _E_Z + _E_Z**2 + (1.0 + _E_Z) ** 2 * (g + 2.0 * _U * (1.0 + g)))
+
+
+def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
+    """([|inner_L|], array of E_L) for the lags L = tau, 2 tau, ... < N of
+    the differencing inequality, with E_L = _dot_error_bound(N - L).
+
+    a (b^L - 1) b^n = r_{n+L} - r_n (mod m) for the residues r_n = a b^n mod m,
+    so inner_L = sum_{n <= N-L} z_{n+L} conj(z_n) with z_n = e(r_n / m): one
+    exact residue vector serves every lag.
+    """
+    theta = np.concatenate(list(_orbit_blocks(a0, b0, m, N))) * (TWO_PI / m)
+    z = np.empty(N, dtype=np.complex128)
+    z.real = np.cos(theta)
+    z.imag = np.sin(theta)
+    inner = [float(abs(np.vdot(z[: N - lag], z[lag:]))) for lag in range(tau, N, tau)]
+    return inner, _dot_error_bound(N - np.arange(tau, N, tau))
+
+
+def _margin(rhs: float, lhs_sq: float) -> float:
+    return rhs / lhs_sq if lhs_sq > 0 else math.inf
+
+
 def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> DifferencingReport:
     """Evaluate both sides of the squared differencing inequality.
 
         |S_N|^2 <= m'*N + 2m' * sum_{1 <= i < N/tau} |sum_{n<=N-i*tau} e(a(b^{i*tau}-1) b^n / m)|
 
-    Every inner numerator a*(b^{i*tau}-1) is reduced exactly mod m before
-    evaluation.  The `holds` flag allows HOLDS_SLACK of relative noise.
+    with tau = ord(b, m').  lhs_squared is eval_sum(a, b, m, N).magnitude**2.
+
+    Fast path (m <= _INT64_SAFE_M): every inner sum is a dot product of
+    the phase vector z_n = e(r_n / m) built once from the exact residues
+    r_n = a b^n mod m (see _inner_sums).  Each |inner| is within E_L of its
+    exact value (_dot_error_bound), so the certified right-hand side is
+    m'*N + 2m' * max(0, sum |inner| - sum E_L), and `holds` is decided on
+    that.  If the certified side cannot confirm the inequality, or the
+    modulus is too large for int64 residues, the exact path decides: every
+    inner numerator a*(b^{i*tau}-1) is reduced exactly mod m and evaluated by
+    eval_sum.  `path` says which path decided; `rhs` is that path's
+    uncorrected right-hand side.  `holds` allows HOLDS_SLACK of relative noise.
     """
     if gcd(b, m) != 1:
         raise NotCoprime(b, m)
@@ -229,6 +309,15 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
         raise NotCoprime(b, m_prime)
     tau = mult_order(b, m_prime)
     lhs_sq = eval_sum(a, b, m, N).magnitude ** 2
+    if m <= _INT64_SAFE_M:
+        inner, errors = _inner_sums(a % m, b % m, m, N, tau)
+        total = fsum(inner)
+        rhs = m_prime * N + 2.0 * m_prime * total
+        certified = m_prime * N + 2.0 * m_prime * max(0.0, total - fsum(errors))
+        if lhs_sq <= certified * (1.0 + HOLDS_SLACK):
+            return DifferencingReport(
+                lhs_sq, rhs, m_prime, tau, True, "fast", _margin(certified, lhs_sq)
+            )
     step = pow(b, tau, m)
     r = 1
     inner = []
@@ -239,4 +328,5 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
         inner.append(eval_sum(a_i, b, m, N - i * tau).magnitude)
         i += 1
     rhs = m_prime * N + 2.0 * m_prime * fsum(inner)
-    return DifferencingReport(lhs_sq, rhs, m_prime, tau, lhs_sq <= rhs * (1.0 + HOLDS_SLACK))
+    holds = lhs_sq <= rhs * (1.0 + HOLDS_SLACK)
+    return DifferencingReport(lhs_sq, rhs, m_prime, tau, holds, "exact", _margin(rhs, lhs_sq))

@@ -170,7 +170,29 @@ class TestCommands:
              "--n", "6", "--json"]
         )
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["holds"] is True
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["holds"] is True
+        assert payload["path"] == "fast" and payload["margin"] > 1
+        code = cli.main(["verify", "--a", "1", "--b", "2", "--m", str(3**12), "--m-prime", "3",
+                         "--n", "5000"])
+        assert code == 0
+        assert "fast path, certified margin rhs/lhs^2 = " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_scan_rejects_non_positive_workers(self, tmp_path, capsys, workers):
+        config_path = tmp_path / "scan.json"
+        config_path.write_text(json.dumps(make_config()))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["scan", "--config", str(config_path), "--workers", workers])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_digits_bad_pattern_exit_code(self, capsys):
+        code = cli.main(["digits", "--a", "1", "--m", "7", "--base", "10",
+                         "--pattern", "1a", "--n", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pattern '1a'" in err and "Traceback" not in err
 
     def test_scan_cli_and_config_error_exit_codes(self, tmp_path, capsys):
         config_path = tmp_path / "scan.json"

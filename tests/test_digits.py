@@ -37,6 +37,8 @@ class TestDigitPattern:
             dg.DigitPattern(10, ())
         with pytest.raises(OutOfRange):
             dg.DigitPattern(2, (2,))
+        with pytest.raises(OutOfRange):
+            dg.DigitPattern.from_string("1a", 16)
         assert dg.DigitPattern.from_string("14", 10).digits == (1, 4)
         assert dg.DigitPattern(10, (1, 4)).value() == 14
 

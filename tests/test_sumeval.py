@@ -251,6 +251,54 @@ class TestVerifyDifferencing:
             assert rep.holds
             done += 1
 
+    def test_fast_inner_sums_match_exact_loop(self):
+        # (a, b, m, m', N): tau = 1 (ord(4, 3)), tau = 2 with a(b^L - 1) = 0 mod m
+        # at L = 54, 108 (ord(2, 81) = 54), every numerator 0 (m' = m), and a
+        # blocked-length instance; then a seeded sweep
+        cases = [(5, 4, 27, 3, 400), (7, 2, 81, 3, 300), (1, 2, 45, 45, 500),
+                 (2, 2, 3**9, 3**5, 4500)]
+        rng = random.Random(91)
+        while len(cases) < 16:
+            m = rng.choice(nt.smooth_numbers(P35, 10**6, lo=15))
+            fac = nt.factor_smooth(m, P35).exponents
+            cases.append((rng.randrange(1, m), 2, m, rng.choice(valid_reduced_moduli(m, fac)),
+                          rng.randrange(2, 1500)))
+        taus, zero_lags = set(), 0
+        for a, b, m, m_prime, N in cases:
+            tau = nt.mult_order(b, m_prime)
+            taus.add(tau)
+            inner, errors = se._inner_sums(a % m, b % m, m, N, tau)
+            lags = range(tau, N, tau)
+            assert len(inner) == len(errors) == len(lags)
+            for lag, fast, bound in zip(lags, inner, errors):
+                a_lag = a * (pow(b, lag, m) - 1) % m
+                zero_lags += a_lag == 0
+                exact = se.eval_sum(a_lag, b, m, N - lag).magnitude
+                assert abs(fast - exact) <= bound <= 1e-9 * N
+        assert {1, 2} <= taus and zero_lags > 0
+
+    def test_lhs_is_eval_sum_bit_for_bit(self):
+        for a, b, m, m_prime, N in ((1, 2, 9, 3, 6), (5, 2, 3**12, 3, 5000), (4, 7, 5**9, 5, 2047),
+                                    (1, 2, 3**21, 3, 60)):
+            rep = se.verify_differencing(a, b, m, m_prime, N)
+            assert rep.lhs_squared == se.eval_sum(a, b, m, N).magnitude ** 2
+
+    def test_exact_path_decides_above_int64_range(self):
+        m = 3**21
+        assert m > se._INT64_SAFE_M
+        rep = se.verify_differencing(1, 2, m, 3**2, 60)
+        assert rep.path == "exact" and rep.holds
+        assert rep.margin == rep.rhs / rep.lhs_squared
+
+    def test_exact_path_decides_when_fast_cannot_certify(self, monkeypatch):
+        # a = 0 makes the inequality tight (lhs^2 = rhs = N^2 with m' = 1);
+        # with the trivial error bound E_L = n the fast path certifies only m'N
+        monkeypatch.setattr(se, "_dot_error_bound", lambda n: 1.0 * n)
+        rep = se.verify_differencing(0, 2, 9, 1, 40)
+        assert rep.tau == 1
+        assert rep.path == "exact" and rep.holds
+        assert rep.rhs == rep.lhs_squared == 40.0**2
+
 
 class TestShortSumBound:
     def test_exhaustive_small_moduli(self):
