@@ -16,16 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Tuple, Union
 
 from .errors import EpsilonOutOfRange, NotInterior, OutOfRange, RangeViolation
 from .numtheory import (
+    ModulusStructure,
     PrimeSet,
     c_p_alpha,
     capital_m,
     factor_smooth,
-    mult_order_structured,
     round_up,
 )
 
@@ -323,33 +323,94 @@ def _exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
-def bound_eval(m: int, N: int, k: int, P: PrimeSet, b: int, form: str = "recursive") -> BoundReport:
-    """Level-k bound on |S_N| for P-smooth m, in either constant regime.
+@lru_cache(maxsize=None)
+def level_row(k: int, P: PrimeSet, b: int) -> Tuple[float, ...]:
+    """Row k of the (P, b) level table, the floats the level-k bounds use:
+    (alpha_k, gamma_k, nu_k, A_k, B_k, log K1 + k log K2, log K3, 2^-k)."""
+    ex, cs, kc = exponents(k), constants(k, P, b), k_constants(P, b)
+    return (float(ex.alpha), float(ex.gamma), float(ex.nu), cs.a_k, cs.b_k,
+            kc.log_k1 + k * math.log(kc.k2), kc.log_k3, 2.0**-k)
 
-    "recursive" uses the certified A_k, B_k; "main" substitutes the
-    closed-form K1*K2^k and K3.  Exponents are identical in both forms, so
-    main >= recursive always.
+
+class ModulusBounds:
+    """The bound system at one P-smooth modulus m, for the levels in `ks`.
+
+    What depends on m alone or on (P, b, k) is computed once, here or on
+    first use; the methods evaluate only the N-dependent part (N >= 1).
+    bound_eval, best_k and bound_baseline are wrappers over these methods,
+    so a scan row and the single-bound calls agree bit for bit.
     """
+
+    def __init__(self, m: int, P: PrimeSet, b: int, ks=()):
+        if b < 2:
+            raise OutOfRange("b must be at least 2")
+        self.m, self.P, self.b = m, P, b
+        self.fac = factor_smooth(m, P)
+        self.log_m = math.log(m)
+        self.ks = tuple(ks)
+        # per level: (alpha_k log m, gamma_k, nu_k, A_k, B_k, log K1 + k log K2,
+        # log K3, round-up (1 + log m)^(2^-k))
+        self.levels = []
+        for k in self.ks:
+            alpha, *row, root = level_row(k, P, b)
+            self.levels.append((alpha * self.log_m, *row, round_up((1.0 + self.log_m) ** root)))
+
+    @cached_property
+    def structure(self) -> ModulusStructure:
+        """Order decomposition of b mod m (checks gcd(b, m) = 1)."""
+        return self.fac.order_structure(self.b)
+
+    @cached_property
+    def _roots(self) -> Tuple[float, float, float]:
+        root = math.sqrt(self.m)
+        return root, round_up(root), round_up(1.0 + self.log_m)
+
+    def terms(self, i: int, N: int, form: str = "recursive") -> Tuple[float, float, float]:
+        """(main term, secondary term, bound) of level ks[i] at N.
+
+        "recursive" uses the certified A_k, B_k; "main" substitutes the
+        closed-form K1*K2^k and K3.  Exponents are identical in both forms,
+        so main >= recursive always.
+        """
+        al_log_m, gamma, nu, a_k, b_k, log_main, log_k3, logfac = self.levels[i]
+        log_n = math.log(N)
+        log_pow_main = al_log_m + gamma * log_n
+        log_pow_sec = -al_log_m + nu * log_n
+        if form == "recursive":
+            tm = round_up(a_k * math.exp(log_pow_main))
+            ts = round_up(b_k * math.exp(log_pow_sec))
+        elif form == "main":
+            tm = _exp_or_inf(log_main + log_pow_main)
+            ts = _exp_or_inf(log_k3 + log_pow_sec)
+        else:
+            raise OutOfRange(f"unknown bound form {form!r}")
+        return tm, ts, (tm + ts) * logfac
+
+    def recursive(self, N: int) -> Tuple[List[Tuple[float, float, float]], int]:
+        """Recursive terms at every level, and the index of the smallest
+        bound (ties go to the smaller k)."""
+        recs = [self.terms(i, N) for i in range(len(self.levels))]
+        return recs, min(range(len(recs)), key=lambda i: recs[i][2])
+
+    def long(self, N: int) -> Tuple[float, float, float]:
+        """(sqrt m, M N / sqrt m, bound) of the long baseline (gcd(a, m) = 1)."""
+        root, tm, logfac = self._roots
+        ts = round_up(capital_m(self.P, self.b) * N / root)
+        return tm, ts, (tm + ts) * logfac
+
+    def short(self, d: int = 1) -> Tuple[float, float]:
+        """(sqrt(m/d), bound) of the short baseline at the reduced modulus m/d."""
+        md = self.m // d
+        tm = round_up(math.sqrt(md))
+        return tm, tm * round_up(1.0 + math.log(md))
+
+
+def bound_eval(m: int, N: int, k: int, P: PrimeSet, b: int, form: str = "recursive") -> BoundReport:
+    """Level-k bound on |S_N| for P-smooth m, in either constant regime
+    (see ModulusBounds.terms)."""
     if N < 1:
         raise OutOfRange("N must be positive")
-    factor_smooth(m, P)
-    ex = exponents(k)
-    log_m = math.log(m)
-    log_n = math.log(N)
-    log_pow_main = float(ex.alpha) * log_m + float(ex.gamma) * log_n
-    log_pow_sec = -float(ex.alpha) * log_m + float(ex.nu) * log_n
-    if form == "recursive":
-        cs = constants(k, P, b)
-        tm = round_up(cs.a_k * math.exp(log_pow_main))
-        ts = round_up(cs.b_k * math.exp(log_pow_sec))
-    elif form == "main":
-        kc = k_constants(P, b)
-        tm = _exp_or_inf(kc.log_k1 + k * math.log(kc.k2) + log_pow_main)
-        ts = _exp_or_inf(kc.log_k3 + log_pow_sec)
-    else:
-        raise OutOfRange(f"unknown bound form {form!r}")
-    logfac = round_up((1.0 + log_m) ** (2.0**-k))
-    bound = (tm + ts) * logfac
+    tm, ts, bound = ModulusBounds(m, P, b, (k,)).terms(0, N, form)
     return BoundReport(m, N, k, bound, tm, ts, bound < N, form)
 
 
@@ -365,25 +426,19 @@ def bound_baseline(m: int, N: int, d: int, P: PrimeSet, b: int, form: str = "sho
         raise OutOfRange("N must be positive")
     if d < 1 or m % d != 0:
         raise RangeViolation(f"d={d} must divide m={m}")
-    struct = mult_order_structured(b, m, P)
+    mb = ModulusBounds(m, P, b)
     if form == "short":
+        struct = mb.structure
         if N > struct.order:
             raise RangeViolation(f"short form needs N <= ord(b, m) = {struct.order}")
         if not (d == 1 or d * struct.m1 < m):
             raise RangeViolation(f"short form needs d=1 or d < m/m1 = {m}/{struct.m1}")
-        md = m // d
-        tm = round_up(math.sqrt(md))
-        logfac = round_up(1.0 + math.log(md))
-        bound = tm * logfac
-        return BoundReport(md, N, 0, bound, tm, 0.0, bound < N, "short")
+        tm, bound = mb.short(d)
+        return BoundReport(m // d, N, 0, bound, tm, 0.0, bound < N, "short")
     if form == "long":
         if d != 1:
             raise RangeViolation("long form requires gcd(a, m) = 1")
-        M = capital_m(P, b)
-        tm = round_up(math.sqrt(m))
-        ts = round_up(M * N / math.sqrt(m))
-        logfac = round_up(1.0 + math.log(m))
-        bound = (tm + ts) * logfac
+        tm, ts, bound = mb.long(N)
         return BoundReport(m, N, 0, bound, tm, ts, bound < N, "long")
     raise OutOfRange(f"unknown baseline form {form!r}")
 
@@ -450,11 +505,11 @@ def best_k(m: int, N: int, P: PrimeSet, b: int, k_max: int) -> BestK:
     alongside the prediction from optimal-range membership of log N / log m."""
     if k_max < 0:
         raise OutOfRange("k_max must be non-negative")
-    winner = None
-    for k in range(k_max + 1):
-        rep = bound_eval(m, N, k, P, b, "recursive")
-        if winner is None or rep.bound_value < winner.bound_value:
-            winner = rep
+    if N < 1:
+        raise OutOfRange("N must be positive")
+    recs, k_star = ModulusBounds(m, P, b, range(k_max + 1)).recursive(N)
+    tm, ts, bound = recs[k_star]
+    winner = BoundReport(m, N, k_star, bound, tm, ts, bound < N, "recursive")
     k_hat = None
     if m > 1:
         c_lo, c_hi = certified_c()

@@ -94,6 +94,8 @@ def load_scan_config(doc: Dict) -> ScanConfig:
     if not primes or not all(isinstance(p, int) for p in primes):
         raise ConfigError("primes", "must be a non-empty list of primes")
     b = need("b", int)
+    if b < 2:
+        raise ConfigError("b", "must be an integer >= 2")
     m_range = need("m_range", list)
     if len(m_range) != 2 or not all(isinstance(v, int) for v in m_range):
         raise ConfigError("m_range", "must be [lo, hi]")
@@ -104,8 +106,8 @@ def load_scan_config(doc: Dict) -> ScanConfig:
     kind = a_policy.get("kind")
     if kind == "fixed":
         values = a_policy.get("values")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("a_policy.values", "must be a non-empty list")
+        if not isinstance(values, list) or not values or not all(isinstance(v, int) for v in values):
+            raise ConfigError("a_policy.values", "must be a non-empty list of integers")
     elif kind == "sample":
         if not isinstance(a_policy.get("count"), int) or a_policy["count"] < 1:
             raise ConfigError("a_policy.count", "must be a positive integer")
@@ -121,18 +123,25 @@ def load_scan_config(doc: Dict) -> ScanConfig:
             raise ConfigError("N_policy.values", "must be positive integers")
     elif kind == "powers":
         exps = n_policy.get("exponents")
-        if not isinstance(exps, list) or not exps:
-            raise ConfigError("N_policy.exponents", "must be a non-empty list")
+        if not isinstance(exps, list) or not exps or any(
+            not isinstance(x, (int, float)) or not 0 < x < math.inf for x in exps
+        ):
+            raise ConfigError("N_policy.exponents", "must be a non-empty list of positive numbers")
     else:
         raise ConfigError("N_policy.kind", "must be explicit | powers")
     k_range = need("k_range", list)
-    if len(k_range) != 2 or k_range[0] < 0 or k_range[1] < k_range[0]:
+    if (len(k_range) != 2 or not all(isinstance(v, int) for v in k_range)
+            or k_range[0] < 0 or k_range[1] < k_range[0]):
         raise ConfigError("k_range", "must be [lo, hi] with 0 <= lo <= hi")
     seed = need("seed", int)
     out = doc.get("output", {})
+    if not isinstance(out, dict):
+        raise ConfigError("output", "expected dict")
     out_format = out.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format", "must be csv | json")
+    if not isinstance(out.get("path", ""), str):
+        raise ConfigError("output.path", "must be a string")
     workers = doc.get("workers", 1)
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers", "must be a positive integer")
@@ -184,35 +193,36 @@ def _n_values_for(m: int, policy: Dict) -> List[int]:
     return sorted({max(1, math.ceil(m**x)) for x in policy["exponents"]})
 
 
-def _scan_cell(payload) -> Tuple[List[Dict], Optional[Dict]]:
-    """All rows for one modulus; returns (rows, violation_or_None)."""
+def _scan_cell(payload) -> Tuple[List[ScanRow], Optional[Dict]]:
+    """All rows for one modulus; returns (rows, violation_or_None).
+
+    The bounds depend on (m, N) alone, so each is evaluated once per N and
+    checked against every unit's sum.
+    """
     m, b, primes, a_policy, n_policy, k_lo, k_hi, seed = payload
-    P = PrimeSet(primes)
-    rows: List[Dict] = []
-    order = numtheory.mult_order(b, m)
-    prime_base = None
-    fac = numtheory.factorize(m)
-    if len(fac) == 1:
-        p = next(iter(fac))
-        if p % 2 == 1:
-            prime_base = (p, fac[p])
+    mb = bounds.ModulusBounds(m, PrimeSet(primes), b, range(k_lo, k_hi + 1))
+    prime_powers = [(p, e) for p, e in mb.fac.exponents.items() if e]
+    prime_base = prime_powers[0] if len(prime_powers) == 1 and prime_powers[0][0] % 2 else None
+    short_bound = mb.short()[1]
+    per_n = []
+    for N in _n_values_for(m, n_policy):
+        recs, best = mb.recursive(N)
+        rec = recs[best][2]
+        main = mb.terms(best, N, "main")[2]
+        long_val = mb.long(N)[2]
+        short = short_bound if N <= mb.structure.order else None
+        prime_val = None
+        if prime_base is not None and N >= 2:
+            prime_val = bounds.bound_korobov_prime(prime_base[0], prime_base[1], N)
+        valid_bounds = [r[2] for r in recs] + [main, long_val]
+        if short is not None:
+            valid_bounds.append(short)
+        row_bounds = (rec, main, long_val, short, prime_val, rec < N, main < N)
+        per_n.append((N, mb.ks[best], valid_bounds, row_bounds))
+    rows: List[ScanRow] = []
     for a in _units_for(m, a_policy, seed):
-        for N in _n_values_for(m, n_policy):
+        for N, k_star, valid_bounds, row_bounds in per_n:
             s_abs = sumeval.eval_sum_reduced(a, b, m, N).magnitude
-            recs = [bounds.bound_eval(m, N, k, P, b, "recursive") for k in range(k_lo, k_hi + 1)]
-            best = min(recs, key=lambda r: (r.bound_value, r.k))
-            main = bounds.bound_eval(m, N, best.k, P, b, "main")
-            long_rep = bounds.bound_baseline(m, N, 1, P, b, "long")
-            short_val = None
-            if N <= order:
-                short_val = bounds.bound_baseline(m, N, 1, P, b, "short").bound_value
-            prime_val = None
-            if prime_base is not None and N >= 2:
-                prime_val = bounds.bound_korobov_prime(prime_base[0], prime_base[1], N)
-            valid_bounds = [r.bound_value for r in recs]
-            valid_bounds += [main.bound_value, long_rep.bound_value]
-            if short_val is not None:
-                valid_bounds.append(short_val)
             for v in valid_bounds:
                 if s_abs > v * (1.0 + VALIDITY_SLACK):
                     return rows, {
@@ -222,23 +232,7 @@ def _scan_cell(payload) -> Tuple[List[Dict], Optional[Dict]]:
                         "s_abs": s_abs,
                         "violated_bound": v,
                     }
-            rows.append(
-                {
-                    "m": m,
-                    "a": a,
-                    "N": N,
-                    "k_star": best.k,
-                    "s_abs": s_abs,
-                    "ratio": s_abs / N,
-                    "bound_recursive": best.bound_value,
-                    "bound_main": main.bound_value,
-                    "bound_long": long_rep.bound_value,
-                    "bound_short": short_val,
-                    "bound_prime": prime_val,
-                    "nontrivial_recursive": best.nontrivial,
-                    "nontrivial_main": main.nontrivial,
-                }
-            )
+            rows.append(ScanRow(m, a, N, k_star, s_abs, s_abs / N, *row_bounds))
     return rows, None
 
 
@@ -263,13 +257,13 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
             results = pool.map(_scan_cell, payloads)
     else:
         results = [_scan_cell(p) for p in payloads]
-    rows: List[Dict] = []
+    rows: List[ScanRow] = []
     for cell_rows, violation in results:
         if violation is not None:
             raise BoundViolation(violation)
         rows.extend(cell_rows)
-    rows.sort(key=lambda r: (r["m"], r["a"], r["N"]))
-    return [ScanRow(**r) for r in rows]
+    rows.sort(key=lambda r: (r.m, r.a, r.N))
+    return rows
 
 
 def _fmt_float(x: float) -> str:
@@ -284,10 +278,9 @@ def render_report(rows: Sequence[ScanRow], format: str = "csv") -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
         for row in rows:
-            record = dataclasses.asdict(row)
             out = []
             for field in _CSV_FIELDS:
-                v = record[field]
+                v = getattr(row, field)
                 if v is None:
                     out.append("")
                 elif isinstance(v, bool):
@@ -299,7 +292,7 @@ def render_report(rows: Sequence[ScanRow], format: str = "csv") -> bytes:
             writer.writerow(out)
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        payload = {"rows": [dataclasses.asdict(r) for r in rows]}
+        payload = {"rows": [{field: getattr(r, field) for field in _CSV_FIELDS} for r in rows]}
         return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
     raise ConfigError("output.format", f"unknown format {format!r}")
 
@@ -506,10 +499,16 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise ConfigError("", f"{path} is not a JSON document: {exc}") from None
+
+
 def _cmd_scan(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    config = load_scan_config(doc)
+    config = load_scan_config(_load_json(args.config))
     rows = run_scan(config, workers=args.workers)
     fmt = args.format or config.out_format
     data = render_report(rows, fmt)
@@ -547,9 +546,7 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_normal(args) -> int:
-    with open(args.schedule, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    schedule = load_schedule(doc)
+    schedule = load_schedule(_load_json(args.schedule))
     validation = normalnum.validate_schedule(schedule, args.k_check)
     trace = normalnum.discrepancy_trace(schedule, args.n_max)
     payload = {

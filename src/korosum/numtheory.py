@@ -104,6 +104,26 @@ class SmoothFactorization:
                 r *= p
         return r
 
+    def order_structure(self, b: int) -> "ModulusStructure":
+        """mult_order_structured(b, n, P) for this already factored n."""
+        m = self.n
+        if b < 2:
+            raise OutOfRange("b must be at least 2")
+        if math.gcd(b, m) != 1:
+            raise NotCoprime(b, m)
+        if m == 1:
+            return ModulusStructure(1, 1, 0, 1, {}, 1, 1)
+        primes_of_m = [p for p, e in self.exponents.items() if e > 0]
+        tau1 = mult_order(b, self.radical())
+        mu = 1 if (m % 2 == 0 and tau1 % 2 == 1 and b % 4 == 3) else 0
+        e = (mu + 1) * tau1
+        beta = {p: _val_of_power_minus_one(b, e, p) for p in primes_of_m}
+        m1 = 1
+        for p in primes_of_m:
+            m1 *= p ** min(self.exponents[p], beta[p])
+        tau_prime = 2 * tau1 if (mu == 1 and m % 4 == 0) else tau1
+        return ModulusStructure(m, tau1, mu, tau_prime, beta, m1, (m // m1) * tau_prime)
+
 
 @dataclass
 class ModulusStructure:
@@ -259,23 +279,7 @@ def mult_order_structured(b: int, m: int, P: PrimeSet) -> ModulusStructure:
     exponents of m; tau' doubles tau1 exactly when mu = 1 and 4 | m.
     The resulting order is (m/m1) * tau'.
     """
-    if b < 2:
-        raise OutOfRange("b must be at least 2")
-    if math.gcd(b, m) != 1:
-        raise NotCoprime(b, m)
-    fac = factor_smooth(m, P)
-    if m == 1:
-        return ModulusStructure(1, 1, 0, 1, {}, 1, 1)
-    primes_of_m = [p for p in P if fac.exponents[p] > 0]
-    tau1 = mult_order(b, fac.radical())
-    mu = 1 if (m % 2 == 0 and tau1 % 2 == 1 and b % 4 == 3) else 0
-    e = (mu + 1) * tau1
-    beta = {p: _val_of_power_minus_one(b, e, p) for p in primes_of_m}
-    m1 = 1
-    for p in primes_of_m:
-        m1 *= p ** min(fac.exponents[p], beta[p])
-    tau_prime = 2 * tau1 if (mu == 1 and m % 4 == 0) else tau1
-    return ModulusStructure(m, tau1, mu, tau_prime, beta, m1, (m // m1) * tau_prime)
+    return factor_smooth(m, P).order_structure(b)
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import fsum, gcd
 from typing import Union
 
@@ -85,15 +86,10 @@ class DifferencingReport:
     margin: float
 
 
-_POWER_TABLES: dict = {}
-
-
+@lru_cache(maxsize=256)
 def _power_table(b_red: int, m: int):
-    """(array of b^j mod m for j < _BLOCK, b^_BLOCK mod m), cached per (b, m)."""
-    key = (b_red, m)
-    hit = _POWER_TABLES.get(key)
-    if hit is not None:
-        return hit
+    """(array of b^j mod m for j < _BLOCK, b^_BLOCK mod m), cached per (b, m);
+    the array is shared by every caller, so it is read-only."""
     # doubling: b^(j+k) = b^j * b^k, every product below m^2 (int64-safe)
     pows = np.empty(_BLOCK, dtype=np.int64)
     pows[0] = 1 % m
@@ -101,11 +97,8 @@ def _power_table(b_red: int, m: int):
     while k < _BLOCK:
         pows[k : 2 * k] = pows[:k] * pow(b_red, k, m) % m
         k *= 2
-    entry = (pows, pow(b_red, _BLOCK, m))
-    if len(_POWER_TABLES) > 256:
-        _POWER_TABLES.clear()
-    _POWER_TABLES[key] = entry
-    return entry
+    pows.flags.writeable = False
+    return pows, pow(b_red, _BLOCK, m)
 
 
 def _eval_scalar(a0: int, b0: int, m: int, N: int) -> complex:

@@ -1,11 +1,13 @@
 """Unit tests for the exponent recursion, certified constants and intervals."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from korosum import bounds as bd
+from korosum import cli
 from korosum import numtheory as nt
 from korosum import sumeval as se
 from korosum.errors import EpsilonOutOfRange, NotInterior, OutOfRange, RangeViolation
@@ -378,3 +380,119 @@ class TestDirectCalculationDecimals:
         for k, ref in enumerate(self.NU_SIDE, start=1):
             e = bd.exponents(k)
             assert abs(float(-e.alpha * (k + c + 1) + e.nu - 1) - ref) < 5e-6
+
+
+def _ref_level(m, N, k, P, b, form):
+    """The per-call level-k arithmetic bound_eval used before the level table:
+    (main term, secondary term, bound)."""
+    ex = bd.exponents(k)
+    log_m = math.log(m)
+    log_n = math.log(N)
+    log_pow_main = float(ex.alpha) * log_m + float(ex.gamma) * log_n
+    log_pow_sec = -float(ex.alpha) * log_m + float(ex.nu) * log_n
+    if form == "recursive":
+        cs = bd.constants(k, P, b)
+        tm = nt.round_up(cs.a_k * math.exp(log_pow_main))
+        ts = nt.round_up(cs.b_k * math.exp(log_pow_sec))
+    else:
+        kc = bd.k_constants(P, b)
+        tm = bd._exp_or_inf(kc.log_k1 + k * math.log(kc.k2) + log_pow_main)
+        ts = bd._exp_or_inf(kc.log_k3 + log_pow_sec)
+    logfac = nt.round_up((1.0 + log_m) ** (2.0**-k))
+    return tm, ts, (tm + ts) * logfac
+
+
+def _ref_long(m, N, P, b):
+    tm = nt.round_up(math.sqrt(m))
+    ts = nt.round_up(nt.capital_m(P, b) * N / math.sqrt(m))
+    logfac = nt.round_up(1.0 + math.log(m))
+    return tm, ts, (tm + ts) * logfac
+
+
+def _ref_short(m, d):
+    md = m // d
+    tm = nt.round_up(math.sqrt(md))
+    return tm, tm * nt.round_up(1.0 + math.log(md))
+
+
+def _ref_row(m, a, N, P, b, k_lo, k_hi):
+    """One scan row computed bound by bound, as every scan row was before
+    the bounds were evaluated once per modulus."""
+    s_abs = se.eval_sum_reduced(a, b, m, N).magnitude
+    recs = [(_ref_level(m, N, k, P, b, "recursive")[2], k) for k in range(k_lo, k_hi + 1)]
+    rec, k_star = min(recs)
+    main = _ref_level(m, N, k_star, P, b, "main")[2]
+    short = _ref_short(m, 1)[1] if N <= nt.mult_order(b, m) else None
+    fac = nt.factorize(m)
+    prime = None
+    if len(fac) == 1 and m % 2 and N >= 2:
+        (p, e), = fac.items()
+        prime = bd.bound_korobov_prime(p, e, N)
+    return (m, a, N, k_star, s_abs, s_abs / N, rec, main, _ref_long(m, N, P, b)[2], short, prime,
+            rec < N, main < N)
+
+
+def _bits(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestAgainstPerCallReference:
+    """Scan rows, bound_eval, best_k and bound_baseline against the per-call
+    formulas above, bit for bit."""
+
+    CASES = [
+        # (primes, b, moduli, a_policy, N_policy, k_lo, k_hi)
+        ((3,), 2, [3, 9, 27, 3**7, 3**10], {"kind": "sample", "count": 2},
+         {"kind": "explicit", "values": [1, 2, 5, 7, 100, 3**11]}, 0, 4),
+        ((3,), 2, [81, 3**9], {"kind": "fixed", "values": [1, 2, 5]},
+         {"kind": "powers", "exponents": [0.2, 0.5, 1.0, 1.5]}, 2, 6),
+        ((3, 5), 2, [15, 45, 75, 225, 3**4 * 5**3], {"kind": "sample", "count": 3},
+         {"kind": "powers", "exponents": [0.15, 0.25, 0.4, 0.6, 1.0, 1.2]}, 0, 4),
+        ((3, 5, 7, 11, 13), 2, [1001, 15015, 13**3, 7**2 * 11 * 13, 3**9 * 5], {"kind": "sample", "count": 1},
+         {"kind": "explicit", "values": [1, 8, 32, 128]}, 0, 10),
+        ((2,), 3, [2, 4, 8, 2**6, 2**10], {"kind": "all"},
+         {"kind": "explicit", "values": [1, 3, 7, 64, 5000]}, 1, 5),
+    ]
+
+    def test_scan_rows(self):
+        got, want = [], []
+        for primes, b, moduli, a_policy, n_policy, k_lo, k_hi in self.CASES:
+            P = nt.PrimeSet(primes)
+            for m in moduli:
+                rows, violation = cli._scan_cell((m, b, primes, a_policy, n_policy, k_lo, k_hi, 42))
+                assert violation is None
+                got += [_bits(dataclasses.astuple(r)) for r in rows]
+                want += [_bits(_ref_row(m, a, N, P, b, k_lo, k_hi))
+                         for a in cli._units_for(m, a_policy, 42) for N in cli._n_values_for(m, n_policy)]
+        assert got == want
+        # the cases reach N = 1, k* = k_lo > 0, both sides of N <= ord(b, m)
+        # (bound_short set or None), prime-power rows and m = 2^j with b = 3
+        assert any(r[2] == 1 for r in got)
+        assert any(r[3] == 2 for r in got if r[0] in (81, 3**9))
+        assert any(r[9] is None for r in got) and any(r[9] is not None for r in got)
+        assert any(r[10] is not None for r in got)
+        assert any(r[0] == 2**10 for r in got)
+
+    @pytest.mark.parametrize("primes,b,moduli", [(c[0], c[1], c[2]) for c in CASES])
+    def test_single_bound_calls(self, primes, b, moduli):
+        P = nt.PrimeSet(primes)
+        for m in moduli:
+            order = nt.mult_order(b, m)
+            for N in (1, 2, 30, order, order + 1, 5 * m):
+                for k in range(7):
+                    for form in ("recursive", "main"):
+                        rep = bd.bound_eval(m, N, k, P, b, form)
+                        assert _bits((rep.term_main, rep.term_secondary, rep.bound_value)) == _bits(
+                            _ref_level(m, N, k, P, b, form))
+                        assert rep.nontrivial == (rep.bound_value < N)
+                for k_max in (0, 3, 8):
+                    best = bd.best_k(m, N, P, b, k_max)
+                    bound, k_star = min((_ref_level(m, N, k, P, b, "recursive")[2], k)
+                                        for k in range(k_max + 1))
+                    assert (best.k_star, best.report.k) == (k_star, k_star)
+                    assert best.report.bound_value.hex() == bound.hex()
+                rep = bd.bound_baseline(m, N, 1, P, b, "long")
+                assert _bits((rep.term_main, rep.term_secondary, rep.bound_value)) == _bits(_ref_long(m, N, P, b))
+                if N <= order:
+                    rep = bd.bound_baseline(m, N, 1, P, b, "short")
+                    assert _bits((rep.term_main, rep.bound_value)) == _bits(_ref_short(m, 1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -86,6 +87,41 @@ class TestRunScan:
         serial = cli.render_report(cli.run_scan(config, workers=1))
         parallel = cli.render_report(cli.run_scan(config, workers=4))
         assert serial == parallel
+
+    def test_bounds_work_once_per_modulus(self, monkeypatch):
+        # smoothness and the order structure of m are worked out once per
+        # modulus, not once per row or per bound
+        counts = {"factor_smooth": 0, "mult_order_structured": 0, "order_structure": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("factor_smooth", "mult_order_structured"):
+            orig = getattr(nt, name)
+            for mod in [m for key, m in sys.modules.items() if key.startswith("korosum")]:
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, counted(name, orig))
+        monkeypatch.setattr(nt.SmoothFactorization, "order_structure",
+                            counted("order_structure", nt.SmoothFactorization.order_structure))
+        config = cli.load_scan_config(
+            make_config(
+                primes=[3, 5],
+                m_range=[3, 3000],
+                a_policy={"kind": "sample", "count": 3},
+                N_policy={"kind": "powers", "exponents": [0.25, 0.5, 1.0]},
+                k_range=[0, 4],
+            )
+        )
+        rows = cli.run_scan(config, workers=1)
+        moduli = len({r.m for r in rows})
+        assert moduli == len(nt.smooth_numbers(nt.PrimeSet.of(3, 5), 3000, lo=3))
+        assert len(rows) > 5 * moduli
+        assert 0 < counts["factor_smooth"] <= moduli
+        assert 0 < counts["order_structure"] <= moduli
+        assert counts["mult_order_structured"] <= moduli
 
     def test_violation_aborts(self, monkeypatch):
         def fake_cell(payload):
@@ -186,6 +222,25 @@ class TestCommands:
             cli.main(["scan", "--config", str(config_path), "--workers", workers])
         assert info.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            (json.dumps(make_config(k_range=["a", 2])), "k_range"),
+            (json.dumps(make_config(a_policy={"kind": "fixed", "values": ["x"]})), "a_policy.values"),
+            (json.dumps(make_config(N_policy={"kind": "powers", "exponents": [-1, "q"]})),
+             "N_policy.exponents"),
+            (json.dumps(make_config(output="x")), "output"),
+            ('{"primes": [3], "b": 2,', ""),
+        ],
+        ids=["k_range", "a_values", "exponents", "output", "invalid_json"],
+    )
+    def test_scan_malformed_config_exit_code(self, tmp_path, capsys, text, field):
+        config_path = tmp_path / "scan.json"
+        config_path.write_text(text)
+        assert cli.main(["scan", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and "Traceback" not in err
 
     def test_digits_bad_pattern_exit_code(self, capsys):
         code = cli.main(["digits", "--a", "1", "--m", "7", "--base", "10",

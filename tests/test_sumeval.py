@@ -54,6 +54,15 @@ class TestEvalSum:
         for a, b, m, N in ((1, 2, 3**9, 5000), (11, 7, 5**7, 9001), (5, 2, 59049, 4096)):
             assert abs(se.eval_sum(a, b, m, N).value - oracle_sum(a, b, m, N)) < 1e-9
 
+    def test_power_table_is_shared_and_read_only(self):
+        m = 5**7
+        pows, step = se._power_table(11, m)
+        assert pows.tolist() == [pow(11, j, m) for j in range(se._BLOCK)]
+        assert step == pow(11, se._BLOCK, m)
+        assert se._power_table(11, m)[0] is pows
+        with pytest.raises(ValueError):
+            pows[0] = 0
+
     def test_non_coprime_inputs_allowed(self):
         # shared factors between a (or b) and m are legitimate here
         r = se.eval_sum(6, 2, 9, 10)
