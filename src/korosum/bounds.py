@@ -212,6 +212,11 @@ def _make_exponent_state(k: int, alpha: Fraction, gamma: Fraction, nu: Fraction)
     )
 
 
+#: The highest level with float constants: alpha_k = 1/(2^(k+2) - 2), so
+#: from k = 52 on 2^alpha_k rounds to 1 and C_{P,alpha_k} divides by zero.
+MAX_LEVEL = 50
+
+
 @lru_cache(maxsize=None)
 def constants(k: int, P: PrimeSet, b: int) -> ConstantState:
     """Certified-upper A_k, B_k for the prime environment (P, b).
@@ -222,8 +227,8 @@ def constants(k: int, P: PrimeSet, b: int) -> ConstantState:
     with alpha taken at level k-1, seeded A_0 = 1, B_0 = M.  Every step is
     inflated upward, so the stored values never under-report.
     """
-    if k < 0:
-        raise OutOfRange("level must be non-negative")
+    if not 0 <= k <= MAX_LEVEL:
+        raise OutOfRange(f"level must lie in [0, {MAX_LEVEL}], got {k}")
     M = capital_m(P, b)
     Q, s = P.Q, P.s
     c_half = c_p_alpha(P, Fraction(1, 2))
@@ -327,7 +332,7 @@ def _exp_or_inf(log_value: float) -> float:
 def level_row(k: int, P: PrimeSet, b: int) -> Tuple[float, ...]:
     """Row k of the (P, b) level table, the floats the level-k bounds use:
     (alpha_k, gamma_k, nu_k, A_k, B_k, log K1 + k log K2, log K3, 2^-k)."""
-    ex, cs, kc = exponents(k), constants(k, P, b), k_constants(P, b)
+    cs, ex, kc = constants(k, P, b), exponents(k), k_constants(P, b)
     return (float(ex.alpha), float(ex.gamma), float(ex.nu), cs.a_k, cs.b_k,
             kc.log_k1 + k * math.log(kc.k2), kc.log_k3, 2.0**-k)
 

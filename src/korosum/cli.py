@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bounds, digits, normalnum, numtheory, sumeval
 from .errors import BoundViolation, ConfigError, KorosumError
@@ -77,95 +77,131 @@ class ScanConfig:
     workers: int
 
 
+#: Moduli and lengths enter the bounds as floats, so they may not exceed this.
+_FLOAT_MAX = sys.float_info.max
+
+
+class _Rule(NamedTuple):
+    """One field of a JSON document: its dotted path, the predicate its value
+    must meet and the message when it does not.  An absent field takes
+    `default`, or is reported missing when that is `...`.  A rule with a
+    `kind` applies only when the field's parent entry has that "kind" tag."""
+
+    path: str
+    check: Callable[[Any], bool]
+    message: str
+    default: Any = ...
+    kind: Optional[str] = None
+
+
+def _int_from(lo=-math.inf, hi=math.inf) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
+
+
+def _list_of(item: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    """A non-empty list whose items all meet `item`."""
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(item, v))
+
+
+def _range_from(lo: int, hi=math.inf) -> Callable[[Any], bool]:
+    """[lo', hi'] with lo <= lo' <= hi' <= hi."""
+    return lambda v: _list_of(_int_from(lo, hi))(v) and len(v) == 2 and v[0] <= v[1]
+
+
+def _one_of(*choices: str) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, str) and v in choices
+
+
+def _is(kind: type) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, kind)
+
+
+def _is_positive_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= _FLOAT_MAX
+
+
+def _is_prime_list(v) -> bool:
+    return _list_of(_int_from(2))(v) and len(set(v)) == len(v) and all(map(numtheory.is_prime, v))
+
+
+_COMMON_RULES = (
+    _Rule("primes", _is_prime_list, "must be a non-empty list of distinct primes"),
+    _Rule("b", _int_from(2), "must be an integer >= 2"),
+)
+
+_SCAN_RULES = _COMMON_RULES + (
+    _Rule("m_range", _range_from(2, _FLOAT_MAX), "must be [lo, hi] with 2 <= lo <= hi <= 1.8e308"),
+    _Rule("a_policy", _is(dict), "expected a JSON object"),
+    _Rule("a_policy.kind", _one_of("fixed", "sample", "all"), "must be fixed | sample | all"),
+    _Rule("a_policy.values", _list_of(_int_from()),
+          "must be a non-empty list of integers", kind="fixed"),
+    _Rule("a_policy.count", _int_from(1), "must be a positive integer", kind="sample"),
+    _Rule("N_policy", _is(dict), "expected a JSON object"),
+    _Rule("N_policy.kind", _one_of("explicit", "powers"), "must be explicit | powers"),
+    _Rule("N_policy.values", _list_of(_int_from(1, _FLOAT_MAX)),
+          "must be a non-empty list of integers in [1, 1.8e308]", kind="explicit"),
+    _Rule("N_policy.exponents", _list_of(_is_positive_number),
+          "must be a non-empty list of positive numbers", kind="powers"),
+    _Rule("k_range", _range_from(0, bounds.MAX_LEVEL),
+          f"must be [lo, hi] with 0 <= lo <= hi <= {bounds.MAX_LEVEL}"),
+    _Rule("seed", _int_from(), "must be an integer"),
+    _Rule("output", _is(dict), "expected a JSON object", default={}),
+    _Rule("output.format", _one_of("csv", "json"), "must be csv | json", default="csv"),
+    _Rule("output.path", _is(str), "must be a string", default=None),
+    _Rule("workers", _int_from(1), "must be a positive integer", default=1),
+)
+
+_SCHEDULE_RULES = _COMMON_RULES + (
+    _Rule("epsilon", _is_positive_number, "must be a positive finite number", default=0.1),
+) + tuple(
+    rule
+    for g in ("c", "m")
+    for rule in (
+        _Rule(g, _is(dict), "expected a JSON object"),
+        _Rule(f"{g}.kind", _one_of("geometric", "explicit"), "must be geometric | explicit"),
+        _Rule(f"{g}.base", _int_from(2), "must be an integer >= 2", kind="geometric"),
+        _Rule(f"{g}.values", _list_of(_int_from()),
+              "must be a non-empty list of integers", kind="explicit"),
+    )
+)
+
+
+def _check_fields(doc, rules: Sequence[_Rule]) -> Dict[str, Any]:
+    """Apply `rules` in order, each parent entry before its fields, and
+    return every field's value (or default) by dotted path."""
+    if not isinstance(doc, dict):
+        raise ConfigError("", "expected a JSON object")
+    found: Dict[str, Any] = {}
+    for rule in rules:
+        parent, _, name = rule.path.rpartition(".")
+        entry = found[parent] if parent else doc
+        if rule.kind is not None and entry["kind"] != rule.kind:
+            continue
+        value = entry.get(name, rule.default)
+        if value is ...:
+            raise ConfigError(rule.path, "missing")
+        if name in entry and not rule.check(value):
+            raise ConfigError(rule.path, rule.message)
+        found[rule.path] = value
+    return found
+
+
 def load_scan_config(doc: Dict) -> ScanConfig:
     """Validate a scan config document, reporting the offending field path."""
-    if not isinstance(doc, dict):
-        raise ConfigError("", "config must be a JSON object")
-
-    def need(field, kind):
-        if field not in doc:
-            raise ConfigError(field, "missing")
-        value = doc[field]
-        if not isinstance(value, kind):
-            raise ConfigError(field, f"expected {kind.__name__}")
-        return value
-
-    primes = need("primes", list)
-    if not primes or not all(isinstance(p, int) for p in primes):
-        raise ConfigError("primes", "must be a non-empty list of primes")
-    b = need("b", int)
-    if b < 2:
-        raise ConfigError("b", "must be an integer >= 2")
-    m_range = need("m_range", list)
-    if len(m_range) != 2 or not all(isinstance(v, int) for v in m_range):
-        raise ConfigError("m_range", "must be [lo, hi]")
-    m_lo, m_hi = m_range
-    if m_lo < 2 or m_hi < m_lo:
-        raise ConfigError("m_range", "need 2 <= lo <= hi")
-    a_policy = need("a_policy", dict)
-    kind = a_policy.get("kind")
-    if kind == "fixed":
-        values = a_policy.get("values")
-        if not isinstance(values, list) or not values or not all(isinstance(v, int) for v in values):
-            raise ConfigError("a_policy.values", "must be a non-empty list of integers")
-    elif kind == "sample":
-        if not isinstance(a_policy.get("count"), int) or a_policy["count"] < 1:
-            raise ConfigError("a_policy.count", "must be a positive integer")
-    elif kind != "all":
-        raise ConfigError("a_policy.kind", "must be fixed | sample | all")
-    n_policy = need("N_policy", dict)
-    kind = n_policy.get("kind")
-    if kind == "explicit":
-        values = n_policy.get("values")
-        if not isinstance(values, list) or not values or any(
-            not isinstance(v, int) or v < 1 for v in values
-        ):
-            raise ConfigError("N_policy.values", "must be positive integers")
-    elif kind == "powers":
-        exps = n_policy.get("exponents")
-        if not isinstance(exps, list) or not exps or any(
-            not isinstance(x, (int, float)) or not 0 < x < math.inf for x in exps
-        ):
-            raise ConfigError("N_policy.exponents", "must be a non-empty list of positive numbers")
-    else:
-        raise ConfigError("N_policy.kind", "must be explicit | powers")
-    k_range = need("k_range", list)
-    if (len(k_range) != 2 or not all(isinstance(v, int) for v in k_range)
-            or k_range[0] < 0 or k_range[1] < k_range[0]):
-        raise ConfigError("k_range", "must be [lo, hi] with 0 <= lo <= hi")
-    seed = need("seed", int)
-    out = doc.get("output", {})
-    if not isinstance(out, dict):
-        raise ConfigError("output", "expected dict")
-    out_format = out.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError("output.format", "must be csv | json")
-    if not isinstance(out.get("path", ""), str):
-        raise ConfigError("output.path", "must be a string")
-    workers = doc.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers", "must be a positive integer")
-    try:
-        PrimeSet(tuple(sorted(primes)))
-    except KorosumError as exc:
-        raise ConfigError("primes", str(exc)) from None
-    for p in sorted(primes):
+    fields = _check_fields(doc, _SCAN_RULES)
+    primes, b = tuple(sorted(fields["primes"])), fields["b"]
+    for p in primes:
         if b % p == 0:
             raise ConfigError("b", f"b={b} shares the prime {p} with the prime set")
-    return ScanConfig(
-        primes=tuple(sorted(primes)),
-        b=b,
-        m_lo=m_lo,
-        m_hi=m_hi,
-        a_policy=a_policy,
-        n_policy=n_policy,
-        k_lo=k_range[0],
-        k_hi=k_range[1],
-        seed=seed,
-        out_path=out.get("path"),
-        out_format=out_format,
-        workers=workers,
-    )
+    m_hi = fields["m_range"][1]
+    if fields["N_policy"]["kind"] == "powers":
+        try:
+            float(m_hi) ** max(fields["N_policy"]["exponents"])
+        except OverflowError:
+            raise ConfigError("N_policy.exponents", f"N = m^x overflows a float at m={m_hi}") from None
+    return ScanConfig(primes, b, *fields["m_range"], fields["a_policy"], fields["N_policy"],
+                      *fields["k_range"], fields["seed"], fields["output.path"],
+                      fields["output.format"], fields["workers"])
 
 
 def _units_for(m: int, policy: Dict, seed: int) -> List[int]:
@@ -320,42 +356,13 @@ def rows_from_csv(data: bytes) -> List[ScanRow]:
 
 def load_schedule(doc: Dict) -> normalnum.Schedule:
     """Build a Schedule from its JSON description."""
-    if not isinstance(doc, dict):
-        raise ConfigError("", "schedule must be a JSON object")
-    for field in ("b", "primes", "c", "m"):
-        if field not in doc:
-            raise ConfigError(field, "missing")
-    try:
-        primes = PrimeSet(tuple(sorted(doc["primes"])))
-    except (KorosumError, TypeError) as exc:
-        raise ConfigError("primes", str(exc)) from None
-    epsilon = float(doc.get("epsilon", 0.1))
-
-    def build(field: str):
-        entry = doc[field]
-        kind = entry.get("kind") if isinstance(entry, dict) else None
-        if kind == "geometric":
-            base = entry.get("base")
-            if not isinstance(base, int) or base < 2:
-                raise ConfigError(f"{field}.base", "must be an integer >= 2")
-            return lambda k: base**k
-        if kind == "explicit":
-            values = entry.get("values")
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"{field}.values", "must be a non-empty list")
-            tup = tuple(values)
-
-            def fn(k, _v=tup, _f=field):
-                if not 1 <= k <= len(_v):
-                    raise ConfigError(_f, f"schedule exhausted at k={k}")
-                return _v[k - 1]
-
-            return fn
-        raise ConfigError(f"{field}.kind", "must be geometric | explicit")
-
-    return normalnum.Schedule(
-        b=doc["b"], primes=primes, c_fn=build("c"), m_fn=build("m"), epsilon=epsilon
+    fields = _check_fields(doc, _SCHEDULE_RULES)
+    c, m = (
+        tuple(fields[f"{g}.values"]) if f"{g}.values" in fields else fields[f"{g}.base"]
+        for g in ("c", "m")
     )
+    primes = PrimeSet(tuple(sorted(fields["primes"])))
+    return normalnum.Schedule(fields["b"], primes, c, m, float(fields["epsilon"]))
 
 
 def _to_jsonable(obj):
@@ -369,8 +376,6 @@ def _to_jsonable(obj):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, PrimeSet):
-        return list(obj.primes)
     return obj
 
 

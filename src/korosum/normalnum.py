@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import OutOfRange, OutOfUnitInterval, ScheduleViolation
-from .numtheory import PrimeSet, factor_smooth
+from .errors import NotSmooth, OutOfRange, OutOfUnitInterval, ScheduleViolation
+from .numtheory import PrimeSet, factor_smooth, factorize
 from .sumeval import eval_sum
 
 #: Explicit constant adopted for the discrepancy-from-exponential-sums
@@ -33,14 +33,19 @@ class Schedule:
     Hypotheses: c_k strictly increasing, P-smooth, c_k | c_{k+1}; m_k
     strictly increasing; gcd(b, p) = 1 for each prime.  epsilon is the
     slack used by the advisory ratio check in validate_schedule.
+
+    Each generator is an int, the geometric base (g_k = base^k), or a
+    tuple of explicit values (g_k = values[k-1]).  A schedule with an
+    explicit generator is finite: it has K = min(len c, len m) blocks (over
+    the explicit ones), and block K extends forever, so
+    alpha = sum_{k<=K} 1/(c_k b^(m_k)) is rational.
     """
 
     b: int
     primes: PrimeSet
-    c_fn: Callable[[int], int]
-    m_fn: Callable[[int], int]
+    c: Union[int, Tuple[int, ...]]
+    m: Union[int, Tuple[int, ...]]
     epsilon: float = 0.1
-    label: str = ""
 
     @classmethod
     def geometric(
@@ -53,17 +58,8 @@ class Schedule:
     ) -> "Schedule":
         """c_k = c_base^k, m_k = m_base^k (the Stoneham-style shape)."""
         if primes is None:
-            from .numtheory import factorize
-
             primes = PrimeSet(tuple(sorted(factorize(c_base))))
-        return cls(
-            b=b,
-            primes=primes,
-            c_fn=lambda k: c_base**k,
-            m_fn=lambda k: m_base**k,
-            epsilon=epsilon,
-            label=f"geometric(c={c_base}^k, m={m_base}^k)",
-        )
+        return cls(b, primes, c_base, m_base, epsilon)
 
     @classmethod
     def explicit(
@@ -74,22 +70,20 @@ class Schedule:
         primes: PrimeSet,
         epsilon: float = 0.1,
     ) -> "Schedule":
-        c_tuple = tuple(c_values)
-        m_tuple = tuple(m_values)
+        return cls(b, primes, tuple(c_values), tuple(m_values), epsilon)
 
-        def pick(values: Tuple[int, ...], k: int) -> int:
-            if not 1 <= k <= len(values):
-                raise ScheduleViolation("schedule exhausted", k)
-            return values[k - 1]
+    @property
+    def blocks(self) -> Optional[int]:
+        """The number of blocks K of a finite schedule; None when unbounded."""
+        sizes = [len(g) for g in (self.c, self.m) if not isinstance(g, int)]
+        return min(sizes) if sizes else None
 
-        return cls(
-            b=b,
-            primes=primes,
-            c_fn=lambda k: pick(c_tuple, k),
-            m_fn=lambda k: pick(m_tuple, k),
-            epsilon=epsilon,
-            label="explicit",
-        )
+    def block(self, k: int) -> Tuple[int, int]:
+        """(c_k, m_k) for 1 <= k <= K."""
+        K = self.blocks
+        if k < 1 or (K is not None and k > K):
+            raise OutOfRange(f"the schedule has no block k={k}")
+        return tuple(g**k if isinstance(g, int) else g[k - 1] for g in (self.c, self.m))
 
 
 @dataclass
@@ -123,7 +117,8 @@ class TraceResult:
 
 
 def validate_schedule(schedule: Schedule, K: int) -> ScheduleValidation:
-    """Check every structural hypothesis for k <= K; raise on the first break.
+    """Check every structural hypothesis for k <= K and k <= the schedule's
+    block count, the horizon reported; raise on the first break.
 
     The limit hypothesis exp((1+eps) log c_k / log log c_k) / mu_k -> 0 is
     only observable as a finite trend, so its ratios are reported rather
@@ -134,16 +129,17 @@ def validate_schedule(schedule: Schedule, K: int) -> ScheduleValidation:
     for p in schedule.primes:
         if gcd(schedule.b, p) != 1:
             raise ScheduleViolation("gcd(b, p) = 1", 0)
+    horizon = K if schedule.blocks is None else min(K, schedule.blocks)
     ratios: List[Tuple[int, float]] = []
     notes: List[str] = []
     prev_c, prev_m = None, None
-    for k in range(1, K + 1):
-        c_k, m_k = schedule.c_fn(k), schedule.m_fn(k)
+    for k in range(1, horizon + 1):
+        c_k, m_k = schedule.block(k)
         if c_k < 1 or m_k < 1:
             raise ScheduleViolation("positive schedule values", k)
         try:
             factor_smooth(c_k, schedule.primes)
-        except Exception:
+        except NotSmooth:
             raise ScheduleViolation("c_k P-smooth", k) from None
         if prev_c is not None:
             if c_k <= prev_c:
@@ -155,9 +151,13 @@ def validate_schedule(schedule: Schedule, K: int) -> ScheduleValidation:
         mu_k = m_k - (prev_m if prev_m is not None else 0)
         if c_k >= 3:
             log_c = math.log(c_k)
-            ratios.append(
-                (k, math.exp((1.0 + schedule.epsilon) * log_c / math.log(log_c)) / mu_k)
-            )
+            log_num = (1.0 + schedule.epsilon) * log_c / math.log(log_c)
+            try:
+                ratio = math.exp(log_num) / mu_k
+            except OverflowError:  # exp or mu_k past the float range: take logs
+                log_ratio = log_num - math.log(mu_k)
+                ratio = math.exp(log_ratio) if log_ratio < 709.0 else math.inf
+            ratios.append((k, ratio))
         else:
             notes.append(f"k={k}: c_k={c_k} too small for the ratio hypothesis")
         prev_c, prev_m = c_k, m_k
@@ -170,7 +170,7 @@ def validate_schedule(schedule: Schedule, K: int) -> ScheduleValidation:
     )
     if not decreasing:
         notes.append("hypothesis ratio not decreasing over the checked horizon")
-    return ScheduleValidation(K, ratios, decreasing, notes)
+    return ScheduleValidation(horizon, ratios, decreasing, notes)
 
 
 def ancillary_states(schedule: Schedule, N: int) -> Iterator[AncillaryState]:
@@ -178,8 +178,8 @@ def ancillary_states(schedule: Schedule, N: int) -> Iterator[AncillaryState]:
     a_k = (b^{mu_k} a_{k-1} (c_k / c_{k-1}) + 1) mod c_k at each boundary."""
     if N < 0:
         raise OutOfRange("N must be non-negative")
-    b = schedule.b
-    m1 = schedule.m_fn(1)
+    b, K = schedule.b, schedule.blocks
+    m1 = schedule.block(1)[1]
     n = 0
     while n < m1 and n <= N:
         yield AncillaryState(0, 0, n, Fraction(0))
@@ -187,7 +187,7 @@ def ancillary_states(schedule: Schedule, N: int) -> Iterator[AncillaryState]:
     a_prev, c_prev, m_prev = 0, 1, 0
     k = 1
     while n <= N:
-        c_k, m_k = schedule.c_fn(k), schedule.m_fn(k)
+        c_k, m_k = schedule.block(k)
         if c_k <= c_prev and k > 1:
             raise ScheduleViolation("c_k strictly increasing", k)
         if c_k % c_prev != 0:
@@ -196,10 +196,7 @@ def ancillary_states(schedule: Schedule, N: int) -> Iterator[AncillaryState]:
             raise ScheduleViolation("m_k strictly increasing", k)
         mu_k = m_k - m_prev
         a_k = (pow(b, mu_k, c_k) * a_prev * (c_k // c_prev) + 1) % c_k
-        try:
-            block_end = schedule.m_fn(k + 1)
-        except ScheduleViolation:
-            block_end = None  # finite explicit schedule: last block extends
+        block_end = None if k == K else schedule.block(k + 1)[1]
         r = a_k
         yield AncillaryState(k, a_k, n, Fraction(r, c_k))
         n += 1
@@ -280,19 +277,21 @@ def discrepancy_trace(
 def alpha_digits(schedule: Schedule, n_digits: int) -> List[int]:
     """First base-b digits of the truncated series sum_{k<=K} 1/(c_k b^(m_k)).
 
-    K is chosen so the dropped tail is below b^-(n_digits+2): consecutive
-    terms shrink at least geometrically (c_{k+1} >= 2 c_k, m_k increasing),
-    so the tail is under twice the first dropped term.
+    K is the least index whose dropped tail is below b^-(n_digits+2), capped
+    at the block count of a finite schedule (whose alpha has no tail):
+    consecutive terms shrink at least geometrically (c_{k+1} >= 2 c_k, m_k
+    increasing), so the tail is under twice the first dropped term.
     """
     if n_digits < 1:
         raise OutOfRange("n_digits must be positive")
-    b = schedule.b
+    b, blocks = schedule.b, schedule.blocks
     K = 1
-    while schedule.m_fn(K + 1) < n_digits + 3:
+    while K != blocks and schedule.block(K + 1)[1] < n_digits + 3:
         K += 1
     value = Fraction(0)
     for k in range(1, K + 1):
-        value += Fraction(1, schedule.c_fn(k) * b ** schedule.m_fn(k))
+        c_k, m_k = schedule.block(k)
+        value += Fraction(1, c_k * b**m_k)
     digits = []
     for _ in range(n_digits):
         value *= b

@@ -82,6 +82,9 @@ class PrimeSet:
         return q
 
     def require_coprime(self, b: int) -> None:
+        """b is a base for this environment: b >= 2 and coprime to each prime."""
+        if b < 2:
+            raise OutOfRange(f"b must be at least 2, got {b}")
         for p in self.primes:
             if b % p == 0:
                 raise NotCoprime(b, p)
@@ -157,22 +160,6 @@ def factor_smooth(n: int, P: PrimeSet) -> SmoothFactorization:
     if rest != 1:
         raise NotSmooth(n, rest)
     return SmoothFactorization(n, exps)
-
-
-def mod_pow(b: int, e: int, m: int) -> int:
-    """b**e mod m by binary square-and-multiply, O(log e) multiplications."""
-    if e < 0:
-        raise OutOfRange("exponent must be non-negative")
-    if m < 1:
-        raise OutOfRange("modulus must be positive")
-    result = 1 % m
-    base = b % m
-    while e:
-        if e & 1:
-            result = result * base % m
-        base = base * base % m
-        e >>= 1
-    return result
 
 
 def factorize(n: int) -> Dict[int, int]:

@@ -90,6 +90,14 @@ class TestConstants:
         assert cs.b_k == 3.0
         assert cs.M == 3 and cs.Q == 3
 
+    def test_levels_stop_at_float_resolution(self):
+        # p = 2 is the first prime whose p^alpha_k rounds to 1 (at k = 52)
+        P2 = nt.PrimeSet.of(2)
+        assert all(math.isfinite(x) for x in bd.level_row(bd.MAX_LEVEL, P2, 3))
+        for k in (bd.MAX_LEVEL + 1, 10**6):
+            with pytest.raises(OutOfRange):
+                bd.level_row(k, P2, 3)
+
     def test_level_one_direct_formula(self):
         cs = bd.constants(1, P3, 2)
         alpha0 = 0.5

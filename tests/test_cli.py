@@ -1,12 +1,18 @@
 """CLI surface, scan harness, and report serialization tests."""
 
+import contextlib
+import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from korosum import cli
+from korosum import normalnum as nn
 from korosum import numtheory as nt
 from korosum import sumeval as se
 from korosum.errors import BoundViolation, ConfigError
@@ -47,6 +53,76 @@ class TestLoadScanConfig:
     def test_b_sharing_prime_rejected(self):
         with pytest.raises(ConfigError):
             cli.load_scan_config(make_config(b=6))
+
+
+STONEHAM_DOC = {
+    "b": 2,
+    "primes": [3],
+    "c": {"kind": "geometric", "base": 3},
+    "m": {"kind": "geometric", "base": 2},
+}
+FINITE_DOC = {
+    "b": 2,
+    "primes": [3],
+    "c": {"kind": "explicit", "values": [3, 9]},
+    "m": {"kind": "explicit", "values": [1, 2]},
+}
+
+
+class TestLoadSchedule:
+    """The CLI's loader and the library build the same schedule."""
+
+    @pytest.mark.parametrize(
+        "doc,schedule",
+        [
+            (STONEHAM_DOC, nn.Schedule.geometric(2, 3, 2, nt.PrimeSet.of(3))),
+            (FINITE_DOC, nn.Schedule.explicit(2, [3, 9], [1, 2], nt.PrimeSet.of(3))),
+            (dict(FINITE_DOC, epsilon=0.25, primes=[5, 3]),
+             nn.Schedule.explicit(2, [3, 9], [1, 2], nt.PrimeSet.of(3, 5), epsilon=0.25)),
+        ],
+        ids=["stoneham", "finite", "epsilon"],
+    )
+    def test_normal_json_matches_library(self, tmp_path, capsys, doc, schedule):
+        assert cli.load_schedule(doc) == schedule
+        sched_path = tmp_path / "schedule.json"
+        sched_path.write_text(json.dumps(doc))
+        assert cli.main(["normal", "--schedule", str(sched_path), "--n-max", "1000", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        trace = nn.discrepancy_trace(schedule, 1000)
+        assert [(row["N"], row["d_star"]) for row in payload["trace"]] == trace.rows
+        assert payload["validation"]["horizon"] == (12 if schedule.blocks is None else 2)
+
+    def test_finite_schedule_is_usable_everywhere(self):
+        # two blocks; the second extends forever, so alpha = 1/6 + 1/36
+        schedule = cli.load_schedule(FINITE_DOC)
+        assert schedule.blocks == 2
+        assert nn.validate_schedule(schedule, 12).horizon == 2
+        value, expected = Fraction(7, 36), []
+        for _ in range(40):
+            value *= 2
+            expected.append(int(value))
+            value -= int(value)
+        assert nn.alpha_digits(schedule, 40) == expected
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"b": "x"}, "b"),
+            ({"epsilon": "q"}, "epsilon"),
+            ({"epsilon": 10**400}, "epsilon"),
+            ({"c": {"kind": "explicit", "values": ["a", 9]}}, "c.values"),
+            ({"m": {"kind": "geometric", "base": 1}}, "m.base"),
+            ({"c": [3]}, "c"),
+            ({"primes": [3, 4]}, "primes"),
+        ],
+        ids=["b", "epsilon", "huge_epsilon", "c_values", "m_base", "c_not_object", "primes"],
+    )
+    def test_malformed_schedule_exit_code(self, tmp_path, capsys, overrides, field):
+        sched_path = tmp_path / "schedule.json"
+        sched_path.write_text(json.dumps(dict(FINITE_DOC, **overrides)))
+        assert cli.main(["normal", "--schedule", str(sched_path), "--n-max", "64"]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and "Traceback" not in err
 
 
 class TestRunScan:
@@ -191,6 +267,12 @@ class TestCommands:
         assert payload["M"] == 3
         assert payload["levels"][0] == {"k": 0, "A_k": 1.0, "B_k": 3.0}
 
+    @pytest.mark.parametrize("b", ["1", "-1"])
+    def test_constants_rejects_base_below_two(self, capsys, b):
+        # b = 1 used to loop forever in capital_m
+        assert cli.main(["constants", "--primes", "3", f"--b={b}"]) == 2
+        assert "b must be at least 2" in capsys.readouterr().err
+
     def test_digits_command(self, capsys):
         code = cli.main(
             ["digits", "--a", "1", "--m", "7", "--base", "10",
@@ -231,9 +313,16 @@ class TestCommands:
             (json.dumps(make_config(N_policy={"kind": "powers", "exponents": [-1, "q"]})),
              "N_policy.exponents"),
             (json.dumps(make_config(output="x")), "output"),
+            (json.dumps(make_config(N_policy={"kind": "powers", "exponents": [10**400]})),
+             "N_policy.exponents"),
+            (json.dumps(make_config(N_policy={"kind": "powers", "exponents": [400.0]})),
+             "N_policy.exponents"),
+            (json.dumps(make_config(m_range=[3, 3**700])), "m_range"),
+            (json.dumps(make_config(k_range=[0, 60])), "k_range"),
             ('{"primes": [3], "b": 2,', ""),
         ],
-        ids=["k_range", "a_values", "exponents", "output", "invalid_json"],
+        ids=["k_range", "a_values", "exponents", "output", "huge_exponent", "overflowing_exponent",
+             "huge_m", "deep_levels", "invalid_json"],
     )
     def test_scan_malformed_config_exit_code(self, tmp_path, capsys, text, field):
         config_path = tmp_path / "scan.json"
@@ -273,14 +362,130 @@ class TestCommands:
 
     def test_normal_command(self, tmp_path, capsys):
         sched_path = tmp_path / "stoneham.json"
-        sched_path.write_text(json.dumps({
-            "b": 2,
-            "primes": [3],
-            "c": {"kind": "geometric", "base": 3},
-            "m": {"kind": "geometric", "base": 2},
-        }))
+        sched_path.write_text(json.dumps(STONEHAM_DOC))
         code = cli.main(["normal", "--schedule", str(sched_path),
                          "--n-max", "4096", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["overall_decreasing"] is True
+
+
+# Documents for the boundary fuzz: a well-formed document with small values
+# (so each accepted run stays cheap), in which up to two entries, picked by
+# dotted path, are replaced by a value of another type, a non-finite float
+# or an out-of-range number, or removed.
+_DROP = object()
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**400), 10**400),
+    st.lists(st.one_of(st.integers(-2, 5), st.text(max_size=1), st.floats()), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(-2, 5), max_size=2),
+)
+
+
+def _apply(doc, changes):
+    for path, value in changes:
+        *parents, name = path.split(".")
+        entry = doc
+        for key in parents:
+            entry = entry.setdefault(key, {}) if isinstance(entry, dict) else None
+        if not isinstance(entry, dict):
+            continue
+        if value is _DROP:
+            entry.pop(name, None)
+        else:
+            entry[name] = value
+    return doc
+
+
+def _perturbed(valid, paths):
+    change = st.tuples(st.sampled_from(paths), st.one_of(_JUNK, st.just(_DROP)))
+    return st.builds(_apply, valid, st.lists(change, max_size=2))
+
+
+def _generator(name):
+    """One schedule generator over the prime 3 (c) or unconstrained (m)."""
+    chain = st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True)
+    values = (chain.map(lambda es: [3**e for e in sorted(es)]) if name == "c"
+              else st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True).map(sorted))
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("geometric"), "base": st.sampled_from([3, 9] if name == "c" else [2, 3])}),
+        st.fixed_dictionaries({"kind": st.just("explicit"), "values": values}),
+    )
+
+
+_SCHEDULE_DOCS = _perturbed(
+    st.fixed_dictionaries(
+        {"b": st.sampled_from([2, 4, 7]), "primes": st.sampled_from([[3], [3, 5]]),
+         "c": _generator("c"), "m": _generator("m")},
+        optional={"epsilon": st.floats(0.01, 1.0)},
+    ),
+    ["b", "primes", "epsilon", "c", "c.kind", "c.base", "c.values",
+     "m", "m.kind", "m.base", "m.values"],
+)
+_SCAN_DOCS = _perturbed(
+    st.fixed_dictionaries(
+        {
+            "primes": st.sampled_from([[3], [3, 5], [2, 3], [2]]),
+            "b": st.sampled_from([11, 7, 2]),
+            "m_range": st.tuples(st.integers(2, 30), st.integers(10, 60)).map(
+                lambda t: [t[0], t[0] + t[1]]),
+            "a_policy": st.one_of(
+                st.fixed_dictionaries({"kind": st.just("fixed"),
+                                       "values": st.lists(st.integers(-5, 60), min_size=1, max_size=3)}),
+                st.fixed_dictionaries({"kind": st.just("sample"), "count": st.integers(1, 4)}),
+                st.fixed_dictionaries({"kind": st.just("all")}),
+            ),
+            "N_policy": st.one_of(
+                st.fixed_dictionaries({"kind": st.just("explicit"),
+                                       "values": st.lists(st.integers(1, 64), min_size=1, max_size=3)}),
+                st.fixed_dictionaries({"kind": st.just("powers"),
+                                       "exponents": st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3)}),
+            ),
+            "k_range": st.lists(st.integers(0, 3), min_size=2, max_size=2).map(sorted),
+            "seed": st.integers(0, 9),
+        },
+        optional={
+            "output": st.fixed_dictionaries({}, optional={"format": st.sampled_from(["csv", "json"])}),
+            "workers": st.integers(1, 3),
+        },
+    ),
+    # a string output.path is harmless: --out always takes precedence
+    ["primes", "b", "m_range", "a_policy", "a_policy.kind", "a_policy.values", "a_policy.count",
+     "N_policy", "N_policy.kind", "N_policy.values", "N_policy.exponents", "k_range", "seed",
+     "output", "output.format", "output.path", "workers"],
+)
+
+
+class TestInputBoundaryFuzz:
+    """Every document ends in exit 0, 2 or 3, never in an uncaught exception."""
+
+    @staticmethod
+    def _run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=_SCHEDULE_DOCS, n_max=st.integers(1, 256), k_check=st.integers(2, 12))
+    def test_schedule_documents(self, tmp_path_factory, doc, n_max, k_check):
+        path = tmp_path_factory.getbasetemp() / "fuzz_schedule.json"
+        path.write_text(json.dumps(doc))
+        self._run(["normal", "--schedule", str(path), f"--n-max={n_max}",
+                   f"--k-check={k_check}", "--json"])
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=_SCAN_DOCS)
+    def test_scan_configs(self, tmp_path_factory, doc):
+        base = tmp_path_factory.getbasetemp()
+        path = base / "fuzz_scan.json"
+        path.write_text(json.dumps(doc))
+        self._run(["scan", "--config", str(path), "--workers", "1",
+                   "--out", str(base / "fuzz_rows.out")])

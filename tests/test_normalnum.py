@@ -8,7 +8,7 @@ import pytest
 
 from korosum import normalnum as nn
 from korosum import numtheory as nt
-from korosum.errors import OutOfUnitInterval, ScheduleViolation
+from korosum.errors import OutOfRange, OutOfUnitInterval, ScheduleViolation
 
 P3 = nt.PrimeSet.of(3)
 
@@ -31,14 +31,21 @@ def brute_force_star_discrepancy(points):
 class TestSchedule:
     def test_geometric_infers_primes(self):
         assert STONEHAM.primes.primes == (3,)
-        assert STONEHAM.c_fn(3) == 27
-        assert STONEHAM.m_fn(5) == 32
+        assert STONEHAM.blocks is None
+        assert STONEHAM.block(3) == (27, 8)
+        assert STONEHAM.block(5)[1] == 32
 
     def test_explicit_exhaustion(self):
-        sched = nn.Schedule.explicit(2, [3, 9], [2, 4], P3)
-        assert sched.c_fn(2) == 9
-        with pytest.raises(ScheduleViolation):
-            sched.c_fn(3)
+        # K = min(len c, len m) blocks; there is no block K + 1, and block K
+        # extends forever: x_{n+1} = {b x_n} past m_K
+        sched = nn.Schedule.explicit(2, [3, 9, 27], [2, 4], P3)
+        assert sched.blocks == 2
+        assert sched.block(2) == (9, 4)
+        with pytest.raises(OutOfRange):
+            sched.block(3)
+        states = list(nn.ancillary_states(sched, 40))
+        assert [s.k for s in states[4:]] == [2] * 37
+        assert all(s1.value == (2 * s0.value) % 1 for s0, s1 in zip(states[4:], states[5:]))
 
 
 class TestValidateSchedule:
@@ -64,14 +71,13 @@ class TestValidateSchedule:
             nn.validate_schedule(sched, 2)
 
     def test_unit_steps_diverge_advisory_only(self):
-        sched = nn.Schedule(
-            b=2, primes=P3, c_fn=lambda k: 3**k, m_fn=lambda k: k, epsilon=0.1
-        )
+        sched = nn.Schedule(b=2, primes=P3, c=3, m=tuple(range(1, 13)), epsilon=0.1)
         report = nn.validate_schedule(sched, 12)
+        assert report.horizon == 12
         assert not report.ratio_decreasing
 
     def test_base_sharing_prime_rejected(self):
-        sched = nn.Schedule(b=6, primes=P3, c_fn=lambda k: 3**k, m_fn=lambda k: 2**k)
+        sched = nn.Schedule.geometric(6, 3, 2, P3)
         with pytest.raises(ScheduleViolation):
             nn.validate_schedule(sched, 4)
 
@@ -90,7 +96,7 @@ class TestAncillarySequence:
         for state in nn.ancillary_states(STONEHAM, 300):
             assert 0 <= state.value < 1
             if state.k:
-                assert STONEHAM.c_fn(state.k) % state.value.denominator == 0
+                assert STONEHAM.block(state.k)[0] % state.value.denominator == 0
 
     def test_tracks_fractional_parts_of_the_target(self):
         # |x_n - {b^n alpha}| is the tail b^n sum_{j>K(n)} 1/(c_j b^(m_j)),
@@ -211,5 +217,6 @@ class TestAlphaDigits:
         for n in (8, 16, 32):
             state = states[n]
             window = sum(digits[i] * 2.0 ** (n - i - 1) for i in range(n, n + 20))
-            tail = 2.0 ** (n - STONEHAM.m_fn(state.k + 1) + 1) / STONEHAM.c_fn(state.k + 1)
+            c_next, m_next = STONEHAM.block(state.k + 1)
+            tail = 2.0 ** (n - m_next + 1) / c_next
             assert abs(window - float(state.value)) < 2.0**-20 + tail

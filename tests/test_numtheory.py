@@ -4,8 +4,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from korosum import numtheory as nt
 from korosum.errors import (
@@ -48,25 +46,6 @@ class TestFactorSmooth:
         with pytest.raises(NotSmooth) as info:
             nt.factor_smooth(12, P35)
         assert info.value.leftover == 4
-
-
-class TestModPow:
-    def test_zero_exponent(self):
-        assert nt.mod_pow(2, 0, 7) == 1
-
-    def test_small(self):
-        assert nt.mod_pow(2, 10, 1000) == 24
-
-    def test_against_repeated_multiplication(self):
-        # independent oracle: multiply 100 times
-        acc = 1
-        for _ in range(100):
-            acc = acc * 10 % 81
-        assert nt.mod_pow(10, 100, 81) == acc
-
-    @given(st.integers(2, 10**6), st.integers(0, 10**6), st.integers(1, 10**6))
-    def test_matches_builtin(self, b, e, m):
-        assert nt.mod_pow(b, e, m) == pow(b, e, m)
 
 
 class TestOrders:
@@ -129,6 +108,12 @@ class TestCapitalM:
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             nt.capital_m(P35, 6)
+
+    @pytest.mark.parametrize("b", [1, 0, -1])
+    def test_rejects_base_below_two(self, b):
+        # b = 1 used to loop forever: every p^e divides 1^e - 1 = 0
+        with pytest.raises(OutOfRange):
+            nt.capital_m(P3, b)
 
 
 class TestCPAlpha:
