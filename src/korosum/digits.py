@@ -1,20 +1,29 @@
 """Base-b digit statistics of rationals a/m with purely periodic expansions.
 
 Digits come from exact integer arithmetic on the residue orbit of a mod m:
-digit n is floor(b * (a b^(n-1) mod m) / m).  Occurrence counting streams
-the digits once with a rolling base-b window value, so memory stays O(1)
-and time O(N + k) for a length-k pattern.
+digit n is floor(b * (a b^(n-1) mod m) / m).  The orbit is read in blocks
+from the shared kernel (sumeval._orbit_blocks), so memory stays
+O(block + k) for a length-k pattern; a pattern matches where k shifted
+comparisons of the block, with the previous block's last k - 1 digits in
+front, all agree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from .bounds import DECAY_COEFF
 from .errors import NotCoprime, OutOfRange
 from .numtheory import PrimeSet, factor_smooth
+from .sumeval import _orbit_blocks
+
+#: Largest value an int64 holds; the digit b * r // m of a residue r < m is
+#: formed in int64 only while b * m stays below it.
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -93,40 +102,38 @@ def digit_at(a: int, m: int, b: int, n: int) -> int:
     return b * (a * pow(b, n - 1, m) % m) // m
 
 
-def digit_stream(a: int, m: int, b: int) -> Iterator[int]:
-    """Digits of a/m in base b, one residue multiplication each."""
-    _check_expansion_args(a, m, b)
-    r = a
-    while True:
-        d, r = divmod(b * r, m)
-        yield d
+def _digit_blocks(a: int, m: int, b: int, count: int):
+    """Digits 1..count of a/m in base b, digit n = b r_n // m of the residue
+    r_n = a b^(n-1) mod m, in blocks from the orbit kernel; the products
+    b * r are taken in Python ints when b * m leaves int64."""
+    wide = b * m > _INT64_MAX
+    for block in _orbit_blocks(a, b % m, m, count, cache=False):
+        yield b * (block.astype(object) if wide else block) // m
 
 
 def count_occurrences(a: int, m: int, pattern: DigitPattern, N: int) -> OccurrenceReport:
     """Number of n in [1, N] at which the pattern starts.
 
-    Matches may extend past position N; digits beyond N are read as
-    needed.  A single pass keeps a rolling window value: the leading digit
-    is recovered as window // base^(k-1), so no digit buffer is held.
+    Matches may extend past position N: the first N + k - 1 digits are read.
     """
     _check_expansion_args(a, m, pattern.base)
     if N < 1:
         raise OutOfRange("N must be positive")
     b = pattern.base
     k = len(pattern)
-    target = pattern.value()
-    head = b ** (k - 1)
-    stream = digit_stream(a, m, b)
-    window = 0
-    for _ in range(k):
-        window = window * b + next(stream)
     count = 0
-    if window == target:
-        count += 1
-    for _ in range(N - 1):
-        window = (window % head) * b + next(stream)
-        if window == target:
-            count += 1
+    tail = np.empty(0, dtype=np.int64)  # the last k - 1 digits read so far
+    for block in _digit_blocks(a, m, b, N + k - 1):
+        window = np.concatenate((tail, block))
+        starts = window.size - k + 1
+        if starts > 0:
+            hit = window[:starts] == pattern.digits[0]
+            for j in range(1, k):
+                if not hit.any():
+                    break
+                hit &= window[j : j + starts] == pattern.digits[j]
+            count += int(np.count_nonzero(hit))
+        tail = window[max(0, starts) :]
     expected = N / b**k
     return OccurrenceReport(count, expected, count - expected, N, pattern)
 
@@ -152,8 +159,8 @@ def digit_frequencies(a: int, m: int, b: int, N: int) -> Sequence[int]:
     _check_expansion_args(a, m, b)
     if N < 1:
         raise OutOfRange("N must be positive")
-    counts = [0] * b
-    stream = digit_stream(a, m, b)
-    for _ in range(N):
-        counts[next(stream)] += 1
-    return counts
+    totals = np.zeros(b, dtype=np.int64)
+    for block in _digit_blocks(a, m, b, N):
+        seen = np.bincount(block.astype(np.int64, copy=False))
+        totals[: seen.size] += seen
+    return totals.tolist()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotSmooth, OutOfRange, OutOfUnitInterval, ScheduleViolation
 from .numtheory import PrimeSet, factor_smooth, factorize
-from .sumeval import eval_sum
+from .sumeval import _orbit_blocks, eval_sum
 
 #: Explicit constant adopted for the discrepancy-from-exponential-sums
 #: inequality; 3 is a classical admissible choice.
@@ -116,6 +116,20 @@ class TraceResult:
     overall_decreasing: bool
 
 
+def _check_block(k: int, c_k: int, m_k: int, c_prev: int, m_prev: int) -> None:
+    """Raise on the first structural hypothesis block k breaks, given block
+    k - 1 (c_0 = 1, m_0 = 0): positive values, c_k strictly increasing,
+    c_{k-1} | c_k, m_k strictly increasing."""
+    if c_k < 1 or m_k < 1:
+        raise ScheduleViolation("positive schedule values", k)
+    if k > 1 and c_k <= c_prev:
+        raise ScheduleViolation("c_k strictly increasing", k)
+    if c_k % c_prev != 0:
+        raise ScheduleViolation("c_{k-1} | c_k", k)
+    if k > 1 and m_k <= m_prev:
+        raise ScheduleViolation("m_k strictly increasing", k)
+
+
 def validate_schedule(schedule: Schedule, K: int) -> ScheduleValidation:
     """Check every structural hypothesis for k <= K and k <= the schedule's
     block count, the horizon reported; raise on the first break.
@@ -132,23 +146,15 @@ def validate_schedule(schedule: Schedule, K: int) -> ScheduleValidation:
     horizon = K if schedule.blocks is None else min(K, schedule.blocks)
     ratios: List[Tuple[int, float]] = []
     notes: List[str] = []
-    prev_c, prev_m = None, None
+    prev_c, prev_m = 1, 0
     for k in range(1, horizon + 1):
         c_k, m_k = schedule.block(k)
-        if c_k < 1 or m_k < 1:
-            raise ScheduleViolation("positive schedule values", k)
+        _check_block(k, c_k, m_k, prev_c, prev_m)
         try:
             factor_smooth(c_k, schedule.primes)
         except NotSmooth:
             raise ScheduleViolation("c_k P-smooth", k) from None
-        if prev_c is not None:
-            if c_k <= prev_c:
-                raise ScheduleViolation("c_k strictly increasing", k)
-            if c_k % prev_c != 0:
-                raise ScheduleViolation("c_{k-1} | c_k", k)
-            if m_k <= prev_m:
-                raise ScheduleViolation("m_k strictly increasing", k)
-        mu_k = m_k - (prev_m if prev_m is not None else 0)
+        mu_k = m_k - prev_m
         if c_k >= 3:
             log_c = math.log(c_k)
             log_num = (1.0 + schedule.epsilon) * log_c / math.log(log_c)
@@ -173,47 +179,66 @@ def validate_schedule(schedule: Schedule, K: int) -> ScheduleValidation:
     return ScheduleValidation(horizon, ratios, decreasing, notes)
 
 
-def ancillary_states(schedule: Schedule, N: int) -> Iterator[AncillaryState]:
-    """Exact states x_0 .. x_N; x_n = 0 before the first block, then
-    a_k = (b^{mu_k} a_{k-1} (c_k / c_{k-1}) + 1) mod c_k at each boundary."""
-    if N < 0:
-        raise OutOfRange("N must be non-negative")
+def _segments(schedule: Schedule, N: int) -> Iterator[Tuple[int, int, int, int, int]]:
+    """(k, a_k, c_k, start, stop) for the runs of x_0 .. x_N: x_n = 0 before
+    the first block (k = 0, a_k = 0, c_k = 1), then
+    x_n = (a_k b^(n - start) mod c_k) / c_k for start <= n < stop, with
+    a_k = (b^{mu_k} a_{k-1} (c_k / c_{k-1}) + 1) mod c_k at each boundary.
+    Each block's hypotheses are checked when the walk reaches it."""
     b, K = schedule.b, schedule.blocks
-    m1 = schedule.block(1)[1]
-    n = 0
-    while n < m1 and n <= N:
-        yield AncillaryState(0, 0, n, Fraction(0))
-        n += 1
+    n = min(max(schedule.block(1)[1], 0), N + 1)
+    if n:
+        yield 0, 0, 1, 0, n
     a_prev, c_prev, m_prev = 0, 1, 0
     k = 1
     while n <= N:
         c_k, m_k = schedule.block(k)
-        if c_k <= c_prev and k > 1:
-            raise ScheduleViolation("c_k strictly increasing", k)
-        if c_k % c_prev != 0:
-            raise ScheduleViolation("c_{k-1} | c_k", k)
-        if m_k <= m_prev and k > 1:
-            raise ScheduleViolation("m_k strictly increasing", k)
+        _check_block(k, c_k, m_k, c_prev, m_prev)
         mu_k = m_k - m_prev
         a_k = (pow(b, mu_k, c_k) * a_prev * (c_k // c_prev) + 1) % c_k
-        block_end = None if k == K else schedule.block(k + 1)[1]
-        r = a_k
-        yield AncillaryState(k, a_k, n, Fraction(r, c_k))
-        n += 1
-        j = m_k + 1
-        while (block_end is None or j < block_end) and n <= N:
-            r = r * b % c_k
-            yield AncillaryState(k, a_k, n, Fraction(r, c_k))
-            n += 1
-            j += 1
+        # block k runs from position m_k to m_{k+1} (the last block forever)
+        stop = N + 1 if k == K else min(n + max(1, schedule.block(k + 1)[1] - m_k), N + 1)
+        yield k, a_k, c_k, n, stop
+        n = stop
         a_prev, c_prev, m_prev = a_k, c_k, m_k
         k += 1
+
+
+def ancillary_states(schedule: Schedule, N: int) -> Iterator[AncillaryState]:
+    """Exact states x_0 .. x_N (see _segments)."""
+    if N < 0:
+        raise OutOfRange("N must be non-negative")
+    b = schedule.b
+    for k, a_k, c_k, start, stop in _segments(schedule, N):
+        r = a_k
+        for n in range(start, stop):
+            yield AncillaryState(k, a_k, n, Fraction(r, c_k))
+            r = r * b % c_k
 
 
 def ancillary_sequence(schedule: Schedule, N: int) -> Iterator[Fraction]:
     """The exact rationals x_0 .. x_N."""
     for state in ancillary_states(schedule, N):
         yield state.value
+
+
+def _points(schedule: Schedule, n_max: int) -> np.ndarray:
+    """x_0 .. x_{n_max-1} as float64, each the correctly rounded quotient r / c_k
+    of its exact residue: one IEEE division of two exact doubles for the
+    kernel's int64 blocks (r, c_k <= _INT64_SAFE_M < 2^53), Python's int
+    division above.  The same bits as float(x_n) for the Fractions of
+    ancillary_sequence."""
+    try:
+        pts = np.empty(n_max, dtype=np.float64)
+    except MemoryError:
+        raise OutOfRange(f"n_max={n_max} is too large: its points need {8 * n_max} bytes") from None
+    b = schedule.b
+    for _, a_k, c_k, start, stop in _segments(schedule, n_max - 1):
+        pos = start
+        for block in _orbit_blocks(a_k, b % c_k, c_k, stop - start, cache=False):
+            pts[pos : pos + block.size] = block / c_k
+            pos += block.size
+    return pts
 
 
 def star_discrepancy(points: Union[Sequence[float], np.ndarray]) -> float:
@@ -229,9 +254,17 @@ def star_discrepancy(points: Union[Sequence[float], np.ndarray]) -> float:
         raise OutOfRange("need at least one point")
     if xs[0] < 0.0 or xs[-1] >= 1.0:
         raise OutOfUnitInterval("points must lie in [0, 1)")
-    up = np.arange(1, n + 1, dtype=np.float64) / n - xs
-    down = xs - np.arange(0, n, dtype=np.float64) / n
-    return float(max(np.max(up), np.max(down)))
+    # i/N - x_(i), then x_(i) - (i-1)/N, each worked in place in one array,
+    # the first freed before the second: the peak stays at xs plus one array
+    up = np.arange(1, n + 1, dtype=np.float64)
+    up /= n
+    up -= xs
+    worst = np.max(up)
+    del up
+    down = np.arange(0, n, dtype=np.float64)
+    down /= n
+    np.subtract(xs, down, out=down)
+    return float(max(worst, np.max(down)))
 
 
 def erdos_turan_estimate(a: int, c_modulus: int, b: int, J: int, M: int) -> float:
@@ -260,9 +293,7 @@ def discrepancy_trace(
         checkpoints = sorted(set(int(c) for c in checkpoints))
         if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > n_max:
             raise OutOfRange("checkpoints must lie in [1, n_max]")
-    pts = np.empty(n_max, dtype=np.float64)
-    for i, value in enumerate(ancillary_sequence(schedule, n_max - 1)):
-        pts[i] = value.numerator / value.denominator
+    pts = _points(schedule, n_max)
     rows = [(N, star_discrepancy(pts[:N])) for N in checkpoints]
     downs = sum(1 for (_, d0), (_, d1) in zip(rows, rows[1:]) if d1 < d0)
     steps = max(len(rows) - 1, 1)

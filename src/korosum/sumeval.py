@@ -115,11 +115,24 @@ def _eval_scalar(a0: int, b0: int, m: int, N: int) -> complex:
     return complex(fsum(res), fsum(ims))
 
 
-def _orbit_blocks(a0: int, b0: int, m: int, N: int):
-    """Exact residues a0 * b0^n mod m for n = 1..N, as int64 blocks of up to
-    _BLOCK entries.  Needs m <= _INT64_SAFE_M so every product fits int64."""
-    pows, step = _power_table(b0, m)
-    lead = a0 * b0 % m  # residue at n = 1
+def _orbit_blocks(r0: int, b0: int, m: int, N: int, cache: bool = True):
+    """Exact residues r0 * b0^n mod m for n = 0..N-1, 0 <= r0 < m, in blocks of
+    up to _BLOCK entries: the one orbit kernel of sums, digits and
+    normal-number points.  While m <= _INT64_SAFE_M every product fits int64
+    and the blocks are int64, from the power table; above it they are object
+    arrays of Python ints, one multiplication each.  Callers with a one-shot
+    modulus pass cache=False, keeping its power table out of the shared cache."""
+    if m > _INT64_SAFE_M:
+        r = r0
+        for done in range(0, N, _BLOCK):
+            block = []
+            for _ in range(min(_BLOCK, N - done)):
+                block.append(r)
+                r = r * b0 % m
+            yield np.array(block, dtype=object)
+        return
+    pows, step = (_power_table if cache else _power_table.__wrapped__)(b0, m)
+    lead = r0
     done = 0
     while done < N:
         size = min(_BLOCK, N - done)
@@ -132,7 +145,7 @@ def _eval_blocked(a0: int, b0: int, m: int, N: int) -> complex:
     scale = TWO_PI / m
     re_parts = []
     im_parts = []
-    for block in _orbit_blocks(a0, b0, m, N):
+    for block in _orbit_blocks(a0 * b0 % m, b0, m, N):
         theta = block * scale
         re_parts.append(float(np.sum(np.cos(theta))))
         im_parts.append(float(np.sum(np.sin(theta))))
@@ -266,7 +279,7 @@ def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
     so inner_L = sum_{n <= N-L} z_{n+L} conj(z_n) with z_n = e(r_n / m): one
     exact residue vector serves every lag.
     """
-    theta = np.concatenate(list(_orbit_blocks(a0, b0, m, N))) * (TWO_PI / m)
+    theta = np.concatenate(list(_orbit_blocks(a0 * b0 % m, b0, m, N))) * (TWO_PI / m)
     z = np.empty(N, dtype=np.complex128)
     z.real = np.cos(theta)
     z.imag = np.sin(theta)

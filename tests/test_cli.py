@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -123,6 +125,15 @@ class TestLoadSchedule:
         assert cli.main(["normal", "--schedule", str(sched_path), "--n-max", "64"]) == 2
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("m", [[0, 2], [-5, 2]], ids=["zero", "negative"])
+    def test_non_positive_m_exit_code(self, tmp_path, capsys, m):
+        sched_path = tmp_path / "schedule.json"
+        sched_path.write_text(json.dumps(dict(FINITE_DOC, m={"kind": "explicit", "values": m})))
+        assert cli.main(["normal", "--schedule", str(sched_path), "--n-max", "64"]) == 2
+        err = capsys.readouterr().err
+        assert "positive schedule values" in err and "Traceback" not in err
 
 
 class TestRunScan:
@@ -368,6 +379,34 @@ class TestCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["overall_decreasing"] is True
+
+    def test_normal_n_max_beyond_memory(self, tmp_path, capsys):
+        # 8e14 bytes of points: the allocation fails at once
+        sched_path = tmp_path / "stoneham.json"
+        sched_path.write_text(json.dumps(STONEHAM_DOC))
+        code = cli.main(["normal", "--schedule", str(sched_path), "--n-max", "100000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n_max=100000000000000" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("k_check", ["1001", "100000"])
+    def test_normal_k_check_bounded(self, tmp_path, capsys, k_check):
+        sched_path = tmp_path / "stoneham.json"
+        sched_path.write_text(json.dumps(STONEHAM_DOC))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["normal", "--schedule", str(sched_path), "--n-max", "64",
+                      "--k-check", k_check])
+        assert info.value.code == 2
+        assert "--k-check" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "korosum", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage: korosum" in done.stdout
 
 
 # Documents for the boundary fuzz: a well-formed document with small values

@@ -4,17 +4,20 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from korosum import digits as dg
 from korosum import numtheory as nt
+from korosum import sumeval as se
 from korosum.errors import NotCoprime, OutOfRange
 
 P5 = nt.PrimeSet.of(5)
 
 
 def long_division_digits(a, m, b, count):
-    """Schoolbook long division, the independent oracle."""
+    """Schoolbook long division, one residue step per digit: the independent
+    oracle for the blocked digits."""
     out = []
     r = a
     for _ in range(count):
@@ -122,6 +125,78 @@ class TestCountOccurrences:
             for ds in product(range(b), repeat=k)
         )
         assert total == N
+
+
+class TestBlockedAgainstStream:
+    """Blocked digits against long division, at block boundaries and past
+    the int64 ranges."""
+
+    B = se._BLOCK
+
+    @pytest.mark.parametrize(
+        "a,m,pattern",
+        [
+            (5, 3**13, dg.DigitPattern(2, (1, 0, 1))),
+            (12345, 7**9, dg.DigitPattern(10, (1, 4))),
+            (77, 3**11, dg.DigitPattern(16, (15, 3))),
+        ],
+        ids=["base2", "base10", "base16"],
+    )
+    @pytest.mark.parametrize("length", [B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1])
+    def test_read_length_around_block_multiples(self, a, m, pattern, length):
+        # N + k - 1 digits are read: just below, at and above a block
+        # boundary; the second pattern straddles the first boundary (or is
+        # the last window, when the stream ends before it)
+        k = len(pattern)
+        N = length - k + 1
+        assert next(dg._digit_blocks(a, m, pattern.base, N)).dtype == np.int64
+        ds = long_division_digits(a, m, pattern.base, length)
+        at = min(self.B - 1, N - 1)
+        straddling = dg.DigitPattern(pattern.base, tuple(ds[at : at + k]))
+        for p in (pattern, straddling):
+            assert dg.count_occurrences(a, m, p, N).count == naive_count(a, m, p, N)
+        assert dg.digit_frequencies(a, m, pattern.base, N) == [
+            ds[:N].count(d) for d in range(pattern.base)
+        ]
+
+    @pytest.mark.parametrize("N,start", [(3, 2), (B + 10, B + 5)])
+    def test_pattern_longer_than_the_stream(self, N, start):
+        # k > _BLOCK, so the carried tail spans blocks; the pattern is read
+        # from the stream at `start`, and a copy with its last digit flipped
+        a, m, b = 3, 5**9, 2
+        k = self.B + 7
+        ds = long_division_digits(a, m, b, N + k - 1)
+        present = dg.DigitPattern(b, tuple(ds[start - 1 : start - 1 + k]))
+        absent = dg.DigitPattern(b, present.digits[:-1] + (1 - present.digits[-1],))
+        assert dg.count_occurrences(a, m, present, N).count >= 1
+        for pattern in (present, absent):
+            assert dg.count_occurrences(a, m, pattern, N).count == naive_count(a, m, pattern, N)
+
+    def test_fallback_above_int64_residues(self):
+        # Python-int residues, over a block boundary
+        a, m, b, N = 1234567, 3**21, 2, self.B + 300
+        assert m > se._INT64_SAFE_M and next(dg._digit_blocks(a, m, b, N)).dtype == object
+        pattern = dg.DigitPattern(b, (1, 1, 0))
+        assert dg.count_occurrences(a, m, pattern, N).count == naive_count(a, m, pattern, N)
+        ds = long_division_digits(a, m, b, N)
+        assert dg.digit_frequencies(a, m, b, N) == [ds.count(0), ds.count(1)]
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_base_times_modulus_at_the_int64_guard(self, side):
+        # the largest base below the guard (block path) and the smallest
+        # above it (fallback), both coprime to m
+        m, N = 3**19, 300
+        b = dg._INT64_MAX // m
+        if side == "above":
+            b += 1
+        while b % 3 == 0:
+            b += -1 if side == "below" else 1
+        assert (b * m <= dg._INT64_MAX) == (side == "below")
+        assert (next(dg._digit_blocks(1, m, b, N)).dtype == object) == (side == "above")
+        a = 987654321
+        ds = long_division_digits(a, m, b, N + 1)
+        pattern = dg.DigitPattern(b, tuple(ds[10:12]))
+        assert dg.count_occurrences(a, m, pattern, N).count == naive_count(a, m, pattern, N) >= 1
 
 
 class TestDeviationReport:

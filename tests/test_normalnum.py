@@ -4,10 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from korosum import normalnum as nn
 from korosum import numtheory as nt
+from korosum import sumeval as se
 from korosum.errors import OutOfRange, OutOfUnitInterval, ScheduleViolation
 
 P3 = nt.PrimeSet.of(3)
@@ -64,6 +66,18 @@ class TestValidateSchedule:
         sched = nn.Schedule.explicit(2, [3, 9, 12], [2, 4, 8], nt.PrimeSet.of(2, 3))
         with pytest.raises(ScheduleViolation):
             nn.validate_schedule(sched, 3)
+
+    @pytest.mark.parametrize("m", [[0, 2], [-5, 2]], ids=["zero", "negative"])
+    def test_non_positive_m_rejected(self, m):
+        sched = nn.Schedule.explicit(2, [3, 9], m, P3)
+        with pytest.raises(ScheduleViolation, match="positive schedule values") as info:
+            nn.validate_schedule(sched, 2)
+        assert info.value.index == 1
+        # the block walk holds the same hypotheses
+        with pytest.raises(ScheduleViolation, match="positive schedule values"):
+            list(nn.ancillary_states(sched, 4))
+        with pytest.raises(ScheduleViolation, match="positive schedule values"):
+            nn.discrepancy_trace(sched, 4)
 
     def test_smoothness_enforced(self):
         sched = nn.Schedule.explicit(2, [3, 21], [2, 4], P3)
@@ -177,6 +191,36 @@ class TestDiscrepancyTrace:
     def test_zero_prefix_checkpoints_near_one(self):
         trace = nn.discrepancy_trace(STONEHAM, 4, checkpoints=[1, 2])
         assert trace.rows[0][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "schedule,n_max",
+        [
+            (STONEHAM, 5000),
+            (nn.Schedule.geometric(2, 5, 3), 3000),
+            # the last block extends over several orbit blocks
+            (nn.Schedule.explicit(2, [3, 9], [1, 2], P3), 3 * se._BLOCK + 5),
+            # c_2 beyond the int64 residues, c_3 and c_4 beyond 2^53: Python-int quotients
+            (nn.Schedule.explicit(2, (3, 3**20, 3**35, 3**40), (1, 500, 1000, 1500), P3), 2000),
+        ],
+        ids=["stoneham", "five_three", "finite", "beyond_int64"],
+    )
+    def test_points_are_the_exact_values_rounded(self, schedule, n_max):
+        exact = np.array([float(x) for x in nn.ancillary_sequence(schedule, n_max - 1)])
+        assert exact.size == n_max
+        assert nn._points(schedule, n_max).tobytes() == exact.tobytes()
+        trace = nn.discrepancy_trace(schedule, n_max)
+        assert trace.rows == [(N, nn.star_discrepancy(exact[:N])) for N, _ in trace.rows]
+
+    @pytest.mark.parametrize(
+        "c,k", [([3, 9, 12], 3), ([-3, 9, 27], 1)], ids=["non_dividing", "non_positive"]
+    )
+    def test_broken_schedule_raises_when_reached(self, c, k):
+        sched = nn.Schedule.explicit(2, c, [2, 4, 8], nt.PrimeSet.of(2, 3))
+        m_k = sched.block(k)[1]
+        nn.discrepancy_trace(sched, m_k)  # x_0 .. x_{m_k - 1} stop before block k
+        with pytest.raises(ScheduleViolation) as info:
+            nn.discrepancy_trace(sched, m_k + 1)
+        assert info.value.index == k
 
     def test_explicit_checkpoints_validated(self):
         with pytest.raises(Exception):
