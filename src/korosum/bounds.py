@@ -68,9 +68,6 @@ class ConstantState:
     b_k: float
     M: int
     Q: int
-    c_half: float
-    c_one: float
-    certified: bool = True
 
 
 @dataclass
@@ -171,6 +168,13 @@ class CorollaryResult:
     decay: Callable[[Union[int, float]], float]
 
 
+def decay_envelope(m: Union[int, float]) -> float:
+    """Advisory decay envelope exp(-DECAY_COEFF (log log m)^(3/2)); 1 below m = 3."""
+    if m < 3:
+        return 1.0
+    return math.exp(-DECAY_COEFF * math.log(math.log(m)) ** 1.5)
+
+
 _EXP_TABLE: List[ExponentState] = []
 
 
@@ -231,10 +235,8 @@ def constants(k: int, P: PrimeSet, b: int) -> ConstantState:
         raise OutOfRange(f"level must lie in [0, {MAX_LEVEL}], got {k}")
     M = capital_m(P, b)
     Q, s = P.Q, P.s
-    c_half = c_p_alpha(P, Fraction(1, 2))
-    c_one = c_p_alpha(P, Fraction(1))
     if k == 0:
-        return ConstantState(0, 1.0, float(M), M, Q, c_half, c_one)
+        return ConstantState(0, 1.0, float(M), M, Q)
     prev = constants(k - 1, P, b)
     al = exponents(k - 1).alpha
     c_al = c_p_alpha(P, al)
@@ -246,9 +248,7 @@ def constants(k: int, P: PrimeSet, b: int) -> ConstantState:
         + 2.0 * prev.a_k * M * c_one_plus
     )
     b_sq = round_up(2.0 ** (1 + float(al)) * prev.b_k * M * Q ** float(al) * c_one_minus)
-    return ConstantState(
-        k, round_up(math.sqrt(a_sq)), round_up(math.sqrt(b_sq)), M, Q, c_half, c_one
-    )
+    return ConstantState(k, round_up(math.sqrt(a_sq)), round_up(math.sqrt(b_sq)), M, Q)
 
 
 def epsilon_prime_and_c(k_max: int, tol: float = 0.0) -> LimitConstant:
@@ -577,10 +577,4 @@ def corollary_constants(epsilon: Union[Fraction, float], P: PrimeSet, b: int) ->
         except OverflowError:
             return math.inf
 
-    def decay(m: Union[int, float]) -> float:
-        """Advisory decay envelope exp(-coeff (log log m)^(3/2))."""
-        if m < 3:
-            return 1.0
-        return math.exp(-DECAY_COEFF * math.log(math.log(m)) ** 1.5)
-
-    return CorollaryResult(level, delta, big_c, log_big_c, segments, threshold_n, decay)
+    return CorollaryResult(level, delta, big_c, log_big_c, segments, threshold_n, decay_envelope)

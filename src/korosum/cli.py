@@ -17,6 +17,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -26,22 +27,6 @@ from .numtheory import PrimeSet
 
 #: Relative slack allowed between an empirical sum and any proven bound.
 VALIDITY_SLACK = 1e-6
-
-_CSV_FIELDS = (
-    "m",
-    "a",
-    "N",
-    "k_star",
-    "s_abs",
-    "ratio",
-    "bound_recursive",
-    "bound_main",
-    "bound_long",
-    "bound_short",
-    "bound_prime",
-    "nontrivial_recursive",
-    "nontrivial_main",
-)
 
 
 @dataclass
@@ -59,6 +44,23 @@ class ScanRow:
     bound_prime: Optional[float]
     nontrivial_recursive: bool
     nontrivial_main: bool
+
+
+def _fmt_float(x: float) -> str:
+    return format(x, ".17g")
+
+
+#: How a report column is written to CSV and read back, by the type of its
+#: ScanRow field (the annotation's text, as this module postpones annotations).
+_CSV_CODECS = {
+    "int": (str, int),
+    "float": (_fmt_float, float),
+    "Optional[float]": (lambda v: "" if v is None else _fmt_float(v),
+                        lambda raw: float(raw) if raw else None),
+    "bool": (lambda v: "true" if v else "false", lambda raw: raw == "true"),
+}
+_CSV_COLUMNS = tuple((f.name, *_CSV_CODECS[f.type]) for f in dataclasses.fields(ScanRow))
+_CSV_FIELDS = tuple(name for name, _, _ in _CSV_COLUMNS)
 
 
 @dataclass
@@ -229,19 +231,19 @@ def _n_values_for(m: int, policy: Dict) -> List[int]:
     return sorted({max(1, math.ceil(m**x)) for x in policy["exponents"]})
 
 
-def _scan_cell(payload) -> Tuple[List[ScanRow], Optional[Dict]]:
+def _scan_cell(m: int, config: ScanConfig) -> Tuple[List[ScanRow], Optional[Dict]]:
     """All rows for one modulus; returns (rows, violation_or_None).
 
     The bounds depend on (m, N) alone, so each is evaluated once per N and
     checked against every unit's sum.
     """
-    m, b, primes, a_policy, n_policy, k_lo, k_hi, seed = payload
-    mb = bounds.ModulusBounds(m, PrimeSet(primes), b, range(k_lo, k_hi + 1))
+    b = config.b
+    mb = bounds.ModulusBounds(m, PrimeSet(config.primes), b, range(config.k_lo, config.k_hi + 1))
     prime_powers = [(p, e) for p, e in mb.fac.exponents.items() if e]
     prime_base = prime_powers[0] if len(prime_powers) == 1 and prime_powers[0][0] % 2 else None
     short_bound = mb.short()[1]
     per_n = []
-    for N in _n_values_for(m, n_policy):
+    for N in _n_values_for(m, config.n_policy):
         recs, best = mb.recursive(N)
         rec = recs[best][2]
         main = mb.terms(best, N, "main")[2]
@@ -256,7 +258,7 @@ def _scan_cell(payload) -> Tuple[List[ScanRow], Optional[Dict]]:
         row_bounds = (rec, main, long_val, short, prime_val, rec < N, main < N)
         per_n.append((N, mb.ks[best], valid_bounds, row_bounds))
     rows: List[ScanRow] = []
-    for a in _units_for(m, a_policy, seed):
+    for a in _units_for(m, config.a_policy, config.seed):
         for N, k_star, valid_bounds, row_bounds in per_n:
             s_abs = sumeval.eval_sum_reduced(a, b, m, N).magnitude
             for v in valid_bounds:
@@ -282,17 +284,13 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
     moduli = numtheory.smooth_numbers(P, config.m_hi, lo=max(config.m_lo, 2))
     if not moduli:
         raise ConfigError("m_range", "contains no smooth modulus")
-    payloads = [
-        (m, config.b, config.primes, config.a_policy, config.n_policy,
-         config.k_lo, config.k_hi, config.seed)
-        for m in moduli
-    ]
+    cell = partial(_scan_cell, config=config)
     nworkers = workers if workers is not None else config.workers
     if nworkers > 1:
         with Pool(nworkers) as pool:
-            results = pool.map(_scan_cell, payloads)
+            results = pool.map(cell, moduli)
     else:
-        results = [_scan_cell(p) for p in payloads]
+        results = [cell(m) for m in moduli]
     rows: List[ScanRow] = []
     for cell_rows, violation in results:
         if violation is not None:
@@ -300,10 +298,6 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
         rows.extend(cell_rows)
     rows.sort(key=lambda r: (r.m, r.a, r.N))
     return rows
-
-
-def _fmt_float(x: float) -> str:
-    return format(x, ".17g")
 
 
 def render_report(rows: Sequence[ScanRow], format: str = "csv") -> bytes:
@@ -314,18 +308,7 @@ def render_report(rows: Sequence[ScanRow], format: str = "csv") -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_FIELDS)
         for row in rows:
-            out = []
-            for field in _CSV_FIELDS:
-                v = getattr(row, field)
-                if v is None:
-                    out.append("")
-                elif isinstance(v, bool):
-                    out.append("true" if v else "false")
-                elif isinstance(v, float):
-                    out.append(_fmt_float(v))
-                else:
-                    out.append(str(v))
-            writer.writerow(out)
+            writer.writerow([write(getattr(row, name)) for name, write, _ in _CSV_COLUMNS])
         return buf.getvalue().encode("utf-8")
     if format == "json":
         payload = {"rows": [{field: getattr(r, field) for field in _CSV_FIELDS} for r in rows]}
@@ -335,23 +318,10 @@ def render_report(rows: Sequence[ScanRow], format: str = "csv") -> bytes:
 
 def rows_from_csv(data: bytes) -> List[ScanRow]:
     """Parse render_report CSV output back into rows (lossless)."""
-    text = data.decode("utf-8")
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for record in reader:
-        kwargs = {}
-        for field in _CSV_FIELDS:
-            raw = record[field]
-            if field in ("m", "a", "N", "k_star"):
-                kwargs[field] = int(raw)
-            elif field in ("nontrivial_recursive", "nontrivial_main"):
-                kwargs[field] = raw == "true"
-            elif raw == "":
-                kwargs[field] = None
-            else:
-                kwargs[field] = float(raw)
-        rows.append(ScanRow(**kwargs))
-    return rows
+    return [
+        ScanRow(**{name: read(record[name]) for name, _, read in _CSV_COLUMNS})
+        for record in csv.DictReader(io.StringIO(data.decode("utf-8")))
+    ]
 
 
 def load_schedule(doc: Dict) -> normalnum.Schedule:
@@ -379,8 +349,8 @@ def _to_jsonable(obj):
     return obj
 
 
-def _emit(args, payload: Dict, text_lines: Sequence[str]) -> None:
-    if getattr(args, "json", False):
+def _emit(args, payload, text_lines: Sequence[str]) -> None:
+    if args.json:
         print(json.dumps(_to_jsonable(payload), indent=2))
     else:
         for line in text_lines:
@@ -418,13 +388,8 @@ def _int_in(lo: int, hi: Optional[int] = None):
 
 def _cmd_order(args) -> int:
     if args.primes:
-        P = PrimeSet(args.primes)
-        st = numtheory.mult_order_structured(args.b, args.m, P)
-        payload = {
-            "m": st.m, "tau1": st.tau1, "mu": st.mu, "tau_prime": st.tau_prime,
-            "beta": st.beta, "m1": st.m1, "order": st.order,
-        }
-        _emit(args, payload, [
+        st = numtheory.mult_order_structured(args.b, args.m, PrimeSet(args.primes))
+        _emit(args, st, [
             f"ord({args.b}, {args.m}) = {st.order}",
             f"  tau1={st.tau1} mu={st.mu} tau'={st.tau_prime} m1={st.m1} beta={st.beta}",
         ])
@@ -437,9 +402,7 @@ def _cmd_order(args) -> int:
 def _cmd_sum(args) -> int:
     fn = sumeval.eval_sum_reduced if args.reduced else sumeval.eval_sum
     res = fn(args.a, args.b, args.m, args.n)
-    payload = {"value": res.value, "magnitude": res.magnitude,
-               "N": res.N, "m": res.m, "a": res.a, "b": res.b}
-    _emit(args, payload, [
+    _emit(args, res, [
         f"S_{args.n}({args.a}/{args.m}, b={args.b}) = {res.value:.12g}",
         f"|S| = {res.magnitude:.12g}   |S|/N = {res.magnitude / args.n:.6g}",
     ])
@@ -451,9 +414,7 @@ def _cmd_bound(args) -> int:
     if args.form == "best":
         best = bounds.best_k(args.m, args.n, P, args.b, args.k_max)
         rep = best.report
-        payload = _to_jsonable(rep)
-        payload["k_hat"] = best.k_hat
-        _emit(args, payload, [
+        _emit(args, {**dataclasses.asdict(rep), "k_hat": best.k_hat}, [
             f"best level k*={best.k_star} (interval prediction k_hat={best.k_hat})",
             f"bound = {rep.bound_value:.6g}  nontrivial={rep.nontrivial}",
         ])
@@ -462,7 +423,7 @@ def _cmd_bound(args) -> int:
         rep = bounds.bound_baseline(args.m, args.n, args.d, P, args.b, args.form)
     else:
         rep = bounds.bound_eval(args.m, args.n, args.k, P, args.b, args.form)
-    _emit(args, _to_jsonable(rep), [
+    _emit(args, rep, [
         f"{rep.source} bound at k={rep.k}: {rep.bound_value:.6g} "
         f"(terms {rep.term_main:.6g} + {rep.term_secondary:.6g}), "
         f"nontrivial={rep.nontrivial}",
@@ -544,20 +505,15 @@ def _cmd_digits(args) -> int:
         P = PrimeSet(args.primes)
         rep = digits.deviation_report(args.a, args.m, pattern, args.n, P, args.base)
         occ = rep.occurrence
-        payload = _to_jsonable(rep)
-        lines = [
-            f"pattern {args.pattern} occurs {occ.count} times in the first {args.n} digits",
-            f"expected {occ.expected:.6g}, deviation {occ.deviation:+.6g}",
-            f"envelope {rep.envelope:.6g}, ratio {rep.ratio:.6g} (advisory)",
-        ]
     else:
-        occ = digits.count_occurrences(args.a, args.m, pattern, args.n)
-        payload = _to_jsonable(occ)
-        lines = [
-            f"pattern {args.pattern} occurs {occ.count} times in the first {args.n} digits",
-            f"expected {occ.expected:.6g}, deviation {occ.deviation:+.6g}",
-        ]
-    _emit(args, payload, lines)
+        rep = occ = digits.count_occurrences(args.a, args.m, pattern, args.n)
+    lines = [
+        f"pattern {args.pattern} occurs {occ.count} times in the first {args.n} digits",
+        f"expected {occ.expected:.6g}, deviation {occ.deviation:+.6g}",
+    ]
+    if args.primes:
+        lines.append(f"envelope {rep.envelope:.6g}, ratio {rep.ratio:.6g} (advisory)")
+    _emit(args, rep, lines)
     return 0
 
 
@@ -566,7 +522,7 @@ def _cmd_normal(args) -> int:
     validation = normalnum.validate_schedule(schedule, args.k_check)
     trace = normalnum.discrepancy_trace(schedule, args.n_max)
     payload = {
-        "validation": _to_jsonable(validation),
+        "validation": validation,
         "trace": [{"N": n, "d_star": d, "d_two_sided_max": 2 * d} for n, d in trace.rows],
         "final_d_star": trace.final_d_star,
         "overall_decreasing": trace.overall_decreasing,
@@ -582,13 +538,57 @@ def _cmd_normal(args) -> int:
 
 def _cmd_verify(args) -> int:
     rep = sumeval.verify_differencing(args.a, args.b, args.m, args.m_prime, args.n)
-    _emit(args, _to_jsonable(rep), [
+    _emit(args, rep, [
         f"lhs^2 = {rep.lhs_squared:.6g}  rhs = {rep.rhs:.6g}  "
         f"(m'={rep.m_prime}, tau={rep.tau})",
         f"holds: {rep.holds}  (decided by the {rep.path} path, "
         f"certified margin rhs/lhs^2 = {rep.margin:.6g})",
     ])
     return 0 if rep.holds else 3
+
+
+def _required_ints(*names: str) -> Dict[str, Dict]:
+    return {f"--{name}": {"type": int, "required": True} for name in names}
+
+
+_PRIMES = {"--primes": {"type": _parse_primes, "required": True}}
+_K_MAX = {"type": _int_in(0, bounds.MAX_LEVEL)}
+_JSON = {"--json": {"action": "store_true", "help": "emit JSON instead of text"}}
+
+#: Every subcommand: (name, handler, help, {flag: add_argument keywords}),
+#: flags in help order.  argparse derives each dest from its flag.
+_COMMANDS = (
+    ("order", _cmd_order, "multiplicative order of b mod m", {
+        **_required_ints("b", "m"), "--primes": {"type": _parse_primes}, **_JSON}),
+    ("sum", _cmd_sum, "evaluate S_N = sum e(a b^n / m)", {
+        **_required_ints("a", "b", "m", "n"),
+        "--reduced": {"action": "store_true", "help": "use the period-folded evaluator"},
+        **_JSON}),
+    ("bound", _cmd_bound, "evaluate a bound on |S_N|", {
+        **_required_ints("m", "n"), "--k": {"type": int, "default": 0}, **_PRIMES,
+        **_required_ints("b"),
+        "--form": {"choices": ("recursive", "main", "short", "long", "best"),
+                   "default": "recursive"},
+        "--d": {"type": int, "default": 1, "help": "gcd(a, m) for the short form"},
+        "--k-max": {**_K_MAX, "default": 8}, **_JSON}),
+    ("intervals", _cmd_intervals, "non-trivial and optimal exponent ranges", {
+        "--k-max": {**_K_MAX, "default": 8}, **_JSON}),
+    ("constants", _cmd_constants, "environment constants M, Q, K1-K3, A_k, B_k, c", {
+        **_PRIMES, **_required_ints("b"), "--k-max": {**_K_MAX, "default": 6}, **_JSON}),
+    ("scan", _cmd_scan, "parameter sweep from a JSON config", {
+        "--config": {"required": True}, "--out": {}, "--format": {"choices": ("csv", "json")},
+        "--workers": {"type": _int_in(1)}}),
+    ("digits", _cmd_digits, "pattern statistics in the expansion of a/m", {
+        **_required_ints("a", "m", "base"), "--pattern": {"required": True},
+        **_required_ints("n"),
+        "--primes": {"type": _parse_primes, "help": "enables the advisory deviation envelope"},
+        **_JSON}),
+    ("normal", _cmd_normal, "normal-number schedule diagnostics", {
+        "--schedule": {"required": True}, **_required_ints("n-max"),
+        "--k-check": {"type": _int_in(2, MAX_K_CHECK), "default": 12}, **_JSON}),
+    ("verify", _cmd_verify, "check the differencing inequality on one instance", {
+        **_required_ints("a", "b", "m", "m-prime", "n"), **_JSON}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -598,86 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "bounds, digit statistics, normal-number constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    p = sub.add_parser("order", help="multiplicative order of b mod m")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--primes", type=_parse_primes, default=None)
-    add_json(p)
-    p.set_defaults(func=_cmd_order)
-
-    p = sub.add_parser("sum", help="evaluate S_N = sum e(a b^n / m)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reduced", action="store_true",
-                   help="use the period-folded evaluator")
-    add_json(p)
-    p.set_defaults(func=_cmd_sum)
-
-    p = sub.add_parser("bound", help="evaluate a bound on |S_N|")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--primes", type=_parse_primes, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--form", choices=("recursive", "main", "short", "long", "best"),
-                   default="recursive")
-    p.add_argument("--d", type=int, default=1, help="gcd(a, m) for the short form")
-    p.add_argument("--k-max", type=int, default=8, dest="k_max")
-    add_json(p)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("intervals", help="non-trivial and optimal exponent ranges")
-    p.add_argument("--k-max", type=int, default=8, dest="k_max")
-    add_json(p)
-    p.set_defaults(func=_cmd_intervals)
-
-    p = sub.add_parser("constants", help="environment constants M, Q, K1-K3, A_k, B_k, c")
-    p.add_argument("--primes", type=_parse_primes, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k-max", type=int, default=6, dest="k_max")
-    add_json(p)
-    p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("scan", help="parameter sweep from a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--workers", type=_int_in(1), default=None)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("digits", help="pattern statistics in the expansion of a/m")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--primes", type=_parse_primes, default=None,
-                   help="enables the advisory deviation envelope")
-    add_json(p)
-    p.set_defaults(func=_cmd_digits)
-
-    p = sub.add_parser("normal", help="normal-number schedule diagnostics")
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--k-check", type=_int_in(2, MAX_K_CHECK), default=12, dest="k_check")
-    add_json(p)
-    p.set_defaults(func=_cmd_normal)
-
-    p = sub.add_parser("verify", help="check the differencing inequality on one instance")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--m-prime", type=int, required=True, dest="m_prime")
-    p.add_argument("--n", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, handler, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 

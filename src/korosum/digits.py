@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .bounds import DECAY_COEFF
+from .bounds import decay_envelope
 from .errors import NotCoprime, OutOfRange
 from .numtheory import PrimeSet, factor_smooth
 from .sumeval import _orbit_blocks
@@ -43,10 +43,11 @@ class DigitPattern:
 
     @classmethod
     def from_string(cls, text: str, base: int) -> "DigitPattern":
-        # one character per digit; only sensible for base <= 10
-        if not all(ch in "0123456789" for ch in text):
-            raise OutOfRange(f"pattern {text!r} must be decimal digits, one per character")
-        return cls(base, tuple(int(ch) for ch in text))
+        """One character per digit: 0-9, then a-z in either case for 10-35."""
+        if not text.isascii() or not all(ch.isalnum() and int(ch, 36) < base for ch in text):
+            raise OutOfRange(f"pattern {text!r} must be one character per digit below {base}: "
+                             "0-9, then a-z")
+        return cls(base, tuple(int(ch, 36) for ch in text))
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -149,7 +150,7 @@ def deviation_report(
         raise OutOfRange(f"b={b} disagrees with pattern base {pattern.base}")
     factor_smooth(m, P)
     occurrence = count_occurrences(a, m, pattern, N)
-    envelope = N * math.exp(-DECAY_COEFF * math.log(math.log(m)) ** 1.5) if m > 2 else float(N)
+    envelope = N * decay_envelope(m)
     dev = abs(occurrence.deviation)
     return DeviationReport(occurrence, envelope, dev / envelope, dev <= envelope)
 

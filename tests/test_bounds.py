@@ -466,8 +466,10 @@ class TestAgainstPerCallReference:
         got, want = [], []
         for primes, b, moduli, a_policy, n_policy, k_lo, k_hi in self.CASES:
             P = nt.PrimeSet(primes)
+            config = cli.ScanConfig(primes, b, min(moduli), max(moduli), a_policy, n_policy,
+                                    k_lo, k_hi, 42, None, "csv", 1)
             for m in moduli:
-                rows, violation = cli._scan_cell((m, b, primes, a_policy, n_policy, k_lo, k_hi, 42))
+                rows, violation = cli._scan_cell(m, config)
                 assert violation is None
                 got += [_bits(dataclasses.astuple(r)) for r in rows]
                 want += [_bits(_ref_row(m, a, N, P, b, k_lo, k_hi))

@@ -1,6 +1,8 @@
 """CLI surface, scan harness, and report serialization tests."""
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -13,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from korosum import bounds as bd
 from korosum import cli
+from korosum import digits as dg
 from korosum import normalnum as nn
 from korosum import numtheory as nt
 from korosum import sumeval as se
@@ -211,8 +215,8 @@ class TestRunScan:
         assert counts["mult_order_structured"] <= moduli
 
     def test_violation_aborts(self, monkeypatch):
-        def fake_cell(payload):
-            return [], {"m": payload[0], "reason": "synthetic"}
+        def fake_cell(m, config):
+            return [], {"m": m, "reason": "synthetic"}
 
         monkeypatch.setattr(cli, "_scan_cell", fake_cell)
         with pytest.raises(BoundViolation):
@@ -407,6 +411,150 @@ class TestCommands:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "usage: korosum" in done.stdout
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("k_max", ["51", "100000", "-1"])
+    def test_intervals_k_max_out_of_range(self, capsys, k_max):
+        # 100000 used to end in a ValueError traceback (int-to-str digit limit)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["intervals", "--k-max", k_max])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--k-max" in err and "Traceback" not in err
+
+    def test_intervals_k_max_at_max_level(self, capsys):
+        assert cli.main(["intervals", "--k-max", "50", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["intervals"]) == 51
+
+    def test_digits_letter_pattern(self, capsys):
+        argv = ["digits", "--a", "1", "--m", str(3**9), "--base", "16", "--pattern", "1f",
+                "--n", "20000", "--json"]
+        assert cli.main(argv) == 0
+        want = dg.count_occurrences(1, 3**9, dg.DigitPattern(16, (1, 15)), 20000)
+        assert want.count > 0
+        assert json.loads(capsys.readouterr().out)["count"] == want.count
+
+
+def _parser_schema(parser):
+    """[(subcommand, [(flag, (dest, required, default[, choices]))])] in help order."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, [(a.option_strings[0],
+                 (a.dest, a.required, a.default) + ((a.choices,) if a.choices else ()))
+                for a in p._actions if a.dest != "help"])
+        for name, p in sub.choices.items()
+    ]
+
+
+class TestPinnedCommandLine:
+    """The command line as it stood before one table of flags built the parser."""
+
+    SCHEMA = {
+        "order": {"--b": ("b", True, None), "--m": ("m", True, None),
+                  "--primes": ("primes", False, None), "--json": ("json", False, False)},
+        "sum": {"--a": ("a", True, None), "--b": ("b", True, None), "--m": ("m", True, None),
+                "--n": ("n", True, None), "--reduced": ("reduced", False, False),
+                "--json": ("json", False, False)},
+        "bound": {"--m": ("m", True, None), "--n": ("n", True, None), "--k": ("k", False, 0),
+                  "--primes": ("primes", True, None), "--b": ("b", True, None),
+                  "--form": ("form", False, "recursive",
+                             ("recursive", "main", "short", "long", "best")),
+                  "--d": ("d", False, 1), "--k-max": ("k_max", False, 8),
+                  "--json": ("json", False, False)},
+        "intervals": {"--k-max": ("k_max", False, 8), "--json": ("json", False, False)},
+        "constants": {"--primes": ("primes", True, None), "--b": ("b", True, None),
+                      "--k-max": ("k_max", False, 6), "--json": ("json", False, False)},
+        "scan": {"--config": ("config", True, None), "--out": ("out", False, None),
+                 "--format": ("format", False, None, ("csv", "json")),
+                 "--workers": ("workers", False, None)},
+        "digits": {"--a": ("a", True, None), "--m": ("m", True, None),
+                   "--base": ("base", True, None), "--pattern": ("pattern", True, None),
+                   "--n": ("n", True, None), "--primes": ("primes", False, None),
+                   "--json": ("json", False, False)},
+        "normal": {"--schedule": ("schedule", True, None), "--n-max": ("n_max", True, None),
+                   "--k-check": ("k_check", False, 12), "--json": ("json", False, False)},
+        "verify": {"--a": ("a", True, None), "--b": ("b", True, None), "--m": ("m", True, None),
+                   "--m-prime": ("m_prime", True, None), "--n": ("n", True, None),
+                   "--json": ("json", False, False)},
+    }
+
+    def test_parser_schema(self, capsys):
+        parser = cli.build_parser()
+        assert _parser_schema(parser) == [(name, list(flags.items()))
+                                          for name, flags in self.SCHEMA.items()]
+        # and --k-max lies in [0, MAX_LEVEL] wherever it is taken
+        for argv in (["bound", "--m", "9", "--n", "3", "--primes", "3", "--b", "2"],
+                     ["intervals"], ["constants", "--primes", "3", "--b", "2"]):
+            assert parser.parse_args(argv + ["--k-max", str(bd.MAX_LEVEL)]).k_max == bd.MAX_LEVEL
+            for bad in (-1, bd.MAX_LEVEL + 1):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv + ["--k-max", str(bad)])
+                assert "argument --k-max" in capsys.readouterr().err
+
+    # The README's scan config, over m <= 5000 and at 2 workers.
+    README_SCAN = {
+        "primes": [3, 5], "b": 2, "m_range": [3, 5000],
+        "a_policy": {"kind": "sample", "count": 20},
+        "N_policy": {"kind": "powers", "exponents": [0.15, 0.25, 0.4, 0.6, 1.0]},
+        "k_range": [0, 4], "seed": 42, "workers": 2,
+        "output": {"path": "rows.csv", "format": "csv"},
+    }
+
+    # stdout of each README example (for scan: the bytes of rows.csv), as
+    # text or as its sha256
+    README_OUTPUTS = {
+        "order --b 2 --m 9 --primes 3": "ord(2, 9) = 6\n  tau1=2 mu=0 tau'=2 m1=3 beta={3: 1}\n",
+        "order --b 2 --m 9 --primes 3 --json":
+            "167272bc2090aa6e5fa6c54f2041e081f225462b2ec4862e19a2bd5a633116dd",
+        "sum --a 1 --b 2 --m 9 --n 6":
+            "S_6(1/9, b=2) = -5.55111512313e-16-2.22044604925e-16j\n"
+            "|S| = 5.97873396028e-16   |S|/N = 9.96456e-17\n",
+        "sum --a 1 --b 2 --m 9 --n 6 --json":
+            "953a3c0b215421ea0716de9dfcb63ebcc35ac43ad168dc849d57f479c83e2b1c",
+        "bound --m 729 --n 27 --primes 3 --b 2 --form best --k-max 8":
+            "best level k*=0 (interval prediction k_hat=2)\nbound = 227.75  nontrivial=False\n",
+        "bound --m 729 --n 27 --primes 3 --b 2 --form best --k-max 8 --json":
+            "0be35384dd3b724b4c87181356fe0e03a21e622dc5ffe713ba0974af5470186b",
+        "intervals --k-max 8": "a66d795080242d3d34e97201cc7306b1e90ad3958cb3cb137caee2eafb5d323e",
+        "intervals --k-max 8 --json":
+            "e33ec6821cca7dbef9c638643fb702608490d76a75018765dbeab0b6228b5ce8",
+        "constants --primes 3,5 --b 2":
+            "ee9798bf15b6b205a05b9776c34664eb135ff26f9827d63b4d4222ec1d09a119",
+        "constants --primes 3,5 --b 2 --json":
+            "b8379f95746bb45060bdd67784e0057e35f1a81a92a97b8448c9d97dea69322a",
+        "digits --a 1 --m 7 --base 10 --pattern 14 --n 1000":
+            "pattern 14 occurs 167 times in the first 1000 digits\nexpected 10, deviation +157\n",
+        "digits --a 1 --m 7 --base 10 --pattern 14 --n 1000 --json":
+            "af24401276695786958819b3aab4f6a02589577705cb53407393bf0aa1a06739",
+        "normal --schedule stoneham.json --n-max 131072":
+            "e88a9096c39b1f4e850b7c125efd2b78c6eef227e6226d3ded3f33932c4c74bf",
+        "normal --schedule stoneham.json --n-max 131072 --json":
+            "e95221732acd2ce7c6fd5b82d85203e268de301ca9eac86d1001c11d46bcdc49",
+        "verify --a 1 --b 2 --m 531441 --m-prime 3 --n 5000":
+            "lhs^2 = 9621.97  rhs = 643345  (m'=3, tau=2)\n"
+            "holds: True  (decided by the fast path, certified margin rhs/lhs^2 = 66.8621)\n",
+        "verify --a 1 --b 2 --m 531441 --m-prime 3 --n 5000 --json":
+            "450c2e9a217cf46b66e862c24e1ab64992558429b3ea2be141acbea7f64ffca9",
+        "scan --config scan.json --out rows.csv":
+            "ec35334e381bfa46a8a1b565aa197d10e5389a33cc1d92d68437f65b16f4d9f4",
+    }
+
+    @pytest.mark.parametrize("argv", README_OUTPUTS)
+    def test_readme_example(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "stoneham.json").write_text(json.dumps({**STONEHAM_DOC, "epsilon": 0.1}))
+        (tmp_path / "scan.json").write_text(json.dumps(self.README_SCAN))
+        assert cli.main(argv.split()) == 0
+        out = capsys.readouterr().out
+        if "--out" in argv:
+            assert out == ""
+            out = (tmp_path / "rows.csv").read_text(encoding="utf-8")
+        want = self.README_OUTPUTS[argv]
+        if "\n" in want:
+            assert out == want
+        else:
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
 
 
 # Documents for the boundary fuzz: a well-formed document with small values

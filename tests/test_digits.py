@@ -40,10 +40,21 @@ class TestDigitPattern:
             dg.DigitPattern(10, ())
         with pytest.raises(OutOfRange):
             dg.DigitPattern(2, (2,))
-        with pytest.raises(OutOfRange):
-            dg.DigitPattern.from_string("1a", 16)
+        assert dg.DigitPattern.from_string("1a", 16).digits == (1, 10)
+        assert dg.DigitPattern.from_string("1F", 16).digits == (1, 15)
+        assert dg.DigitPattern.from_string("z0", 36).digits == (35, 0)
         assert dg.DigitPattern.from_string("14", 10).digits == (1, 4)
         assert dg.DigitPattern(10, (1, 4)).value() == 14
+
+    # a digit at or above the base, and non-ASCII digits (ARABIC-INDIC THREE,
+    # FULLWIDTH ONE) and letters (KELVIN SIGN, whose lower case is "k")
+    @pytest.mark.parametrize("text, base", [
+        ("1g", 16), ("1a", 10), ("1\u0663", 10), ("\uff11", 10), ("\u212a", 36), ("1 ", 10),
+    ])
+    def test_from_string_rejects(self, text, base):
+        with pytest.raises(OutOfRange) as exc:
+            dg.DigitPattern.from_string(text, base)
+        assert f"pattern {text!r}" in str(exc.value)
 
 
 class TestDigitAt:
