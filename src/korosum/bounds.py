@@ -66,8 +66,6 @@ class ConstantState:
     k: int
     a_k: float
     b_k: float
-    M: int
-    Q: int
 
 
 @dataclass
@@ -101,21 +99,6 @@ class RationalInterval:
         if strict:
             return self.lo < x and (self.hi is None or x < self.hi)
         return self.lo <= x and (self.hi is None or x <= self.hi)
-
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        if other.lo < self.lo:
-            return False
-        if self.hi is None:
-            return True
-        return other.hi is not None and other.hi <= self.hi
-
-    def overlaps(self, other: "RationalInterval") -> bool:
-        lo = max(self.lo, other.lo)
-        if self.hi is None:
-            return other.hi is None or other.hi >= lo
-        if other.hi is None:
-            return self.hi >= lo
-        return min(self.hi, other.hi) >= lo
 
 
 @dataclass(frozen=True)
@@ -236,7 +219,7 @@ def constants(k: int, P: PrimeSet, b: int) -> ConstantState:
     M = capital_m(P, b)
     Q, s = P.Q, P.s
     if k == 0:
-        return ConstantState(0, 1.0, float(M), M, Q)
+        return ConstantState(0, 1.0, float(M))
     prev = constants(k - 1, P, b)
     al = exponents(k - 1).alpha
     c_al = c_p_alpha(P, al)
@@ -248,25 +231,20 @@ def constants(k: int, P: PrimeSet, b: int) -> ConstantState:
         + 2.0 * prev.a_k * M * c_one_plus
     )
     b_sq = round_up(2.0 ** (1 + float(al)) * prev.b_k * M * Q ** float(al) * c_one_minus)
-    return ConstantState(k, round_up(math.sqrt(a_sq)), round_up(math.sqrt(b_sq)), M, Q)
+    return ConstantState(k, round_up(math.sqrt(a_sq)), round_up(math.sqrt(b_sq)))
 
 
-def epsilon_prime_and_c(k_max: int, tol: float = 0.0) -> LimitConstant:
-    """Iterate e'_k = (1 - 2/(2^(k+1)-1)) e'_{k-1} + (1-2k)/(2^(k+1)-1) from e'_0 = 1.
-
-    The sequence is Cauchy with |e'_k - c| <= (k+7)/2^(k-1); iteration
-    stops once that certified tail drops to tol (or at k_max).
-    """
+def epsilon_prime_and_c(k_max: int) -> LimitConstant:
+    """Iterate e'_k = (1 - 2/(2^(k+1)-1)) e'_{k-1} + (1-2k)/(2^(k+1)-1) from e'_0 = 1
+    to k = k_max.  The sequence is Cauchy with |e'_k - c| <= (k+7)/2^(k-1),
+    the certified tail."""
     if k_max < 0:
         raise OutOfRange("k_max must be non-negative")
     eps = [Fraction(1)]
-    k = 0
-    tail = _tail_bound(0)
-    while k < k_max and tail > tol:
-        k += 1
+    for k in range(1, k_max + 1):
         d = 2 ** (k + 1) - 1
         eps.append((1 - Fraction(2, d)) * eps[-1] + Fraction(1 - 2 * k, d))
-        tail = _tail_bound(k)
+    tail = Fraction(k_max + 7) * Fraction(2) ** (1 - k_max)
     return LimitConstant(
         eps_primes=tuple(eps),
         c=float(eps[-1]),
@@ -274,10 +252,6 @@ def epsilon_prime_and_c(k_max: int, tol: float = 0.0) -> LimitConstant:
         c_exact=eps[-1],
         tail_exact=tail,
     )
-
-
-def _tail_bound(k: int) -> Fraction:
-    return Fraction(k + 7) * Fraction(2) ** (1 - k)
 
 
 @lru_cache(maxsize=1)
@@ -321,9 +295,10 @@ def k_constants(P: PrimeSet, b: int) -> KConstants:
     )
 
 
-def _exp_or_inf(log_value: float) -> float:
+def _exp_or_inf(log_value: float, factor: float = 1.0) -> float:
+    """round_up(factor * exp(log_value)), inf past the float range."""
     try:
-        return round_up(math.exp(log_value))
+        return round_up(factor * math.exp(log_value))
     except OverflowError:
         return math.inf
 
@@ -382,8 +357,8 @@ class ModulusBounds:
         log_pow_main = al_log_m + gamma * log_n
         log_pow_sec = -al_log_m + nu * log_n
         if form == "recursive":
-            tm = round_up(a_k * math.exp(log_pow_main))
-            ts = round_up(b_k * math.exp(log_pow_sec))
+            tm = _exp_or_inf(log_pow_main, a_k)
+            ts = _exp_or_inf(log_pow_sec, b_k)
         elif form == "main":
             tm = _exp_or_inf(log_main + log_pow_main)
             ts = _exp_or_inf(log_k3 + log_pow_sec)
@@ -400,7 +375,10 @@ class ModulusBounds:
     def long(self, N: int) -> Tuple[float, float, float]:
         """(sqrt m, M N / sqrt m, bound) of the long baseline (gcd(a, m) = 1)."""
         root, tm, logfac = self._roots
-        ts = round_up(capital_m(self.P, self.b) * N / root)
+        try:
+            ts = round_up(capital_m(self.P, self.b) * N / root)
+        except OverflowError:  # M N past the float range
+            ts = math.inf
         return tm, ts, (tm + ts) * logfac
 
     def short(self, d: int = 1) -> Tuple[float, float]:

@@ -388,7 +388,7 @@ def _int_in(lo: int, hi: Optional[int] = None):
 
 def _cmd_order(args) -> int:
     if args.primes:
-        st = numtheory.mult_order_structured(args.b, args.m, PrimeSet(args.primes))
+        st = numtheory.factor_smooth(args.m, PrimeSet(args.primes)).order_structure(args.b)
         _emit(args, st, [
             f"ord({args.b}, {args.m}) = {st.order}",
             f"  tau1={st.tau1} mu={st.mu} tau'={st.tau_prime} m1={st.m1} beta={st.beta}",
@@ -503,7 +503,7 @@ def _cmd_digits(args) -> int:
     pattern = digits.DigitPattern.from_string(args.pattern, args.base)
     if args.primes:
         P = PrimeSet(args.primes)
-        rep = digits.deviation_report(args.a, args.m, pattern, args.n, P, args.base)
+        rep = digits.deviation_report(args.a, args.m, pattern, args.n, P)
         occ = rep.occurrence
     else:
         rep = occ = digits.count_occurrences(args.a, args.m, pattern, args.n)

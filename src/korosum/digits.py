@@ -52,12 +52,6 @@ class DigitPattern:
     def __len__(self) -> int:
         return len(self.digits)
 
-    def value(self) -> int:
-        v = 0
-        for d in self.digits:
-            v = v * self.base + d
-        return v
-
 
 @dataclass
 class OccurrenceReport:
@@ -108,7 +102,7 @@ def _digit_blocks(a: int, m: int, b: int, count: int):
     r_n = a b^(n-1) mod m, in blocks from the orbit kernel; the products
     b * r are taken in Python ints when b * m leaves int64."""
     wide = b * m > _INT64_MAX
-    for block in _orbit_blocks(a, b % m, m, count, cache=False):
+    for block in _orbit_blocks(a, b % m, m, count):
         yield b * (block.astype(object) if wide else block) // m
 
 
@@ -139,15 +133,9 @@ def count_occurrences(a: int, m: int, pattern: DigitPattern, N: int) -> Occurren
     return OccurrenceReport(count, expected, count - expected, N, pattern)
 
 
-def deviation_report(
-    a: int, m: int, pattern: DigitPattern, N: int, P: PrimeSet, b: int
-) -> DeviationReport:
-    """Occurrence count plus the theorem-shaped envelope N exp(-c (log log m)^(3/2)).
-
-    m must be P-smooth and b must equal the pattern base.
-    """
-    if b != pattern.base:
-        raise OutOfRange(f"b={b} disagrees with pattern base {pattern.base}")
+def deviation_report(a: int, m: int, pattern: DigitPattern, N: int, P: PrimeSet) -> DeviationReport:
+    """Occurrence count plus the theorem-shaped envelope N exp(-c (log log m)^(3/2)),
+    for P-smooth m in the pattern's base."""
     factor_smooth(m, P)
     occurrence = count_occurrences(a, m, pattern, N)
     envelope = N * decay_envelope(m)

@@ -94,7 +94,3 @@ class BoundViolation(KorosumError):
     def __init__(self, detail: dict):
         self.detail = detail
         super().__init__(f"bound violated beyond slack: {detail}")
-
-
-class InternalError(KorosumError):
-    """An internal invariant failed (certificate breach, not user error)."""

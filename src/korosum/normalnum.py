@@ -61,17 +61,6 @@ class Schedule:
             primes = PrimeSet(tuple(sorted(factorize(c_base))))
         return cls(b, primes, c_base, m_base, epsilon)
 
-    @classmethod
-    def explicit(
-        cls,
-        b: int,
-        c_values: Sequence[int],
-        m_values: Sequence[int],
-        primes: PrimeSet,
-        epsilon: float = 0.1,
-    ) -> "Schedule":
-        return cls(b, primes, tuple(c_values), tuple(m_values), epsilon)
-
     @property
     def blocks(self) -> Optional[int]:
         """The number of blocks K of a finite schedule; None when unbounded."""
@@ -112,7 +101,6 @@ class TraceResult:
 
     rows: List[Tuple[int, float]]
     final_d_star: float
-    decreasing_fraction: float
     overall_decreasing: bool
 
 
@@ -235,7 +223,7 @@ def _points(schedule: Schedule, n_max: int) -> np.ndarray:
     b = schedule.b
     for _, a_k, c_k, start, stop in _segments(schedule, n_max - 1):
         pos = start
-        for block in _orbit_blocks(a_k, b % c_k, c_k, stop - start, cache=False):
+        for block in _orbit_blocks(a_k, b % c_k, c_k, stop - start):
             pts[pos : pos + block.size] = block / c_k
             pos += block.size
     return pts
@@ -295,14 +283,7 @@ def discrepancy_trace(
             raise OutOfRange("checkpoints must lie in [1, n_max]")
     pts = _points(schedule, n_max)
     rows = [(N, star_discrepancy(pts[:N])) for N in checkpoints]
-    downs = sum(1 for (_, d0), (_, d1) in zip(rows, rows[1:]) if d1 < d0)
-    steps = max(len(rows) - 1, 1)
-    return TraceResult(
-        rows=rows,
-        final_d_star=rows[-1][1],
-        decreasing_fraction=downs / steps,
-        overall_decreasing=len(rows) >= 2 and rows[-1][1] < rows[0][1],
-    )
+    return TraceResult(rows, rows[-1][1], len(rows) >= 2 and rows[-1][1] < rows[0][1])
 
 
 def alpha_digits(schedule: Schedule, n_digits: int) -> List[int]:

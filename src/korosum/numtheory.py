@@ -15,14 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Tuple, Union
 
-from .errors import (
-    InternalError,
-    NonPositiveAlpha,
-    NotCoprime,
-    NotDivisor,
-    NotSmooth,
-    OutOfRange,
-)
+from .errors import NonPositiveAlpha, NotCoprime, NotSmooth, OutOfRange
 
 Rational = Union[int, Fraction]
 
@@ -108,7 +101,13 @@ class SmoothFactorization:
         return r
 
     def order_structure(self, b: int) -> "ModulusStructure":
-        """mult_order_structured(b, n, P) for this already factored n."""
+        """Order of b mod n from the structure of n alone (no iteration in n).
+
+        tau1 = ord(b, rad n); mu = 1 iff n even, tau1 odd and b = 3 mod 4;
+        beta[p] from p^beta || b**((mu+1)*tau1) - 1; m1 clips beta to the
+        exponents of n; tau' doubles tau1 exactly when mu = 1 and 4 | n.
+        The resulting order is (n/m1) * tau'.
+        """
         m = self.n
         if b < 2:
             raise OutOfRange("b must be at least 2")
@@ -204,29 +203,6 @@ def carmichael_lambda(n: int) -> int:
     return lam
 
 
-def mult_order_naive(b: int, m: int) -> int:
-    """Least t >= 1 with b**t = 1 mod m, by direct iteration (the oracle).
-
-    Iterations are capped at carmichael_lambda(m): the order must divide
-    it, so running past the cap is an internal error, not a search miss.
-    """
-    if m < 1:
-        raise OutOfRange("modulus must be positive")
-    if m == 1:
-        return 1
-    if math.gcd(b, m) != 1:
-        raise NotCoprime(b, m)
-    cap = carmichael_lambda(m)
-    r = b % m
-    t = 1
-    while r != 1:
-        r = r * b % m
-        t += 1
-        if t > cap:
-            raise InternalError(f"order of {b} mod {m} exceeded lambda={cap}")
-    return t
-
-
 @lru_cache(maxsize=65536)
 def mult_order(b: int, m: int) -> int:
     """Fast multiplicative order via exponent reduction from lambda(m)."""
@@ -258,23 +234,12 @@ def _val_of_power_minus_one(b: int, e: int, p: int) -> int:
     return v
 
 
-def mult_order_structured(b: int, m: int, P: PrimeSet) -> ModulusStructure:
-    """Order of b mod m from the structure of m alone (no iteration in m).
-
-    tau1 = ord(b, rad m); mu = 1 iff m even, tau1 odd and b = 3 mod 4;
-    beta[p] from p^beta || b**((mu+1)*tau1) - 1; m1 clips beta to the
-    exponents of m; tau' doubles tau1 exactly when mu = 1 and 4 | m.
-    The resulting order is (m/m1) * tau'.
-    """
-    return factor_smooth(m, P).order_structure(b)
-
-
 @lru_cache(maxsize=None)
 def capital_m(P: PrimeSet, b: int) -> int:
     """Uniform ceiling M for m1(m) over all P-smooth m.
 
     M = prod p ** v_p(b**(2*ord(b, Q)) - 1) with Q the product of the
-    primes.  Every beta from mult_order_structured is bounded by the
+    primes.  Every beta from order_structure is bounded by the
     matching valuation here, and M <= b**(2Q).
     """
     P.require_coprime(b)
@@ -283,12 +248,6 @@ def capital_m(P: PrimeSet, b: int) -> int:
     for p in P:
         M *= p ** _val_of_power_minus_one(b, e, p)
     return M
-
-
-def capital_m_log_bound_holds(P: PrimeSet, b: int) -> bool:
-    """Check M <= b**(2Q) in log space; b**(2Q) is never constructed."""
-    M = capital_m(P, b)
-    return math.log(M) <= 2 * P.Q * math.log(b) * (1.0 + UPPER_SLACK)
 
 
 def c_p_alpha(P: PrimeSet, alpha: Rational) -> float:
@@ -305,41 +264,6 @@ def c_p_alpha(P: PrimeSet, alpha: Rational) -> float:
         pa = p ** a
         out *= pa / (pa - 1.0)
     return round_up(out)
-
-
-def divisor_power_sum(n: int, alpha: Rational, P: PrimeSet | None = None) -> float:
-    """sum_{d|n} d**alpha via the product over prime powers.
-
-    alpha may be negative (the reciprocal-power sum) or zero (the divisor
-    count).  When P is given, n must be P-smooth.
-    """
-    if n < 1:
-        raise OutOfRange(f"n must be positive, got {n}")
-    exps = factor_smooth(n, P).exponents if P is not None else factorize(n)
-    a = float(alpha)
-    total = 1.0
-    for p, e in exps.items():
-        total *= sum(p ** (a * j) for j in range(e + 1))
-    return total
-
-
-def phi_d(n: int, d: int, x: Union[int, float, Fraction]) -> int:
-    """Number of i in [1, x) with gcd(i, n) = d.
-
-    Such i are exactly d*j with j < x/d and gcd(j, n/d) = 1.
-    """
-    if n < 1 or d < 1 or n % d != 0:
-        raise NotDivisor(f"{d} does not divide {n}")
-    if x <= 0:
-        raise OutOfRange("x must be positive")
-    nd = n // d
-    count = 0
-    j = 1
-    while d * j < x:
-        if math.gcd(j, nd) == 1:
-            count += 1
-        j += 1
-    return count
 
 
 def smooth_numbers(P: PrimeSet, limit: int, lo: int = 1) -> List[int]:

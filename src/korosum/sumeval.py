@@ -86,10 +86,11 @@ class DifferencingReport:
     margin: float
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2)
 def _power_table(b_red: int, m: int):
     """(array of b^j mod m for j < _BLOCK, b^_BLOCK mod m), cached per (b, m);
-    the array is shared by every caller, so it is read-only."""
+    the array is shared by every caller, so it is read-only.  Every caller
+    walks one (b, m) at a time, so a couple of entries suffice."""
     # doubling: b^(j+k) = b^j * b^k, every product below m^2 (int64-safe)
     pows = np.empty(_BLOCK, dtype=np.int64)
     pows[0] = 1 % m
@@ -115,13 +116,12 @@ def _eval_scalar(a0: int, b0: int, m: int, N: int) -> complex:
     return complex(fsum(res), fsum(ims))
 
 
-def _orbit_blocks(r0: int, b0: int, m: int, N: int, cache: bool = True):
+def _orbit_blocks(r0: int, b0: int, m: int, N: int):
     """Exact residues r0 * b0^n mod m for n = 0..N-1, 0 <= r0 < m, in blocks of
     up to _BLOCK entries: the one orbit kernel of sums, digits and
     normal-number points.  While m <= _INT64_SAFE_M every product fits int64
     and the blocks are int64, from the power table; above it they are object
-    arrays of Python ints, one multiplication each.  Callers with a one-shot
-    modulus pass cache=False, keeping its power table out of the shared cache."""
+    arrays of Python ints, one multiplication each."""
     if m > _INT64_SAFE_M:
         r = r0
         for done in range(0, N, _BLOCK):
@@ -131,7 +131,7 @@ def _orbit_blocks(r0: int, b0: int, m: int, N: int, cache: bool = True):
                 r = r * b0 % m
             yield np.array(block, dtype=object)
         return
-    pows, step = (_power_table if cache else _power_table.__wrapped__)(b0, m)
+    pows, step = _power_table(b0, m)
     lead = r0
     done = 0
     while done < N:

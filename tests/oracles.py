@@ -1,0 +1,92 @@
+"""Reference oracles the tests compare the library against.
+
+Each is the direct definition of a quantity: the order by iteration up to
+lambda(m), divisor-power sums from a trial-division factorization,
+restricted totients by counting, interval relations by endpoint comparison.
+The first three take time that grows with their input, and no library code
+uses any of them, so they live with the tests.
+"""
+
+import math
+from fractions import Fraction
+from typing import Union
+
+from korosum.bounds import RationalInterval
+from korosum.errors import NotCoprime, NotDivisor, OutOfRange
+from korosum.numtheory import PrimeSet, Rational, carmichael_lambda, factor_smooth, factorize
+
+
+def mult_order_naive(b: int, m: int) -> int:
+    """Least t >= 1 with b**t = 1 mod m, by direct iteration (the oracle).
+
+    The order divides carmichael_lambda(m), so running past it is an
+    invariant failure, not a search miss.
+    """
+    if m < 1:
+        raise OutOfRange("modulus must be positive")
+    if m == 1:
+        return 1
+    if math.gcd(b, m) != 1:
+        raise NotCoprime(b, m)
+    cap = carmichael_lambda(m)
+    r = b % m
+    t = 1
+    while r != 1:
+        r = r * b % m
+        t += 1
+        assert t <= cap, f"order of {b} mod {m} exceeded lambda={cap}"
+    return t
+
+
+def divisor_power_sum(n: int, alpha: Rational, P: Union[PrimeSet, None] = None) -> float:
+    """sum_{d|n} d**alpha via the product over prime powers.
+
+    alpha may be negative (the reciprocal-power sum) or zero (the divisor
+    count).  When P is given, n must be P-smooth.
+    """
+    if n < 1:
+        raise OutOfRange(f"n must be positive, got {n}")
+    exps = factor_smooth(n, P).exponents if P is not None else factorize(n)
+    a = float(alpha)
+    total = 1.0
+    for p, e in exps.items():
+        total *= sum(p ** (a * j) for j in range(e + 1))
+    return total
+
+
+def phi_d(n: int, d: int, x: Union[int, float, Fraction]) -> int:
+    """Number of i in [1, x) with gcd(i, n) = d.
+
+    Such i are exactly d*j with j < x/d and gcd(j, n/d) = 1.
+    """
+    if n < 1 or d < 1 or n % d != 0:
+        raise NotDivisor(f"{d} does not divide {n}")
+    if x <= 0:
+        raise OutOfRange("x must be positive")
+    nd = n // d
+    count = 0
+    j = 1
+    while d * j < x:
+        if math.gcd(j, nd) == 1:
+            count += 1
+        j += 1
+    return count
+
+
+def contains_interval(outer: RationalInterval, inner: RationalInterval) -> bool:
+    """inner is a subset of outer (hi = None is +infinity)."""
+    if inner.lo < outer.lo:
+        return False
+    if outer.hi is None:
+        return True
+    return inner.hi is not None and inner.hi <= outer.hi
+
+
+def overlaps(first: RationalInterval, second: RationalInterval) -> bool:
+    """The two closed intervals share a point."""
+    lo = max(first.lo, second.lo)
+    if first.hi is None:
+        return second.hi is None or second.hi >= lo
+    if second.hi is None:
+        return first.hi >= lo
+    return min(first.hi, second.hi) >= lo

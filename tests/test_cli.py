@@ -82,9 +82,9 @@ class TestLoadSchedule:
         "doc,schedule",
         [
             (STONEHAM_DOC, nn.Schedule.geometric(2, 3, 2, nt.PrimeSet.of(3))),
-            (FINITE_DOC, nn.Schedule.explicit(2, [3, 9], [1, 2], nt.PrimeSet.of(3))),
+            (FINITE_DOC, nn.Schedule(2, nt.PrimeSet.of(3), (3, 9), (1, 2))),
             (dict(FINITE_DOC, epsilon=0.25, primes=[5, 3]),
-             nn.Schedule.explicit(2, [3, 9], [1, 2], nt.PrimeSet.of(3, 5), epsilon=0.25)),
+             nn.Schedule(2, nt.PrimeSet.of(3, 5), (3, 9), (1, 2), 0.25)),
         ],
         ids=["stoneham", "finite", "epsilon"],
     )
@@ -182,7 +182,7 @@ class TestRunScan:
     def test_bounds_work_once_per_modulus(self, monkeypatch):
         # smoothness and the order structure of m are worked out once per
         # modulus, not once per row or per bound
-        counts = {"factor_smooth": 0, "mult_order_structured": 0, "order_structure": 0}
+        counts = {"factor_smooth": 0, "order_structure": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -190,11 +190,10 @@ class TestRunScan:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("factor_smooth", "mult_order_structured"):
-            orig = getattr(nt, name)
-            for mod in [m for key, m in sys.modules.items() if key.startswith("korosum")]:
-                if getattr(mod, name, None) is orig:
-                    monkeypatch.setattr(mod, name, counted(name, orig))
+        orig = nt.factor_smooth
+        for mod in [m for key, m in sys.modules.items() if key.startswith("korosum")]:
+            if getattr(mod, "factor_smooth", None) is orig:
+                monkeypatch.setattr(mod, "factor_smooth", counted("factor_smooth", orig))
         monkeypatch.setattr(nt.SmoothFactorization, "order_structure",
                             counted("order_structure", nt.SmoothFactorization.order_structure))
         config = cli.load_scan_config(
@@ -212,7 +211,6 @@ class TestRunScan:
         assert len(rows) > 5 * moduli
         assert 0 < counts["factor_smooth"] <= moduli
         assert 0 < counts["order_structure"] <= moduli
-        assert counts["mult_order_structured"] <= moduli
 
     def test_violation_aborts(self, monkeypatch):
         def fake_cell(m, config):
@@ -269,6 +267,40 @@ class TestCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["bound_value"] > 0
+
+    @pytest.mark.parametrize("form,n", [("recursive", 10**300), ("main", 10**300), ("long", 10**308)],
+                             ids=["recursive", "main", "long"])
+    def test_bound_term_past_float_range_is_inf(self, capsys, form, n):
+        argv = ["bound", "--m", "729", "--n", str(n), "--primes", "3", "--b", "2", "--k", "3",
+                "--form", form, "--json"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["term_secondary"] == payload["bound_value"] == math.inf
+        assert payload["nontrivial"] is False
+
+    def test_bound_best_past_float_range(self, capsys):
+        N = 10**300
+        argv = ["bound", "--m", "729", "--n", str(N), "--primes", "3", "--b", "2", "--k", "3",
+                "--form", "best", "--json"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # the levels whose terms overflow read inf; the least bound is finite
+        recs, best = bd.ModulusBounds(729, nt.PrimeSet.of(3), 2, range(9)).recursive(N)
+        assert math.inf in [bound for _, _, bound in recs]
+        assert payload["k"] == best
+        assert payload["bound_value"] == recs[best][2] < math.inf
+        assert payload["nontrivial"] == (recs[best][2] < N)
+
+    def test_scan_n_past_float_range(self, tmp_path, capsys):
+        doc = make_config(m_range=[3, 30], N_policy={"kind": "explicit", "values": [10**300]})
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["scan", "--config", str(path)]) == 0
+        data = capsys.readouterr().out.encode()
+        rows = cli.rows_from_csv(data)
+        assert [(r.m, r.N) for r in rows] == [(3, 10**300), (9, 10**300), (27, 10**300)]
+        assert not any(r.nontrivial_recursive or r.nontrivial_main for r in rows)
+        assert cli.render_report(rows) == data
 
     def test_intervals_json(self, capsys):
         assert cli.main(["intervals", "--k-max", "5", "--json"]) == 0

@@ -40,7 +40,7 @@ class TestSchedule:
     def test_explicit_exhaustion(self):
         # K = min(len c, len m) blocks; there is no block K + 1, and block K
         # extends forever: x_{n+1} = {b x_n} past m_K
-        sched = nn.Schedule.explicit(2, [3, 9, 27], [2, 4], P3)
+        sched = nn.Schedule(2, P3, (3, 9, 27), (2, 4))
         assert sched.blocks == 2
         assert sched.block(2) == (9, 4)
         with pytest.raises(OutOfRange):
@@ -57,19 +57,19 @@ class TestValidateSchedule:
         assert report.ratios[-1][1] < 0.01
 
     def test_broken_growth_detected(self):
-        sched = nn.Schedule.explicit(2, [3, 9, 27, 15], [2, 4, 8, 16], P3)
+        sched = nn.Schedule(2, P3, (3, 9, 27, 15), (2, 4, 8, 16))
         with pytest.raises(ScheduleViolation) as info:
             nn.validate_schedule(sched, 4)
         assert info.value.index == 4
 
     def test_broken_divisibility_detected(self):
-        sched = nn.Schedule.explicit(2, [3, 9, 12], [2, 4, 8], nt.PrimeSet.of(2, 3))
+        sched = nn.Schedule(2, nt.PrimeSet.of(2, 3), (3, 9, 12), (2, 4, 8))
         with pytest.raises(ScheduleViolation):
             nn.validate_schedule(sched, 3)
 
     @pytest.mark.parametrize("m", [[0, 2], [-5, 2]], ids=["zero", "negative"])
     def test_non_positive_m_rejected(self, m):
-        sched = nn.Schedule.explicit(2, [3, 9], m, P3)
+        sched = nn.Schedule(2, P3, (3, 9), tuple(m))
         with pytest.raises(ScheduleViolation, match="positive schedule values") as info:
             nn.validate_schedule(sched, 2)
         assert info.value.index == 1
@@ -80,7 +80,7 @@ class TestValidateSchedule:
             nn.discrepancy_trace(sched, 4)
 
     def test_smoothness_enforced(self):
-        sched = nn.Schedule.explicit(2, [3, 21], [2, 4], P3)
+        sched = nn.Schedule(2, P3, (3, 21), (2, 4))
         with pytest.raises(ScheduleViolation):
             nn.validate_schedule(sched, 2)
 
@@ -98,7 +98,7 @@ class TestValidateSchedule:
 
 class TestAncillarySequence:
     def test_hand_computed_prefix(self):
-        sched = nn.Schedule.explicit(2, [3, 9], [2, 4], P3)
+        sched = nn.Schedule(2, P3, (3, 9), (2, 4))
         values = list(nn.ancillary_sequence(sched, 4))
         assert values == [0, 0, Fraction(1, 3), Fraction(2, 3), Fraction(4, 9)]
 
@@ -198,9 +198,9 @@ class TestDiscrepancyTrace:
             (STONEHAM, 5000),
             (nn.Schedule.geometric(2, 5, 3), 3000),
             # the last block extends over several orbit blocks
-            (nn.Schedule.explicit(2, [3, 9], [1, 2], P3), 3 * se._BLOCK + 5),
+            (nn.Schedule(2, P3, (3, 9), (1, 2)), 3 * se._BLOCK + 5),
             # c_2 beyond the int64 residues, c_3 and c_4 beyond 2^53: Python-int quotients
-            (nn.Schedule.explicit(2, (3, 3**20, 3**35, 3**40), (1, 500, 1000, 1500), P3), 2000),
+            (nn.Schedule(2, P3, (3, 3**20, 3**35, 3**40), (1, 500, 1000, 1500)), 2000),
         ],
         ids=["stoneham", "five_three", "finite", "beyond_int64"],
     )
@@ -215,7 +215,7 @@ class TestDiscrepancyTrace:
         "c,k", [([3, 9, 12], 3), ([-3, 9, 27], 1)], ids=["non_dividing", "non_positive"]
     )
     def test_broken_schedule_raises_when_reached(self, c, k):
-        sched = nn.Schedule.explicit(2, c, [2, 4, 8], nt.PrimeSet.of(2, 3))
+        sched = nn.Schedule(2, nt.PrimeSet.of(2, 3), tuple(c), (2, 4, 8))
         m_k = sched.block(k)[1]
         nn.discrepancy_trace(sched, m_k)  # x_0 .. x_{m_k - 1} stop before block k
         with pytest.raises(ScheduleViolation) as info:

@@ -1,0 +1,62 @@
+"""The library's public surface: every top-level def or class in src/ is used
+by src/ itself (a command, another layer) or is a paper object kept on
+purpose.  Code that only tests reach belongs in tests/ (see oracles.py)."""
+
+import ast
+import pathlib
+
+import korosum
+
+SRC = pathlib.Path(korosum.__file__).parent
+
+#: Public names with no src/ reference, each kept for a stated reason.
+KEEP = {
+    "choose_m_prime": "the reduced modulus m' of the differencing step",
+    "m_bar": "the modulus m / gcd(m, m'^tau) of the differencing step",
+    "corollary_constants": "the uniform-decay corollary's constants C, delta",
+    "alpha_digits": "the digits of the normal-number candidate alpha",
+    "erdos_turan_estimate": "the discrepancy majorant from exponential sums",
+    "digit_at": "one digit of a/m, the object the digit statistics count",
+    "rows_from_csv": "the reader of the scan report render_report writes",
+    "digit_frequencies": "per-digit counts of a/m, timed by the benchmark",
+    "ancillary_sequence": "the exact x_n whose floats the discrepancy trace uses",
+}
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_definitions(trees):
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield module, node.name
+
+
+def _referenced(trees):
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_every_public_name_is_used_or_kept():
+    trees = _trees()
+    used = _referenced(trees)
+    unused = sorted(f"{module}:{name}" for module, name in _public_definitions(trees)
+                    if name not in used and name not in KEEP)
+    assert unused == [], f"public names no src/ code uses (move them to tests/ or delete them): {unused}"
+
+
+def test_keep_list_names_exist_and_are_unreferenced():
+    trees = _trees()
+    defined = {name for _, name in _public_definitions(trees)}
+    assert set(KEEP) <= defined
+    assert not set(KEEP) & _referenced(trees), "a kept name is now used by src/: drop it from KEEP"
