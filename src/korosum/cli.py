@@ -22,7 +22,7 @@ from multiprocessing import Pool
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bounds, digits, normalnum, numtheory, sumeval
-from .errors import BoundViolation, ConfigError, KorosumError
+from .errors import BoundViolation, ConfigError, KorosumError, OutOfRange
 from .numtheory import PrimeSet
 
 #: Relative slack allowed between an empirical sum and any proven bound.
@@ -182,8 +182,13 @@ def _check_fields(doc, rules: Sequence[_Rule]) -> Dict[str, Any]:
         value = entry.get(name, rule.default)
         if value is ...:
             raise ConfigError(rule.path, "missing")
-        if name in entry and not rule.check(value):
-            raise ConfigError(rule.path, rule.message)
+        if name in entry:
+            try:
+                ok = rule.check(value)
+            except OutOfRange as exc:  # a value the check cannot decide
+                raise ConfigError(rule.path, str(exc)) from None
+            if not ok:
+                raise ConfigError(rule.path, rule.message)
         found[rule.path] = value
     return found
 
@@ -206,14 +211,16 @@ def load_scan_config(doc: Dict) -> ScanConfig:
                       fields["output.format"], fields["workers"])
 
 
-def _units_for(m: int, policy: Dict, seed: int) -> List[int]:
+def _units_for(fac: numtheory.SmoothFactorization, policy: Dict, seed: int) -> List[int]:
+    """The units a of the scan at m = fac.n, ascending."""
+    m = fac.n
     if policy["kind"] == "fixed":
         chosen = sorted({a % m for a in policy["values"]})
         return [a for a in chosen if a and math.gcd(a, m) == 1]
     if policy["kind"] == "all":
         return [a for a in range(1, m) if math.gcd(a, m) == 1]
     count = policy["count"]
-    phi = numtheory.euler_phi(m)
+    phi = math.prod((p - 1) * p ** (e - 1) for p, e in fac.exponents.items() if e)
     if phi <= count:
         return [a for a in range(1, m) if math.gcd(a, m) == 1]
     rng = random.Random(f"{seed}:{m}")
@@ -235,7 +242,8 @@ def _scan_cell(m: int, config: ScanConfig) -> Tuple[List[ScanRow], Optional[Dict
     """All rows for one modulus; returns (rows, violation_or_None).
 
     The bounds depend on (m, N) alone, so each is evaluated once per N and
-    checked against every unit's sum.
+    checked against every unit's sum; the sums of all units come from one
+    eval_sum_reduced call per N.
     """
     b = config.b
     mb = bounds.ModulusBounds(m, PrimeSet(config.primes), b, range(config.k_lo, config.k_hi + 1))
@@ -257,10 +265,12 @@ def _scan_cell(m: int, config: ScanConfig) -> Tuple[List[ScanRow], Optional[Dict
             valid_bounds.append(short)
         row_bounds = (rec, main, long_val, short, prime_val, rec < N, main < N)
         per_n.append((N, mb.ks[best], valid_bounds, row_bounds))
+    units = tuple(_units_for(mb.fac, config.a_policy, config.seed))
+    sums = [sumeval.eval_sum_reduced(units, b, m, N) for N, _, _, _ in per_n]
     rows: List[ScanRow] = []
-    for a in _units_for(m, config.a_policy, config.seed):
-        for N, k_star, valid_bounds, row_bounds in per_n:
-            s_abs = sumeval.eval_sum_reduced(a, b, m, N).magnitude
+    for i, a in enumerate(units):
+        for (N, k_star, valid_bounds, row_bounds), results in zip(per_n, sums):
+            s_abs = results[i].magnitude
             for v in valid_bounds:
                 if s_abs > v * (1.0 + VALIDITY_SLACK):
                     return rows, {
@@ -312,7 +322,7 @@ def render_report(rows: Sequence[ScanRow], format: str = "csv") -> bytes:
         return buf.getvalue().encode("utf-8")
     if format == "json":
         payload = {"rows": [{field: getattr(r, field) for field in _CSV_FIELDS} for r in rows]}
-        return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+        return (_dumps(payload, indent=1) + "\n").encode("utf-8")
     raise ConfigError("output.format", f"unknown format {format!r}")
 
 
@@ -336,6 +346,8 @@ def load_schedule(doc: Dict) -> normalnum.Schedule:
 
 
 def _to_jsonable(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _fmt_float(obj)  # "inf", "-inf" or "nan", as in the CSV report
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Fraction):
@@ -349,9 +361,15 @@ def _to_jsonable(obj):
     return obj
 
 
+def _dumps(payload, indent: int) -> str:
+    """RFC 8259 JSON: a non-finite float is written as a string, never as
+    the bare Infinity or NaN that strict parsers reject."""
+    return json.dumps(_to_jsonable(payload), indent=indent, allow_nan=False)
+
+
 def _emit(args, payload, text_lines: Sequence[str]) -> None:
     if args.json:
-        print(json.dumps(_to_jsonable(payload), indent=2))
+        print(_dumps(payload, indent=2))
     else:
         for line in text_lines:
             print(line)
@@ -614,7 +632,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BoundViolation as exc:
         print("THEOREM VIOLATION (implementation bug): counterexample follows",
               file=sys.stderr)
-        print(json.dumps(_to_jsonable(exc.detail), indent=2), file=sys.stderr)
+        print(_dumps(exc.detail, indent=2), file=sys.stderr)
         return 3
     except KorosumError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,17 +30,40 @@ def round_up(x: float) -> float:
     return x * (1.0 + UPPER_SLACK)
 
 
-def is_prime(p: int) -> bool:
-    """Trial division primality check; prime sets are small, so this is enough."""
-    if p < 2:
+#: The first 13 primes: as strong-pseudoprime bases they decide every n below
+#: _MR_EXACT_BELOW, the least strong pseudoprime to all of them (Sorenson and
+#: Webster 2015, "Strong pseudoprimes to twelve prime bases").
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < 3.3e24.
+
+    From there on only a prime factor below 42 decides; otherwise it raises
+    OutOfRange.
+    """
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_EXACT_BELOW:
+        raise OutOfRange(f"primality of {n} is only decided below {_MR_EXACT_BELOW}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -180,14 +203,6 @@ def factorize(n: int) -> Dict[int, int]:
     if rest > 1:
         out[rest] = out.get(rest, 0) + 1
     return out
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient from the factorization."""
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 @lru_cache(maxsize=65536)

@@ -7,6 +7,9 @@ differencing verifier's fast path, dot products with a certified error
 bound).  Large sums run through a block-vectorized path whose integer work
 stays exact in int64 and whose reduction tree has a fixed shape, making
 results bit-reproducible for a given input regardless of who calls them.
+The scan asks eval_sum_reduced for all units of one modulus at once; their
+full periods are windows of at most a few cosets of <b>, so one streamed
+walk per coset serves every unit with the same blocks and the same bits.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd
-from typing import Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -176,10 +179,18 @@ def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
     return SumResult(value, abs(value), N, m, a, b)
 
 
-def eval_sum_reduced(a: int, b: int, m: int, N: int) -> SumResult:
+def eval_sum_reduced(
+    a: Union[int, Tuple[int, ...]], b: int, m: int, N: int
+) -> Union[SumResult, Tuple[SumResult, ...]]:
     """Same value as eval_sum, but as q * S_T + S_r with T = ord(b, m).
 
     The full period is evaluated once; only the remainder costs extra.
+    `a` is one numerator, or a tuple of numerators with one SumResult each,
+    in order.  When two or more numerators need a full period (N >= T) with
+    T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M, their blocked windows come
+    from one streamed walk per coset of <b> (_coset_window_sums); every other
+    window, and every other call, is one eval_sum per numerator.  Both give
+    the same bits.
     """
     if m < 1:
         raise OutOfRange("modulus must be positive")
@@ -189,12 +200,92 @@ def eval_sum_reduced(a: int, b: int, m: int, N: int) -> SumResult:
         raise NotCoprime(b, m)
     T = mult_order(b, m)
     q, r = divmod(N, T)
-    value = 0j
-    if q:
-        value += q * eval_sum(a, b, m, T).value
-    if r:
-        value += eval_sum(a, b, m, r).value
-    return SumResult(value, abs(value), N, m, a, b)
+    numerators = a if isinstance(a, tuple) else (a,)
+    walked = {}
+    if q and len(numerators) > 1 and T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M:
+        walked = _coset_window_sums(numerators, b % m, m, T, (T, r))
+    results = []
+    for x in numerators:
+        value = 0j
+        if q:
+            full = walked.get((x, T))
+            value += q * (eval_sum(x, b, m, T).value if full is None else full)
+        if r:
+            rest = walked.get((x, r))
+            value += eval_sum(x, b, m, r).value if rest is None else rest
+        results.append(SumResult(value, abs(value), N, m, x, b))
+    return tuple(results) if isinstance(a, tuple) else results[0]
+
+
+def _coset_window_sums(
+    numerators: Tuple[int, ...], b0: int, m: int, T: int, lengths: Tuple[int, ...]
+) -> Dict[Tuple[int, int], complex]:
+    """{(a, L): _eval_blocked(a % m, b0, m, L)} for every numerator a % m != 0
+    and every L in `lengths` with _SCALAR_CUTOFF <= L <= T, where
+    T = ord(b0, m) >= _SCALAR_CUTOFF, from one walk per coset of <b0> and
+    memory independent of T.
+
+    The terms a b0^n, n = 1..L, are w_{s}, ..., w_{s+L-1} (indices mod T) of
+    the walk w_j = c b0^j of the coset's first target c, where w_s = a b0.
+    Pass 1 steps the residues only, to find each s.  Pass 2 takes cos/sin of
+    w_j for j < T + _BLOCK once, _BLOCK at a time, keeping the last two
+    chunks, and sums every block request (s + k _BLOCK mod T, size) as it
+    completes: the blocks of _eval_blocked, so the same floats in the same
+    order.
+    """
+    lengths = [L for L in set(lengths) if L >= _SCALAR_CUTOFF]
+    targets = {x: x % m * b0 % m for x in numerators if x % m}
+    starts: Dict[int, Tuple[int, int]] = {}  # target -> (coset's first target c, s)
+    pending = list(dict.fromkeys(targets.values()))
+    while pending:
+        c = pending[0]
+        starts[c] = (c, 0)
+        want = np.array(pending[1:], dtype=np.int64)
+        found = 0
+        for done, block in zip(range(0, T, _BLOCK), _orbit_blocks(c, b0, m, T)):
+            if found == want.size:
+                break
+            for j in np.flatnonzero(np.isin(block, want)):
+                t = int(block[j])
+                if t not in starts:
+                    starts[t] = (c, done + int(j))
+                    found += 1
+        pending = [t for t in pending if t not in starts]
+
+    scale = TWO_PI / m
+    sums = {}  # (c, start, size) -> sum of cos + i sum of sin over w_start .. w_{start+size-1}
+    for c in dict.fromkeys(c for c, _ in starts.values()):
+        requests = sorted(
+            {((s + k) % T, min(_BLOCK, L - k))
+             for c_t, s in starts.values() if c_t == c
+             for L in lengths for k in range(0, L, _BLOCK)},
+            key=sum,  # by end
+        )
+        cos_prev = sin_prev = np.empty(0)
+        done = i = 0
+        for block in _orbit_blocks(c, b0, m, sum(requests[-1])):
+            theta = block * scale
+            cos_buf = np.concatenate((cos_prev, np.cos(theta)))
+            sin_buf = np.concatenate((sin_prev, np.sin(theta)))
+            first = done - cos_prev.size
+            done += block.size
+            # a request ending in this chunk is at most _BLOCK long, so it
+            # starts inside the two chunks held
+            while i < len(requests) and sum(requests[i]) <= done:
+                start, size = requests[i]
+                lo = start - first
+                sums[c, start, size] = complex(np.sum(cos_buf[lo : lo + size]),
+                                               np.sum(sin_buf[lo : lo + size]))
+                i += 1
+            cos_prev, sin_prev = cos_buf[-block.size :], sin_buf[-block.size :]
+
+    out = {}
+    for x, t in targets.items():
+        c, s = starts[t]
+        for L in lengths:
+            parts = [sums[c, (s + k) % T, min(_BLOCK, L - k)] for k in range(0, L, _BLOCK)]
+            out[x, L] = complex(fsum(p.real for p in parts), fsum(p.imag for p in parts))
+    return out
 
 
 def choose_m_prime(

@@ -1,10 +1,11 @@
 """Reference oracles the tests compare the library against.
 
 Each is the direct definition of a quantity: the order by iteration up to
-lambda(m), divisor-power sums from a trial-division factorization,
-restricted totients by counting, interval relations by endpoint comparison.
-The first three take time that grows with their input, and no library code
-uses any of them, so they live with the tests.
+lambda(m), divisor-power sums and the totient from a trial-division
+factorization, primality by trial division, restricted totients by
+counting, interval relations by endpoint comparison.  All but the last take
+time that grows with their input, and no library code uses any of them, so
+they live with the tests.
 """
 
 import math
@@ -52,6 +53,28 @@ def divisor_power_sum(n: int, alpha: Rational, P: Union[PrimeSet, None] = None) 
     for p, e in exps.items():
         total *= sum(p ** (a * j) for j in range(e + 1))
     return total
+
+
+def euler_phi(n: int) -> int:
+    """Euler totient from the factorization."""
+    phi = 1
+    for p, e in factorize(n).items():
+        phi *= (p - 1) * p ** (e - 1)
+    return phi
+
+
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def phi_d(n: int, d: int, x: Union[int, float, Fraction]) -> int:

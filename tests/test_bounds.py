@@ -468,8 +468,9 @@ class TestAgainstPerCallReference:
                 rows, violation = cli._scan_cell(m, config)
                 assert violation is None
                 got += [_bits(dataclasses.astuple(r)) for r in rows]
+                units = cli._units_for(nt.factor_smooth(m, P), a_policy, 42)
                 want += [_bits(_ref_row(m, a, N, P, b, k_lo, k_hi))
-                         for a in cli._units_for(m, a_policy, 42) for N in cli._n_values_for(m, n_policy)]
+                         for a in units for N in cli._n_values_for(m, n_policy)]
         assert got == want
         # the cases reach N = 1, k* = k_lo > 0, both sides of N <= ord(b, m)
         # (bound_short set or None), prime-power rows and m = 2^j with b = 3

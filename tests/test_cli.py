@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,6 +23,16 @@ from korosum import normalnum as nn
 from korosum import numtheory as nt
 from korosum import sumeval as se
 from korosum.errors import BoundViolation, ConfigError
+import oracles
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not RFC 8259 JSON")
+
+
+def strict_json(text):
+    """json.loads that rejects the Infinity, -Infinity and NaN tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def make_config(**overrides):
@@ -212,6 +223,22 @@ class TestRunScan:
         assert 0 < counts["factor_smooth"] <= moduli
         assert 0 < counts["order_structure"] <= moduli
 
+    def test_units_need_no_totient(self, monkeypatch):
+        # phi(m) comes from the modulus's smooth factorization, so the scan
+        # never runs the trial-division totient
+        def tripwire(n):
+            raise AssertionError(f"euler_phi({n}) called by the scan")
+
+        monkeypatch.setattr(nt, "euler_phi", tripwire, raising=False)
+        monkeypatch.setattr(oracles, "euler_phi", tripwire)
+        config = cli.load_scan_config(make_config(
+            primes=[3, 5], m_range=[3, 2000], a_policy={"kind": "sample", "count": 5}))
+        rows = cli.run_scan(config)
+        monkeypatch.undo()
+        moduli = nt.smooth_numbers(nt.PrimeSet.of(3, 5), 2000, lo=3)
+        assert len(rows) == sum(min(5, oracles.euler_phi(m)) for m in moduli)
+        assert any(oracles.euler_phi(m) < 5 for m in moduli)
+
     def test_violation_aborts(self, monkeypatch):
         def fake_cell(m, config):
             return [], {"m": m, "reason": "synthetic"}
@@ -236,6 +263,22 @@ class TestRenderReport:
         payload = json.loads(cli.render_report(rows, "json"))
         assert len(payload["rows"]) == len(rows)
         assert payload["rows"][0]["s_abs"] == rows[0].s_abs
+
+    def test_json_writes_non_finite_floats_as_strings(self):
+        # rows past the float range carry inf bounds; RFC 8259 has no token for them
+        doc = make_config(m_range=[3, 30], N_policy={"kind": "explicit", "values": [6, 10**308]})
+        rows = cli.run_scan(cli.load_scan_config(doc))
+        data = cli.render_report(rows, "json")
+        payload = strict_json(data)
+        assert [r["bound_long"] for r in payload["rows"]] == [
+            r.bound_long if math.isfinite(r.bound_long) else "inf" for r in rows]
+        assert "inf" in [r["bound_long"] for r in payload["rows"]]
+        # finite payloads keep their bytes
+        finite = [r for r in rows if r.N == 6]
+        assert cli.render_report(finite, "json") == (json.dumps(
+            {"rows": [dataclasses.asdict(r) for r in finite]}, indent=1) + "\n").encode()
+        assert strict_json(cli._dumps([math.inf, -math.inf, math.nan, 0.5], indent=2)) == [
+            "inf", "-inf", "nan", 0.5]
 
     def test_float_rendering_is_lossless(self):
         x = math.pi * 1e-7
@@ -274,8 +317,8 @@ class TestCommands:
         argv = ["bound", "--m", "729", "--n", str(n), "--primes", "3", "--b", "2", "--k", "3",
                 "--form", form, "--json"]
         assert cli.main(argv) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["term_secondary"] == payload["bound_value"] == math.inf
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["term_secondary"] == payload["bound_value"] == "inf"
         assert payload["nontrivial"] is False
 
     def test_bound_best_past_float_range(self, capsys):
@@ -367,9 +410,10 @@ class TestCommands:
             (json.dumps(make_config(m_range=[3, 3**700])), "m_range"),
             (json.dumps(make_config(k_range=[0, 60])), "k_range"),
             ('{"primes": [3], "b": 2,', ""),
+            (json.dumps(make_config(primes=[3, 3317044064679887385961981])), "primes"),
         ],
         ids=["k_range", "a_values", "exponents", "output", "huge_exponent", "overflowing_exponent",
-             "huge_m", "deep_levels", "invalid_json"],
+             "huge_m", "deep_levels", "invalid_json", "undecided_prime"],
     )
     def test_scan_malformed_config_exit_code(self, tmp_path, capsys, text, field):
         config_path = tmp_path / "scan.json"

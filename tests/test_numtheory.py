@@ -13,7 +13,7 @@ from korosum.errors import (
     NotSmooth,
     OutOfRange,
 )
-from oracles import divisor_power_sum, mult_order_naive, phi_d
+from oracles import divisor_power_sum, euler_phi, is_prime_trial, mult_order_naive, phi_d
 
 P3 = nt.PrimeSet.of(3)
 P35 = nt.PrimeSet.of(3, 5)
@@ -34,6 +34,36 @@ class TestPrimeSet:
             nt.PrimeSet.of(3, 3)
         with pytest.raises(OutOfRange):
             nt.PrimeSet(())
+
+
+class TestIsPrime:
+    CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+    #: strong pseudoprimes to the first 4, 11 and 12 prime bases
+    STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461)
+
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(10**5) if nt.is_prime(n)] == [
+            n for n in range(10**5) if is_prime_trial(n)]
+
+    def test_carmichael_numbers_and_strong_pseudoprimes(self):
+        for n in self.CARMICHAEL + self.STRONG_PSEUDOPRIMES[:1]:
+            assert is_prime_trial(n) is False
+        for n in self.CARMICHAEL + self.STRONG_PSEUDOPRIMES:
+            assert nt.is_prime(n) is False
+
+    def test_large_primes(self):
+        # trial division does not finish on these
+        for n in (1000000000000000003, 2**61 - 1, 2**31 - 1, 10**18 + 9):
+            assert nt.is_prime(n)
+        assert not nt.is_prime((2**31 - 1) * (10**9 + 7))
+
+    def test_undecided_range_raises(self):
+        # 3317044064679887385961981 is a strong pseudoprime to all 13 bases
+        for n in (3317044064679887385961981, 2**89 - 1):
+            with pytest.raises(OutOfRange):
+                nt.is_prime(n)
+        with pytest.raises(OutOfRange):
+            nt.PrimeSet.of(3, 2**89 - 1)
 
 
 class TestFactorSmooth:
@@ -179,14 +209,14 @@ class TestPhiD:
 
     def test_totient_cross_check(self):
         for n in (1, 2, 12, 45, 64, 210, 500):
-            assert phi_d(n, 1, n + 1) == nt.euler_phi(n)
+            assert phi_d(n, 1, n + 1) == euler_phi(n)
 
     def test_inclusion_exclusion_cap(self):
         # phi_d(n, x) <= (x/n) phi(n/d) + 2^omega(n), exhaustively
         for n in range(1, 501):
             s = len(nt.factorize(n))
             for d in sorted(d for d in range(1, n + 1) if n % d == 0):
-                phi_nd = nt.euler_phi(n // d)
+                phi_nd = euler_phi(n // d)
                 for x in (1, 2.5, n / 2, n, 2 * n):
                     if x <= 0:
                         continue

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import fsum, gcd
 
@@ -110,6 +111,67 @@ class TestEvalSumReduced:
             direct = se.eval_sum(a, b, m, N)
             folded = se.eval_sum_reduced(a, b, m, N)
             assert abs(direct.value - folded.value) <= 1e-9 * N
+
+
+class TestBatchedFold:
+    """eval_sum_reduced on a tuple of numerators against one call per
+    numerator, bit for bit: the coset walk must reproduce every float."""
+
+    # (m, b): index 2 with T in [_SCALAR_CUTOFF, _BLOCK) and T > 2 _BLOCK,
+    # index 4 with T = _BLOCK + 20, index 6, and m above _INT64_SAFE_M
+    # with T = ord(1 + 3^14, 3^21) = 3^7
+    CASES = [(3**7 * 5, 2), (3**6 * 5**3, 2), (3 * 5 * 7**4, 2), (3**8 * 7, 2), (3**21, 1 + 3**14)]
+    REMAINDERS = (1, 2047, 2048, 2049, 4095, 4096, 4097, 8191, 8192, 8193)
+
+    @pytest.mark.parametrize("m,b", CASES, ids=["T<block", "T>2block", "index4", "index6", "huge_m"])
+    def test_every_float_equals_the_per_numerator_fold(self, monkeypatch, m, b):
+        walks = []
+
+        def spy(*args):
+            walks.append(args)
+            return walk(*args)
+
+        walk = se._coset_window_sums
+        monkeypatch.setattr(se, "_coset_window_sums", spy)
+        T = nt.mult_order(b, m)
+        rng = random.Random(m)
+        units = [a for a in (rng.randrange(1, m) for _ in range(40)) if gcd(a, m) == 1][:8]
+        subgroup = {pow(b, j, m) for j in range(T)} if m <= se._INT64_SAFE_M else set()
+        if subgroup:
+            assert any(a in subgroup for a in units) and any(a not in subgroup for a in units)
+        # a repeated numerator, one congruent to another, a non-unit and a multiple of m;
+        # the full-period window of every unit but its coset's first wraps past T
+        numerators = tuple(units + [units[0], units[1] + m, 3 * b, 2 * m])
+        lengths = [T - 1, T, T + 1] + [2 * T + r for r in self.REMAINDERS if r < T]
+        for N in lengths:
+            got = se.eval_sum_reduced(numerators, b, m, N)
+            want = [se.eval_sum_reduced(a, b, m, N) for a in numerators]
+            assert [(r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in got] == [
+                (r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in want]
+        walked = len(lengths) - 1 if m <= se._INT64_SAFE_M else 0  # every N >= T
+        assert len(walks) == walked
+
+    def test_single_numerators_keep_the_fold(self):
+        assert se.eval_sum_reduced((1,), 2, 3**7, 5000) == (se.eval_sum_reduced(1, 2, 3**7, 5000),)
+        assert se.eval_sum_reduced((), 2, 3**7, 5000) == ()
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # the full-period residues and cos/sin of m = 3^12 would take
+        # 3 * 8 * T bytes, about 8.5 MB
+        m, b = 3**12, 2
+        T = nt.mult_order(b, m)
+        assert T == 354294
+        units = (1, 5, 7, 11, 13)
+        se.eval_sum_reduced(units, b, m, m)  # warm the power table and order caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = se.eval_sum_reduced(units, b, m, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert got == tuple(se.eval_sum_reduced(a, b, m, m) for a in units)
 
 
 class TestChooseMPrime:
