@@ -21,6 +21,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from .errors import EpsilonOutOfRange, NotInterior, OutOfRange, RangeViolation
 from .numtheory import (
+    UPPER_SLACK,
     ModulusStructure,
     PrimeSet,
     c_p_alpha,
@@ -295,21 +296,24 @@ def k_constants(P: PrimeSet, b: int) -> KConstants:
     )
 
 
-def _exp_or_inf(log_value: float, factor: float = 1.0) -> float:
-    """round_up(factor * exp(log_value)), inf past the float range."""
+def _exp_or_inf(log_value: float) -> float:
+    """round_up(exp(log_value)), inf past the float range."""
     try:
-        return round_up(factor * math.exp(log_value))
+        return round_up(math.exp(log_value))
     except OverflowError:
         return math.inf
 
 
 @lru_cache(maxsize=None)
-def level_row(k: int, P: PrimeSet, b: int) -> Tuple[float, ...]:
-    """Row k of the (P, b) level table, the floats the level-k bounds use:
+def level_rows(ks: Tuple[int, ...], P: PrimeSet, b: int) -> Tuple[Tuple[float, ...], ...]:
+    """Rows ks of the (P, b) level table, the floats the level-k bounds use:
     (alpha_k, gamma_k, nu_k, A_k, B_k, log K1 + k log K2, log K3, 2^-k)."""
-    cs, ex, kc = constants(k, P, b), exponents(k), k_constants(P, b)
-    return (float(ex.alpha), float(ex.gamma), float(ex.nu), cs.a_k, cs.b_k,
-            kc.log_k1 + k * math.log(kc.k2), kc.log_k3, 2.0**-k)
+    kc, rows = k_constants(P, b), []
+    for k in ks:
+        cs, ex = constants(k, P, b), exponents(k)
+        rows.append((float(ex.alpha), float(ex.gamma), float(ex.nu), cs.a_k, cs.b_k,
+                     kc.log_k1 + k * math.log(kc.k2), kc.log_k3, 2.0**-k))
+    return tuple(rows)
 
 
 class ModulusBounds:
@@ -330,10 +334,8 @@ class ModulusBounds:
         self.ks = tuple(ks)
         # per level: (alpha_k log m, gamma_k, nu_k, A_k, B_k, log K1 + k log K2,
         # log K3, round-up (1 + log m)^(2^-k))
-        self.levels = []
-        for k in self.ks:
-            alpha, *row, root = level_row(k, P, b)
-            self.levels.append((alpha * self.log_m, *row, round_up((1.0 + self.log_m) ** root)))
+        self.levels = [(alpha * self.log_m, *row, round_up((1.0 + self.log_m) ** root))
+                       for alpha, *row, root in level_rows(self.ks, P, b)]
 
     @cached_property
     def structure(self) -> ModulusStructure:
@@ -341,42 +343,49 @@ class ModulusBounds:
         return self.fac.order_structure(self.b)
 
     @cached_property
-    def _roots(self) -> Tuple[float, float, float]:
+    def _roots(self) -> Tuple[float, float, float, int]:
         root = math.sqrt(self.m)
-        return root, round_up(root), round_up(1.0 + self.log_m)
-
-    def terms(self, i: int, N: int, form: str = "recursive") -> Tuple[float, float, float]:
-        """(main term, secondary term, bound) of level ks[i] at N.
-
-        "recursive" uses the certified A_k, B_k; "main" substitutes the
-        closed-form K1*K2^k and K3.  Exponents are identical in both forms,
-        so main >= recursive always.
-        """
-        al_log_m, gamma, nu, a_k, b_k, log_main, log_k3, logfac = self.levels[i]
-        log_n = math.log(N)
-        log_pow_main = al_log_m + gamma * log_n
-        log_pow_sec = -al_log_m + nu * log_n
-        if form == "recursive":
-            tm = _exp_or_inf(log_pow_main, a_k)
-            ts = _exp_or_inf(log_pow_sec, b_k)
-        elif form == "main":
-            tm = _exp_or_inf(log_main + log_pow_main)
-            ts = _exp_or_inf(log_k3 + log_pow_sec)
-        else:
-            raise OutOfRange(f"unknown bound form {form!r}")
-        return tm, ts, (tm + ts) * logfac
+        return root, round_up(root), round_up(1.0 + self.log_m), capital_m(self.P, self.b)
 
     def recursive(self, N: int) -> Tuple[List[Tuple[float, float, float]], int]:
-        """Recursive terms at every level, and the index of the smallest
-        bound (ties go to the smaller k)."""
-        recs = [self.terms(i, N) for i in range(len(self.levels))]
-        return recs, min(range(len(recs)), key=lambda i: recs[i][2])
+        """(main term, secondary term, bound) at every level with the
+        certified A_k, B_k, and the index of the smallest bound (ties go to
+        the smaller k).  Each term is round_up(A_k exp(x)), inf past the
+        float range."""
+        log_n = math.log(N)
+        exp, up = math.exp, 1.0 + UPPER_SLACK
+        recs = []
+        best, least = 0, math.inf
+        for al_log_m, gamma, nu, a_k, b_k, _, _, logfac in self.levels:
+            try:
+                tm = a_k * exp(al_log_m + gamma * log_n) * up
+            except OverflowError:
+                tm = math.inf
+            try:
+                ts = b_k * exp(-al_log_m + nu * log_n) * up
+            except OverflowError:
+                ts = math.inf
+            bound = (tm + ts) * logfac
+            if bound < least:
+                best, least = len(recs), bound
+            recs.append((tm, ts, bound))
+        return recs, best
+
+    def main(self, i: int, N: int) -> Tuple[float, float, float]:
+        """The terms and bound of level ks[i] with the closed-form K1 K2^k and
+        K3 in place of A_k, B_k; the exponents are the same, so main >=
+        recursive always."""
+        al_log_m, gamma, nu, _, _, log_main, log_k3, logfac = self.levels[i]
+        log_n = math.log(N)
+        tm = _exp_or_inf(log_main + (al_log_m + gamma * log_n))
+        ts = _exp_or_inf(log_k3 + (-al_log_m + nu * log_n))
+        return tm, ts, (tm + ts) * logfac
 
     def long(self, N: int) -> Tuple[float, float, float]:
         """(sqrt m, M N / sqrt m, bound) of the long baseline (gcd(a, m) = 1)."""
-        root, tm, logfac = self._roots
+        root, tm, logfac, M = self._roots
         try:
-            ts = round_up(capital_m(self.P, self.b) * N / root)
+            ts = round_up(M * N / root)
         except OverflowError:  # M N past the float range
             ts = math.inf
         return tm, ts, (tm + ts) * logfac
@@ -389,11 +398,17 @@ class ModulusBounds:
 
 
 def bound_eval(m: int, N: int, k: int, P: PrimeSet, b: int, form: str = "recursive") -> BoundReport:
-    """Level-k bound on |S_N| for P-smooth m, in either constant regime
-    (see ModulusBounds.terms)."""
+    """Level-k bound on |S_N| for P-smooth m, with the certified constants
+    ("recursive") or the closed-form ones ("main", see ModulusBounds.main)."""
     if N < 1:
         raise OutOfRange("N must be positive")
-    tm, ts, bound = ModulusBounds(m, P, b, (k,)).terms(0, N, form)
+    mb = ModulusBounds(m, P, b, (k,))
+    if form == "recursive":
+        tm, ts, bound = mb.recursive(N)[0][0]
+    elif form == "main":
+        tm, ts, bound = mb.main(0, N)
+    else:
+        raise OutOfRange(f"unknown bound form {form!r}")
     return BoundReport(m, N, k, bound, tm, ts, bound < N, form)
 
 

@@ -21,7 +21,11 @@ from functools import partial
 from multiprocessing import Pool
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import bounds, digits, normalnum, numtheory, sumeval
+# bounds and sumeval come first, so that they are compiled before numpy loads
+# (sumeval loads it): a module compiled after numpy has loaded keeps about
+# 5 KB resident per line (VmHWM of `import korosum.cli`, CPython 3.11).
+from . import bounds, sumeval
+from . import digits, normalnum, numtheory
 from .errors import BoundViolation, ConfigError, KorosumError, OutOfRange
 from .numtheory import PrimeSet
 
@@ -238,49 +242,58 @@ def _n_values_for(m: int, policy: Dict) -> List[int]:
     return sorted({max(1, math.ceil(m**x)) for x in policy["exponents"]})
 
 
-def _scan_cell(m: int, config: ScanConfig) -> Tuple[List[ScanRow], Optional[Dict]]:
-    """All rows for one modulus; returns (rows, violation_or_None).
+#: Most sum terms (over a modulus's N values, min(N, m) each) that one scan
+#: task of consecutive moduli takes on: many moduli with short sums, which
+#: batch, or few with long ones, so that the workers stay balanced.
+_CHUNK_TERMS = 1 << 14
+
+
+def _scan_chunk(moduli: Sequence[int], config: ScanConfig) -> Tuple[List[ScanRow], Optional[Dict]]:
+    """All rows for consecutive moduli; returns (rows, violation_or_None),
+    stopping at the first violation in (m, a, N) order.
 
     The bounds depend on (m, N) alone, so each is evaluated once per N and
-    checked against every unit's sum; the sums of all units come from one
-    eval_sum_reduced call per N.
+    checked against every unit's sum; the sums of the whole chunk come from
+    one eval_scan_sums call.
     """
-    b = config.b
-    mb = bounds.ModulusBounds(m, PrimeSet(config.primes), b, range(config.k_lo, config.k_hi + 1))
-    prime_powers = [(p, e) for p, e in mb.fac.exponents.items() if e]
-    prime_base = prime_powers[0] if len(prime_powers) == 1 and prime_powers[0][0] % 2 else None
-    short_bound = mb.short()[1]
-    per_n = []
-    for N in _n_values_for(m, config.n_policy):
-        recs, best = mb.recursive(N)
-        rec = recs[best][2]
-        main = mb.terms(best, N, "main")[2]
-        long_val = mb.long(N)[2]
-        short = short_bound if N <= mb.structure.order else None
-        prime_val = None
-        if prime_base is not None and N >= 2:
-            prime_val = bounds.bound_korobov_prime(prime_base[0], prime_base[1], N)
-        valid_bounds = [r[2] for r in recs] + [main, long_val]
-        if short is not None:
-            valid_bounds.append(short)
-        row_bounds = (rec, main, long_val, short, prime_val, rec < N, main < N)
-        per_n.append((N, mb.ks[best], valid_bounds, row_bounds))
-    units = tuple(_units_for(mb.fac, config.a_policy, config.seed))
-    sums = [sumeval.eval_sum_reduced(units, b, m, N) for N, _, _, _ in per_n]
+    b, P, ks = config.b, PrimeSet(config.primes), range(config.k_lo, config.k_hi + 1)
+    cells = []
+    for m in moduli:
+        mb = bounds.ModulusBounds(m, P, b, ks)
+        prime_powers = [(p, e) for p, e in mb.fac.exponents.items() if e]
+        prime_base = prime_powers[0] if len(prime_powers) == 1 and prime_powers[0][0] % 2 else None
+        short_bound = mb.short()[1]
+        per_n = []
+        for N in _n_values_for(m, config.n_policy):
+            recs, best = mb.recursive(N)
+            rec = recs[best][2]
+            main = mb.main(best, N)[2]
+            long_val = mb.long(N)[2]
+            short = short_bound if N <= mb.structure.order else None
+            prime_val = None
+            if prime_base is not None and N >= 2:
+                prime_val = bounds.bound_korobov_prime(prime_base[0], prime_base[1], N)
+            valid_bounds = [r[2] for r in recs] + [main, long_val]
+            if short is not None:
+                valid_bounds.append(short)
+            row_bounds = (rec, main, long_val, short, prime_val, rec < N, main < N)
+            # x -> x * (1 + slack) is monotone: a sum exceeds some bound
+            # beyond slack exactly when it exceeds the least one
+            limit = min(valid_bounds) * (1.0 + VALIDITY_SLACK)
+            per_n.append((N, mb.ks[best], limit, valid_bounds, row_bounds))
+        units = tuple(_units_for(mb.fac, config.a_policy, config.seed))
+        cells.append((m, mb.structure.order, units, per_n))
+    sums = sumeval.eval_scan_sums(b, [(m, T, units, [N for N, *_ in per_n])
+                                      for m, T, units, per_n in cells])
     rows: List[ScanRow] = []
-    for i, a in enumerate(units):
-        for (N, k_star, valid_bounds, row_bounds), results in zip(per_n, sums):
-            s_abs = results[i].magnitude
-            for v in valid_bounds:
-                if s_abs > v * (1.0 + VALIDITY_SLACK):
-                    return rows, {
-                        "m": m,
-                        "a": a,
-                        "N": N,
-                        "s_abs": s_abs,
-                        "violated_bound": v,
-                    }
-            rows.append(ScanRow(m, a, N, k_star, s_abs, s_abs / N, *row_bounds))
+    for (m, _, units, per_n), values in zip(cells, sums):
+        for a, unit_values in zip(units, values):
+            for (N, k_star, limit, valid_bounds, row_bounds), value in zip(per_n, unit_values):
+                s_abs = abs(value)
+                if s_abs > limit:
+                    v = next(v for v in valid_bounds if s_abs > v * (1.0 + VALIDITY_SLACK))
+                    return rows, {"m": m, "a": a, "N": N, "s_abs": s_abs, "violated_bound": v}
+                rows.append(ScanRow(m, a, N, k_star, s_abs, s_abs / N, *row_bounds))
     return rows, None
 
 
@@ -288,19 +301,27 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
     """Enumerate P-smooth m in range and evaluate sums against all bounds.
 
     Output order is (m, a, N) regardless of worker count.  Any bound
-    violation beyond slack aborts with a counterexample.
+    violation beyond slack aborts with the counterexample of the smallest m.
     """
     P = PrimeSet(config.primes)
     moduli = numtheory.smooth_numbers(P, config.m_hi, lo=max(config.m_lo, 2))
     if not moduli:
         raise ConfigError("m_range", "contains no smooth modulus")
-    cell = partial(_scan_cell, config=config)
+    chunks, terms = [], _CHUNK_TERMS
+    for m in moduli:
+        n = sum(min(N, m) for N in _n_values_for(m, config.n_policy))
+        if terms + n > _CHUNK_TERMS:
+            chunks.append([])
+            terms = 0
+        chunks[-1].append(m)
+        terms += n
+    cell = partial(_scan_chunk, config=config)
     nworkers = workers if workers is not None else config.workers
     if nworkers > 1:
-        with Pool(nworkers) as pool:
-            results = pool.map(cell, moduli)
+        with Pool(nworkers) as pool:  # the last tasks, the dearest, start first
+            results = pool.map(cell, chunks[::-1], chunksize=1)[::-1]
     else:
-        results = [cell(m) for m in moduli]
+        results = [cell(chunk) for chunk in chunks]
     rows: List[ScanRow] = []
     for cell_rows, violation in results:
         if violation is not None:

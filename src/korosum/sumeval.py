@@ -7,9 +7,10 @@ differencing verifier's fast path, dot products with a certified error
 bound).  Large sums run through a block-vectorized path whose integer work
 stays exact in int64 and whose reduction tree has a fixed shape, making
 results bit-reproducible for a given input regardless of who calls them.
-The scan asks eval_sum_reduced for all units of one modulus at once; their
-full periods are windows of at most a few cosets of <b>, so one streamed
-walk per coset serves every unit with the same blocks and the same bits.
+The scan hands eval_scan_sums a chunk of moduli at once: sums whose windows
+are all short come from one batched int64 walk per chunk, and the units of
+one modulus that need a long full period share one streamed walk per coset
+of <b>; both give the bits of the per-call evaluators.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -206,15 +207,74 @@ def eval_sum_reduced(
         walked = _coset_window_sums(numerators, b % m, m, T, (T, r))
     results = []
     for x in numerators:
-        value = 0j
-        if q:
-            full = walked.get((x, T))
-            value += q * (eval_sum(x, b, m, T).value if full is None else full)
-        if r:
-            rest = walked.get((x, r))
-            value += eval_sum(x, b, m, r).value if rest is None else rest
+        def window(L, x=x):
+            got = walked.get((x, L))
+            return eval_sum(x, b, m, L).value if got is None else got
+
+        value = _fold(N, T, window)
         results.append(SumResult(value, abs(value), N, m, x, b))
     return tuple(results) if isinstance(a, tuple) else results[0]
+
+
+def _fold(N: int, T: int, window) -> complex:
+    """q * S_T + S_r with q, r = divmod(N, T), given window(L) = S_L: the
+    value of eval_sum_reduced, in its order of operations."""
+    q, r = divmod(N, T)
+    value = 0j
+    if q:
+        value += q * window(T)
+    if r:
+        value += window(r)
+    return value
+
+
+def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
+    """[[[eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units]
+    for m, T, units, Ns in cells], given T = ord(b, m), bit for bit.
+
+    A sum is short when m <= _INT64_SAFE_M and its windows (T if N >= T,
+    N mod T if non-zero) are below _SCALAR_CUTOFF: every short window of
+    (m, a) is a prefix of the residues a b^n mod m, n = 1..min(T, N).  These
+    walks are sorted by length into batches of at most _SCALAR_CUTOFF
+    residues, doubled in int64 like _power_table; numpy's cos/sin equal
+    math's (a test pins it) and fsum rounds correctly, so every window is
+    _eval_scalar's.  Other sums take one eval_sum_reduced call per (m, N).
+    """
+    out, walks = [], []
+    for m, T, units, Ns in cells:
+        out.append([[0j] * len(Ns) for _ in units])
+        short = [j for j, N in enumerate(Ns) if m <= _INT64_SAFE_M and min(N, T) < _SCALAR_CUTOFF]
+        for j, N in enumerate(Ns):
+            if j not in short:
+                for row, res in zip(out[-1], eval_sum_reduced(units, b, m, N)):
+                    row[j] = res.value
+        if short:
+            width = min(T, max(Ns[j] for j in short))
+            walks += [(width, a, m, T, Ns, short, row) for a, row in zip(units, out[-1])]
+    walks.sort(key=lambda w: w[0])
+    while walks:
+        n = 1
+        while n < len(walks) and (n + 1) * walks[n][0] <= _SCALAR_CUTOFF:
+            n += 1
+        batch, walks = walks[:n], walks[n:]
+        width = batch[-1][0]
+        m = np.array([w[2] for w in batch], dtype=np.int64)[:, None]
+        res = np.empty((n, width), dtype=np.int64)
+        res[:, 0] = [a % mw * (b % mw) % mw for _, a, mw, *_ in batch]
+        step = np.array([[b % w[2]] for w in batch], dtype=np.int64)
+        k = 1
+        while k < width:  # res[:, j] = a b^(j+1) mod m; every product is below m^2
+            res[:, k : 2 * k] = res[:, : min(k, width - k)] * step % m
+            step = step * step % m
+            k *= 2
+        theta = res * (TWO_PI / m)
+        for (_, _, _, T, Ns, short, row), re, im in zip(batch, np.cos(theta).tolist(),
+                                                        np.sin(theta).tolist()):
+            lengths = {L for j in short for L in (T if Ns[j] >= T else 0, Ns[j] % T) if L}
+            sums = {L: complex(fsum(re[:L]), fsum(im[:L])) for L in lengths}
+            for j in short:
+                row[j] = _fold(Ns[j], T, sums.__getitem__)
+    return out
 
 
 def _coset_window_sums(

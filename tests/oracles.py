@@ -2,7 +2,7 @@
 
 Each is the direct definition of a quantity: the order by iteration up to
 lambda(m), divisor-power sums and the totient from a trial-division
-factorization, primality by trial division, restricted totients by
+factorization, primality and factorization by trial division, restricted totients by
 counting, interval relations by endpoint comparison.  All but the last take
 time that grows with their input, and no library code uses any of them, so
 they live with the tests.
@@ -15,6 +15,19 @@ from typing import Union
 from korosum.bounds import RationalInterval
 from korosum.errors import NotCoprime, NotDivisor, OutOfRange
 from korosum.numtheory import PrimeSet, Rational, carmichael_lambda, factor_smooth, factorize
+
+
+def factorize_trial(n: int) -> dict:
+    """{prime: exponent} of n >= 1 by trial division up to sqrt(n)."""
+    out, f = {}, 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def mult_order_naive(b: int, m: int) -> int:

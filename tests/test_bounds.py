@@ -89,10 +89,10 @@ class TestConstants:
     def test_levels_stop_at_float_resolution(self):
         # p = 2 is the first prime whose p^alpha_k rounds to 1 (at k = 52)
         P2 = nt.PrimeSet.of(2)
-        assert all(math.isfinite(x) for x in bd.level_row(bd.MAX_LEVEL, P2, 3))
+        assert all(math.isfinite(x) for x in bd.level_rows((bd.MAX_LEVEL,), P2, 3)[0])
         for k in (bd.MAX_LEVEL + 1, 10**6):
             with pytest.raises(OutOfRange):
-                bd.level_row(k, P2, 3)
+                bd.level_rows((0, k), P2, 3)
 
     def test_level_one_direct_formula(self):
         cs = bd.constants(1, P3, 2)
@@ -456,18 +456,33 @@ class TestAgainstPerCallReference:
          {"kind": "explicit", "values": [1, 8, 32, 128]}, 0, 10),
         ((2,), 3, [2, 4, 8, 2**6, 2**10], {"kind": "all"},
          {"kind": "explicit", "values": [1, 3, 7, 64, 5000]}, 1, 5),
+        # m = 3^20 is above _INT64_SAFE_M
+        ((3,), 2, [3**19, 3**20], {"kind": "sample", "count": 2},
+         {"kind": "explicit", "values": [1, 8, 100]}, 0, 3),
     ]
 
-    def test_scan_rows(self):
+    def test_scan_rows(self, monkeypatch):
+        reduced = []
+
+        def spy(units, b, m, N):
+            if isinstance(units, tuple):  # the scan's calls, not _ref_row's
+                reduced.append((b, m, N))
+            return fold(units, b, m, N)
+
+        fold = se.eval_sum_reduced
+        monkeypatch.setattr(se, "eval_sum_reduced", spy)
         got, want = [], []
         for primes, b, moduli, a_policy, n_policy, k_lo, k_hi in self.CASES:
             P = nt.PrimeSet(primes)
             config = cli.ScanConfig(primes, b, min(moduli), max(moduli), a_policy, n_policy,
                                     k_lo, k_hi, 42, None, "csv", 1)
+            rows, violation = cli._scan_chunk(moduli, config)
+            assert violation is None
+            # the same rows with a chunk boundary after every second modulus
+            pairs = [cli._scan_chunk(moduli[i : i + 2], config) for i in range(0, len(moduli), 2)]
+            assert [r for rs, _ in pairs for r in rs] == rows and all(v is None for _, v in pairs)
+            got += [_bits(dataclasses.astuple(r)) for r in rows]
             for m in moduli:
-                rows, violation = cli._scan_cell(m, config)
-                assert violation is None
-                got += [_bits(dataclasses.astuple(r)) for r in rows]
                 units = cli._units_for(nt.factor_smooth(m, P), a_policy, 42)
                 want += [_bits(_ref_row(m, a, N, P, b, k_lo, k_hi))
                          for a in units for N in cli._n_values_for(m, n_policy)]
@@ -479,6 +494,15 @@ class TestAgainstPerCallReference:
         assert any(r[9] is None for r in got) and any(r[9] is not None for r in got)
         assert any(r[10] is not None for r in got)
         assert any(r[0] == 2**10 for r in got)
+        # eval_sum_reduced took only the long windows (3^10 at N = 3^11 has
+        # T = 39366) and m above _INT64_SAFE_M; the short windows beside them
+        # and every period fold with T < _SCALAR_CUTOFF (27 at N = 100) went
+        # to the batched walk
+        assert all(m > se._INT64_SAFE_M or min(N, nt.mult_order(b, m)) >= se._SCALAR_CUTOFF
+                   for b, m, N in reduced)
+        assert {(2, 3**10, 3**11), (2, 3**20, 1), (2, 3**20, 100)} <= set(reduced)
+        assert any(r[0] == 3**10 and r[2] == 100 for r in got)
+        assert any(r[0] == 27 and r[2] == 100 for r in got) and nt.mult_order(2, 27) == 18
 
     @pytest.mark.parametrize("primes,b,moduli", [(c[0], c[1], c[2]) for c in CASES])
     def test_single_bound_calls(self, primes, b, moduli):

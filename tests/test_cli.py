@@ -49,6 +49,13 @@ def make_config(**overrides):
     return doc
 
 
+def _violating_chunk(moduli, config):
+    """A scan chunk reporting a violation at each of its moduli divisible by
+    9 (module level, so a worker process can unpickle it)."""
+    bad = [m for m in moduli if m % 9 == 0]
+    return [], ({"m": bad[0], "reason": "synthetic"} if bad else None)
+
+
 class TestLoadScanConfig:
     def test_round_trip(self):
         config = cli.load_scan_config(make_config())
@@ -239,11 +246,19 @@ class TestRunScan:
         assert len(rows) == sum(min(5, oracles.euler_phi(m)) for m in moduli)
         assert any(oracles.euler_phi(m) < 5 for m in moduli)
 
-    def test_violation_aborts(self, monkeypatch):
-        def fake_cell(m, config):
-            return [], {"m": m, "reason": "synthetic"}
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_violation_of_the_smallest_modulus_wins(self, monkeypatch, workers):
+        monkeypatch.setattr(cli, "_CHUNK_TERMS", 1)  # one modulus per task
+        monkeypatch.setattr(cli, "_scan_chunk", _violating_chunk)
+        with pytest.raises(BoundViolation) as info:
+            cli.run_scan(cli.load_scan_config(make_config()), workers=workers)
+        assert info.value.detail == {"m": 9, "reason": "synthetic"}
 
-        monkeypatch.setattr(cli, "_scan_cell", fake_cell)
+    def test_violation_aborts(self, monkeypatch):
+        def fake_chunk(moduli, config):
+            return [], {"m": moduli[0], "reason": "synthetic"}
+
+        monkeypatch.setattr(cli, "_scan_chunk", fake_chunk)
         with pytest.raises(BoundViolation):
             cli.run_scan(cli.load_scan_config(make_config()))
 
@@ -478,6 +493,21 @@ class TestCommands:
                       "--k-check", k_check])
         assert info.value.code == 2
         assert "--k-check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["order", "--b", "2", "--m", "1000000000000000003"],
+        ["scan", "--config", "{config}"],
+    ], ids=["order", "scan"])
+    def test_huge_prime_probes_end(self, tmp_path, argv):
+        # trial division of 10^18 + 3 (and of lambda) used to run for hours
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps(make_config(primes=[3, 1000000000000000003], m_range=[3, 30])))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "korosum"] + [a.format(config=config) for a in argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout
 
     def test_python_dash_m_runs_the_cli(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))

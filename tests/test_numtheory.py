@@ -13,7 +13,8 @@ from korosum.errors import (
     NotSmooth,
     OutOfRange,
 )
-from oracles import divisor_power_sum, euler_phi, is_prime_trial, mult_order_naive, phi_d
+from oracles import (divisor_power_sum, euler_phi, factorize_trial, is_prime_trial,
+                     mult_order_naive, phi_d)
 
 P3 = nt.PrimeSet.of(3)
 P35 = nt.PrimeSet.of(3, 5)
@@ -64,6 +65,38 @@ class TestIsPrime:
                 nt.is_prime(n)
         with pytest.raises(OutOfRange):
             nt.PrimeSet.of(3, 2**89 - 1)
+
+
+class TestFactorize:
+    def test_agrees_with_trial_division(self):
+        for n in list(range(1, 3000)) + [2**32 + 1, 10**12 + 1, 3**20 * 7**5, 1009**2, 1013 * 2003]:
+            assert nt.factorize(n) == factorize_trial(n)
+            assert list(nt.factorize(n)) == sorted(nt.factorize(n))
+
+    def test_large_factors_by_rho(self):
+        # prime factors past the trial bound, which trial division would
+        # take up to 10^9 steps to reach
+        cases = {
+            (10**9 + 7) * (10**9 + 9): {10**9 + 7: 1, 10**9 + 9: 1},
+            (10**9 + 7) ** 2 * 3: {3: 1, 10**9 + 7: 2},
+            2**64 + 1: {274177: 1, 67280421310721: 1},
+            1000000000000000002: {2: 1, 3: 1, 17: 1, 131: 1, 1427: 1, 52445056723: 1},
+            1000000000000000003: {1000000000000000003: 1},
+        }
+        for n, want in cases.items():
+            assert nt.factorize(n) == want
+
+    def test_past_the_budget_raises(self):
+        # two 13-digit primes: rho needs about 10^6 steps, past _RHO_BUDGET
+        with pytest.raises(OutOfRange, match="Pollard-Brent"):
+            nt.factorize((10**12 + 39) * (10**12 + 61))
+        with pytest.raises(OutOfRange):  # a cofactor is_prime cannot decide
+            nt.factorize(2**89 - 1)
+
+    def test_order_of_a_huge_prime_modulus(self):
+        p = 1000000000000000003
+        assert nt.mult_order(2, p) == p - 1
+        assert all(pow(2, (p - 1) // q, p) != 1 for q in (2, 3, 17, 131, 1427, 52445056723))
 
 
 class TestFactorSmooth:

@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from math import fsum, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +173,47 @@ class TestBatchedFold:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert got == tuple(se.eval_sum_reduced(a, b, m, m) for a in units)
+
+
+class TestScanSums:
+    """eval_scan_sums against one eval_sum_reduced call per (a, N), bit for bit."""
+
+    def test_numpy_trig_equals_libm(self):
+        # the short-sum batches take numpy's cos/sin where _eval_scalar takes
+        # math's; their bits agree on every theta = r (2 pi / m) sampled here
+        rng = np.random.default_rng(20261018)
+        m = rng.integers(2, se._INT64_SAFE_M, size=10**6, endpoint=True)
+        r = rng.integers(0, m)
+        theta = r * (se.TWO_PI / m)
+        assert theta[7] == int(r[7]) * (se.TWO_PI / int(m[7]))
+        values = theta.tolist()
+        for fn, ref in ((np.cos, math.cos), (np.sin, math.sin)):
+            assert np.array_equal(fn(theta).view(np.int64), np.array(list(map(ref, values))).view(np.int64))
+
+    def test_every_float_equals_the_per_call_fold(self, monkeypatch):
+        calls = []
+
+        def spy(a, b, m, N):
+            calls.append((m, N))
+            return fold(a, b, m, N)
+
+        fold = se.eval_sum_reduced
+        monkeypatch.setattr(se, "eval_sum_reduced", spy)
+        b = 2
+        cells = []
+        for m, Ns in [(3, [1, 2, 5]), (5**3, [1, 99, 100, 101, 3000]), (3**5 * 5, [7, 1000, 1620, 4000]),
+                      (3**8, [1, 2047, 2048, 4374, 9000]), (3**20, [1, 64]), (7**3, [6, 300])]:
+            units = tuple(a for a in range(1, 60) if gcd(a, m) == 1)[:40] + (m, 2 * m + 1)
+            cells.append((m, nt.mult_order(b, m), units, Ns))
+        got = se.eval_scan_sums(b, cells)
+        want = [[[fold(a, b, m, N).value for N in Ns] for a in units] for m, T, units, Ns in cells]
+        assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
+            [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
+        # short windows (5^3 at N = 3000 is 30 periods of T = 100) batch
+        # with no eval_sum_reduced call, beside long windows (3^8: T = 4374)
+        # and a modulus above _INT64_SAFE_M; 5^3 fills more than one batch
+        assert sorted(calls) == [
+            (3**8, 2048), (3**8, 4374), (3**8, 9000), (3**20, 1), (3**20, 64)]
 
 
 class TestChooseMPrime:
