@@ -43,6 +43,9 @@ DECAY_COEFF = LN2 / 16.0
 #: Levels used for the cached certified limit constant (tail ~ 2e-34).
 _C_LEVELS = 120
 
+#: The largest x whose math.exp is finite: math.exp of its successor overflows.
+_EXP_MAX = 709.782712893384
+
 
 @dataclass(frozen=True)
 class ExponentState:
@@ -298,10 +301,7 @@ def k_constants(P: PrimeSet, b: int) -> KConstants:
 
 def _exp_or_inf(log_value: float) -> float:
     """round_up(exp(log_value)), inf past the float range."""
-    try:
-        return round_up(math.exp(log_value))
-    except OverflowError:
-        return math.inf
+    return math.inf if log_value > _EXP_MAX else round_up(math.exp(log_value))
 
 
 @lru_cache(maxsize=None)

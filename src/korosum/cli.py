@@ -17,8 +17,8 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from multiprocessing import Pool
+from functools import lru_cache, partial
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # bounds and sumeval come first, so that they are compiled before numpy loads
@@ -55,16 +55,29 @@ def _fmt_float(x: float) -> str:
 
 
 #: How a report column is written to CSV and read back, by the type of its
-#: ScanRow field (the annotation's text, as this module postpones annotations).
+#: ScanRow field (the annotation's text, as this module postpones annotations):
+#: the printf directive of its values, the text of values written as words,
+#: and the parser.
 _CSV_CODECS = {
-    "int": (str, int),
-    "float": (_fmt_float, float),
-    "Optional[float]": (lambda v: "" if v is None else _fmt_float(v),
-                        lambda raw: float(raw) if raw else None),
-    "bool": (lambda v: "true" if v else "false", lambda raw: raw == "true"),
+    "int": ("%d", {}, int),
+    "float": ("%.17g", {}, float),
+    "Optional[float]": ("%.17g", {None: ""}, lambda raw: float(raw) if raw else None),
+    "bool": ("", {False: "false", True: "true"}, lambda raw: raw == "true"),
 }
 _CSV_COLUMNS = tuple((f.name, *_CSV_CODECS[f.type]) for f in dataclasses.fields(ScanRow))
-_CSV_FIELDS = tuple(name for name, _, _ in _CSV_COLUMNS)
+_CSV_FIELDS = tuple(name for name, *_ in _CSV_COLUMNS)
+_CSV_WORDS = tuple(words for _, _, words, _ in _CSV_COLUMNS if words)
+_csv_word_values = attrgetter(*(name for name, _, words, _ in _CSV_COLUMNS if words))
+
+
+@lru_cache(maxsize=None)
+def _csv_template(words: Tuple[Optional[str], ...]):
+    """(bytes %-template of a CSV line, attrgetter of the values it formats)
+    for rows whose columns with words read `words`, None for a formatted value."""
+    words = iter(words)
+    texts = [next(words) if column_words else None for _, _, column_words, _ in _CSV_COLUMNS]
+    line = ",".join(d if t is None else t for (_, d, _, _), t in zip(_CSV_COLUMNS, texts))
+    return (line + "\n").encode(), attrgetter(*(f for f, t in zip(_CSV_FIELDS, texts) if t is None))
 
 
 @dataclass
@@ -318,6 +331,7 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
     cell = partial(_scan_chunk, config=config)
     nworkers = workers if workers is not None else config.workers
     if nworkers > 1:
+        from multiprocessing import Pool
         with Pool(nworkers) as pool:  # the last tasks, the dearest, start first
             results = pool.map(cell, chunks[::-1], chunksize=1)[::-1]
     else:
@@ -334,13 +348,13 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
 def render_report(rows: Sequence[ScanRow], format: str = "csv") -> bytes:
     """CSV with a fixed header and 17-significant-digit floats, or JSON with
     stable key order; both re-parse to bit-identical values."""
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
+    if format == "csv":  # no field needs quoting
+        out = io.BytesIO()
+        out.write((",".join(_CSV_FIELDS) + "\n").encode())
         for row in rows:
-            writer.writerow([write(getattr(row, name)) for name, write, _ in _CSV_COLUMNS])
-        return buf.getvalue().encode("utf-8")
+            line, values = _csv_template(tuple(map(dict.get, _CSV_WORDS, _csv_word_values(row))))
+            out.write(line % values(row))
+        return out.getvalue()
     if format == "json":
         payload = {"rows": [{field: getattr(r, field) for field in _CSV_FIELDS} for r in rows]}
         return (_dumps(payload, indent=1) + "\n").encode("utf-8")
@@ -350,7 +364,7 @@ def render_report(rows: Sequence[ScanRow], format: str = "csv") -> bytes:
 def rows_from_csv(data: bytes) -> List[ScanRow]:
     """Parse render_report CSV output back into rows (lossless)."""
     return [
-        ScanRow(**{name: read(record[name]) for name, _, read in _CSV_COLUMNS})
+        ScanRow(**{name: read(record[name]) for name, _, _, read in _CSV_COLUMNS})
         for record in csv.DictReader(io.StringIO(data.decode("utf-8")))
     ]
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import fsum, gcd
 from typing import Dict, List, Tuple, Union
 
@@ -188,10 +189,9 @@ def eval_sum_reduced(
     The full period is evaluated once; only the remainder costs extra.
     `a` is one numerator, or a tuple of numerators with one SumResult each,
     in order.  When two or more numerators need a full period (N >= T) with
-    T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M, their blocked windows come
-    from one streamed walk per coset of <b> (_coset_window_sums); every other
-    window, and every other call, is one eval_sum per numerator.  Both give
-    the same bits.
+    T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M, both their windows come from
+    one streamed walk per coset of <b> (_coset_window_sums); every other
+    call is one eval_sum per numerator and window.  Both give the same bits.
     """
     if m < 1:
         raise OutOfRange("modulus must be positive")
@@ -277,73 +277,82 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     return out
 
 
+def _starts(targets, b0: int, m: int, T: int) -> Dict[int, Tuple[int, int]]:
+    """{t: (c, s)} with c b0^s = t mod m, T = ord(b0, m) and c the first target
+    of t's coset of <b0>, by baby-step giant-step (Shanks 1971): baby steps
+    t b0^j, j < B ~ sqrt(T / targets) <= _BLOCK, against giant steps
+    c b0^(iB), i < ceil(T / B), so s = iB - j mod T."""
+    pending = list(dict.fromkeys(targets))
+    B = min(_BLOCK, math.isqrt(T // len(pending)) + 1)
+    G = -(-T // B)
+    starts: Dict[int, Tuple[int, int]] = {}
+    while pending:
+        c = pending[0]
+        baby = np.array([next(_orbit_blocks(t, b0, m, B)) for t in pending])
+        for i0, giant in zip(range(0, G, _BLOCK), _orbit_blocks(c, pow(b0, B, m), m, G)):
+            order = np.argsort(giant)
+            idx = order[np.searchsorted(giant, baby, sorter=order).clip(max=giant.size - 1)]
+            hit = giant[idx] == baby
+            for row in np.flatnonzero(hit.any(axis=1)):
+                j = int(hit[row].argmax())
+                starts.setdefault(pending[row], (c, ((i0 + int(idx[row, j])) * B - j) % T))
+        pending = [t for t in pending if t not in starts]
+    return starts
+
+
 def _coset_window_sums(
     numerators: Tuple[int, ...], b0: int, m: int, T: int, lengths: Tuple[int, ...]
 ) -> Dict[Tuple[int, int], complex]:
-    """{(a, L): _eval_blocked(a % m, b0, m, L)} for every numerator a % m != 0
-    and every L in `lengths` with _SCALAR_CUTOFF <= L <= T, where
-    T = ord(b0, m) >= _SCALAR_CUTOFF, from one walk per coset of <b0> and
-    memory independent of T.
+    """{(a, L): eval_sum(a, b0, m, L).value} for every numerator a % m != 0
+    and every L in `lengths` with 0 < L <= T, where T = ord(b0, m) >=
+    _SCALAR_CUTOFF, from T phase factors per coset of <b0> and memory
+    independent of T.
 
-    The terms a b0^n, n = 1..L, are w_{s}, ..., w_{s+L-1} (indices mod T) of
-    the walk w_j = c b0^j of the coset's first target c, where w_s = a b0.
-    Pass 1 steps the residues only, to find each s.  Pass 2 takes cos/sin of
-    w_j for j < T + _BLOCK once, _BLOCK at a time, keeping the last two
-    chunks, and sums every block request (s + k _BLOCK mod T, size) as it
-    completes: the blocks of _eval_blocked, so the same floats in the same
-    order.
+    The terms a b0^n, n = 1..L, are w_s, ..., w_{s+L-1} (indices mod T) of
+    the walk w_j = c b0^j of the coset's first target c, with w_s = a b0
+    (_starts).  One pass takes cos/sin of w_j for j < T, _BLOCK at a time,
+    then reuses the first chunk for w_{T+j} = w_j, and reduces every piece
+    of a window as the terms held cover it: eval_sum's fsum below
+    _SCALAR_CUTOFF, else np.sum of each of _eval_blocked's blocks, then fsum.
     """
-    lengths = [L for L in set(lengths) if L >= _SCALAR_CUTOFF]
-    targets = {x: x % m * b0 % m for x in numerators if x % m}
-    starts: Dict[int, Tuple[int, int]] = {}  # target -> (coset's first target c, s)
-    pending = list(dict.fromkeys(targets.values()))
-    while pending:
-        c = pending[0]
-        starts[c] = (c, 0)
-        want = np.array(pending[1:], dtype=np.int64)
-        found = 0
-        for done, block in zip(range(0, T, _BLOCK), _orbit_blocks(c, b0, m, T)):
-            if found == want.size:
-                break
-            for j in np.flatnonzero(np.isin(block, want)):
-                t = int(block[j])
-                if t not in starts:
-                    starts[t] = (c, done + int(j))
-                    found += 1
-        pending = [t for t in pending if t not in starts]
+    def pieces(s, L):  # (start, size, fsum?) of the window w_s .. w_{s+L-1}
+        return [((s + k) % T, min(_BLOCK, L - k), L < _SCALAR_CUTOFF) for k in range(0, L, _BLOCK)]
 
-    scale = TWO_PI / m
-    sums = {}  # (c, start, size) -> sum of cos + i sum of sin over w_start .. w_{start+size-1}
+    lengths = [L for L in set(lengths) if L]
+    targets = {x: x % m * b0 % m for x in numerators if x % m}
+    starts = _starts(targets.values(), b0, m, T)
+    sums = {}  # (c, piece) -> sum of cos + i sum of sin over its terms
     for c in dict.fromkeys(c for c, _ in starts.values()):
-        requests = sorted(
-            {((s + k) % T, min(_BLOCK, L - k))
-             for c_t, s in starts.values() if c_t == c
-             for L in lengths for k in range(0, L, _BLOCK)},
-            key=sum,  # by end
-        )
-        cos_prev = sin_prev = np.empty(0)
+        requests = sorted({p for c_t, s in starts.values() if c_t == c
+                           for L in lengths for p in pieces(s, L)}, key=lambda p: p[0] + p[1])
+        zs = np.empty((2, 2 * _BLOCK))  # cos, sin of w_{done - _BLOCK} .. w_{done + _BLOCK - 1}
+        first = None
         done = i = 0
-        for block in _orbit_blocks(c, b0, m, sum(requests[-1])):
-            theta = block * scale
-            cos_buf = np.concatenate((cos_prev, np.cos(theta)))
-            sin_buf = np.concatenate((sin_prev, np.sin(theta)))
-            first = done - cos_prev.size
-            done += block.size
-            # a request ending in this chunk is at most _BLOCK long, so it
-            # starts inside the two chunks held
-            while i < len(requests) and sum(requests[i]) <= done:
-                start, size = requests[i]
-                lo = start - first
-                sums[c, start, size] = complex(np.sum(cos_buf[lo : lo + size]),
-                                               np.sum(sin_buf[lo : lo + size]))
+        for block in chain(_orbit_blocks(c, b0, m, T), [None]):
+            new = zs[:, _BLOCK : _BLOCK + (first.shape[1] if block is None else block.size)]
+            if block is None:
+                new[...] = first
+            else:
+                theta = block * (TWO_PI / m)
+                np.cos(theta, out=new[0])
+                np.sin(theta, out=new[1])
+                first = new.copy() if first is None else first
+            base, done = done - _BLOCK, done + new.shape[1]
+            # a piece ending in this chunk is at most _BLOCK long, so it starts
+            # inside zs; np.add.reduce along a row is np.sum of that row
+            while i < len(requests) and sum(requests[i][:2]) <= done:
+                start, size, exact = requests[i]
+                z = zs[:, start - base : start - base + size]
+                sums[c, requests[i]] = complex(
+                    *(map(fsum, z.tolist()) if exact else np.add.reduce(z, axis=1)))
                 i += 1
-            cos_prev, sin_prev = cos_buf[-block.size :], sin_buf[-block.size :]
+            zs[:, :_BLOCK] = zs[:, new.shape[1] : new.shape[1] + _BLOCK]
 
     out = {}
     for x, t in targets.items():
         c, s = starts[t]
-        for L in lengths:
-            parts = [sums[c, (s + k) % T, min(_BLOCK, L - k)] for k in range(0, L, _BLOCK)]
+        for L in lengths:  # fsum of one fsum is that fsum
+            parts = [sums[c, p] for p in pieces(s, L)]
             out[x, L] = complex(fsum(p.real for p in parts), fsum(p.imag for p in parts))
     return out
 
@@ -423,19 +432,24 @@ def _dot_error_bound(n):
 
 
 def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
-    """([|inner_L|], array of E_L) for the lags L = tau, 2 tau, ... < N of
-    the differencing inequality, with E_L = _dot_error_bound(N - L).
+    """(|S_N|^2, [|inner_L|], array of E_L) for the lags L = tau, 2 tau, ... < N
+    of the differencing inequality, with E_L = _dot_error_bound(N - L).
 
     a (b^L - 1) b^n = r_{n+L} - r_n (mod m) for the residues r_n = a b^n mod m,
     so inner_L = sum_{n <= N-L} z_{n+L} conj(z_n) with z_n = e(r_n / m): one
-    exact residue vector serves every lag.
+    exact residue vector serves every lag.  S_N reduces the same cos/sin as
+    eval_sum does, so |S_N|^2 is eval_sum's magnitude**2 bit for bit.
     """
     theta = np.concatenate(list(_orbit_blocks(a0 * b0 % m, b0, m, N))) * (TWO_PI / m)
     z = np.empty(N, dtype=np.complex128)
-    z.real = np.cos(theta)
-    z.imag = np.sin(theta)
+    z.real = cos = np.cos(theta)
+    z.imag = sin = np.sin(theta)
+    # eval_sum's reduction: fsum of the terms below _SCALAR_CUTOFF, else of _BLOCK-term np.sums
+    terms = (cos.tolist(), sin.tolist()) if N < _SCALAR_CUTOFF else (
+        [np.sum(x[k : k + _BLOCK]) for k in range(0, N, _BLOCK)] for x in (cos, sin))
+    s_n = complex(*map(fsum, terms))
     inner = [float(abs(np.vdot(z[: N - lag], z[lag:]))) for lag in range(tau, N, tau)]
-    return inner, _dot_error_bound(N - np.arange(tau, N, tau))
+    return abs(s_n) ** 2, inner, _dot_error_bound(N - np.arange(tau, N, tau))
 
 
 def _margin(rhs: float, lhs_sq: float) -> float:
@@ -447,7 +461,8 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
 
         |S_N|^2 <= m'*N + 2m' * sum_{1 <= i < N/tau} |sum_{n<=N-i*tau} e(a(b^{i*tau}-1) b^n / m)|
 
-    with tau = ord(b, m').  lhs_squared is eval_sum(a, b, m, N).magnitude**2.
+    with tau = ord(b, m').  lhs_squared is eval_sum(a, b, m, N).magnitude**2,
+    taken from the fast path's phase vector when there is one.
 
     Fast path (m <= _INT64_SAFE_M): every inner sum is a dot product of
     the phase vector z_n = e(r_n / m) built once from the exact residues
@@ -465,9 +480,8 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
     if gcd(b, m_prime) != 1:
         raise NotCoprime(b, m_prime)
     tau = mult_order(b, m_prime)
-    lhs_sq = eval_sum(a, b, m, N).magnitude ** 2
     if m <= _INT64_SAFE_M:
-        inner, errors = _inner_sums(a % m, b % m, m, N, tau)
+        lhs_sq, inner, errors = _inner_sums(a % m, b % m, m, N, tau)
         total = fsum(inner)
         rhs = m_prime * N + 2.0 * m_prime * total
         certified = m_prime * N + 2.0 * m_prime * max(0.0, total - fsum(errors))
@@ -475,6 +489,8 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
             return DifferencingReport(
                 lhs_sq, rhs, m_prime, tau, True, "fast", _margin(certified, lhs_sq)
             )
+    else:
+        lhs_sq = eval_sum(a, b, m, N).magnitude ** 2
     step = pow(b, tau, m)
     r = 1
     inner = []

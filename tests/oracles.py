@@ -3,16 +3,20 @@
 Each is the direct definition of a quantity: the order by iteration up to
 lambda(m), divisor-power sums and the totient from a trial-division
 factorization, primality and factorization by trial division, restricted totients by
-counting, interval relations by endpoint comparison.  All but the last take
-time that grows with their input, and no library code uses any of them, so
-they live with the tests.
+counting, interval relations by endpoint comparison, the CSV report by
+csv.writer one field at a time.  Most take time that grows with their input,
+and no library code uses any of them, so they live with the tests.
 """
 
+import csv
+import dataclasses
+import io
 import math
 from fractions import Fraction
 from typing import Union
 
 from korosum.bounds import RationalInterval
+from korosum.cli import ScanRow
 from korosum.errors import NotCoprime, NotDivisor, OutOfRange
 from korosum.numtheory import PrimeSet, Rational, carmichael_lambda, factor_smooth, factorize
 
@@ -126,3 +130,22 @@ def overlaps(first: RationalInterval, second: RationalInterval) -> bool:
     if second.hi is None:
         return first.hi >= lo
     return min(first.hi, second.hi) >= lo
+
+
+def csv_report(rows) -> bytes:
+    """render_report(rows, "csv") by csv.writer: ints as str, floats with 17
+    significant digits, None as an empty field, bools as true/false."""
+    def text(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return str(v) if isinstance(v, int) else format(v, ".17g")
+
+    names = [f.name for f in dataclasses.fields(ScanRow)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow([text(getattr(row, name)) for name in names])
+    return buf.getvalue().encode("utf-8")

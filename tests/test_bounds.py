@@ -152,6 +152,27 @@ class TestKConstants:
                 assert kc.k3 >= cs.b_k
 
 
+class TestExpOrInf:
+    @staticmethod
+    def caught(x):
+        try:
+            return nt.round_up(math.exp(x))
+        except OverflowError:
+            return math.inf
+
+    def test_threshold_is_the_last_finite_exp(self):
+        assert math.isfinite(math.exp(bd._EXP_MAX))
+        with pytest.raises(OverflowError):
+            math.exp(math.nextafter(bd._EXP_MAX, math.inf))
+
+    def test_equals_exp_with_the_overflow_caught(self):
+        edge = bd._EXP_MAX
+        for x in (edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf), math.inf,
+                  -math.inf, math.nan, 0.0, -745.2, 41656.0, 1e300):
+            got, want = bd._exp_or_inf(x), self.caught(x)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 class TestBoundEval:
     def test_level_zero_example(self):
         rep = bd.bound_eval(9, 6, 0, P3, 2)

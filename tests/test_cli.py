@@ -299,6 +299,19 @@ class TestRenderReport:
         x = math.pi * 1e-7
         assert float(cli._fmt_float(x)) == x
 
+    def test_csv_equals_the_csv_writer_rendering(self):
+        rows = cli.run_scan(cli.load_scan_config(make_config()))
+        special = (None, math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, math.pi)
+        for i, v in enumerate(special):
+            rows.append(cli.ScanRow(
+                3**i, -i, 2**70 + i, i, -0.0 if v is None else v, math.nan, math.inf, -math.inf,
+                v or 1.0, v, special[-1 - i], i % 2 == 0, i % 3 == 0))
+        data = cli.render_report(rows)
+        assert data == oracles.csv_report(rows)
+        assert {b"true", b"false", b"", b"inf", b"-inf", b"nan", b"-0"} <= set(data.replace(b"\n", b",").split(b","))
+        parsed = cli.rows_from_csv(data)
+        assert [repr(dataclasses.astuple(r)) for r in parsed] == [repr(dataclasses.astuple(r)) for r in rows]
+
 
 class TestCommands:
     def test_order_text(self, capsys):

@@ -119,21 +119,28 @@ class TestBatchedFold:
     numerator, bit for bit: the coset walk must reproduce every float."""
 
     # (m, b): index 2 with T in [_SCALAR_CUTOFF, _BLOCK) and T > 2 _BLOCK,
-    # index 4 with T = _BLOCK + 20, index 6, and m above _INT64_SAFE_M
-    # with T = ord(1 + 3^14, 3^21) = 3^7
-    CASES = [(3**7 * 5, 2), (3**6 * 5**3, 2), (3 * 5 * 7**4, 2), (3**8 * 7, 2), (3**21, 1 + 3**14)]
-    REMAINDERS = (1, 2047, 2048, 2049, 4095, 4096, 4097, 8191, 8192, 8193)
+    # index 4 with T = _BLOCK + 20, index 6, index 2 with T = _BLOCK, and m
+    # above _INT64_SAFE_M with T = ord(1 + 3^14, 3^21) = 3^7
+    CASES = [(3**7 * 5, 2), (3**6 * 5**3, 2), (3 * 5 * 7**4, 2), (3**8 * 7, 2), (2**14, 3),
+             (3**21, 1 + 3**14)]
+    REMAINDERS = (1, 2, 100, 2047, 2048, 2049, 4095, 4096, 4097, 8191, 8192, 8193)
 
-    @pytest.mark.parametrize("m,b", CASES, ids=["T<block", "T>2block", "index4", "index6", "huge_m"])
+    @pytest.mark.parametrize("m,b", CASES,
+                             ids=["T<block", "T>2block", "index4", "index6", "T=block", "huge_m"])
     def test_every_float_equals_the_per_numerator_fold(self, monkeypatch, m, b):
-        walks = []
+        walks, evals = [], []
 
         def spy(*args):
             walks.append(args)
             return walk(*args)
 
-        walk = se._coset_window_sums
+        def eval_spy(a, *args):
+            evals.append(a)
+            return evaluate(a, *args)
+
+        walk, evaluate = se._coset_window_sums, se.eval_sum
         monkeypatch.setattr(se, "_coset_window_sums", spy)
+        monkeypatch.setattr(se, "eval_sum", eval_spy)
         T = nt.mult_order(b, m)
         rng = random.Random(m)
         units = [a for a in (rng.randrange(1, m) for _ in range(40)) if gcd(a, m) == 1][:8]
@@ -145,7 +152,10 @@ class TestBatchedFold:
         numerators = tuple(units + [units[0], units[1] + m, 3 * b, 2 * m])
         lengths = [T - 1, T, T + 1] + [2 * T + r for r in self.REMAINDERS if r < T]
         for N in lengths:
+            del evals[:]
             got = se.eval_sum_reduced(numerators, b, m, N)
+            if m <= se._INT64_SAFE_M and N >= T:  # both windows of every unit come from the walk
+                assert set(evals) <= {2 * m}
             want = [se.eval_sum_reduced(a, b, m, N) for a in numerators]
             assert [(r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in got] == [
                 (r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in want]
@@ -173,6 +183,42 @@ class TestBatchedFold:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert got == tuple(se.eval_sum_reduced(a, b, m, m) for a in units)
+
+
+class TestStarts:
+    """_starts (baby-step giant-step) against a walk of each coset."""
+
+    @staticmethod
+    def walked(targets, b, m, T):
+        """{t: (c, {s < T: c b^s = t mod m})}, c the first target of t's coset."""
+        out = {}
+        for c in dict.fromkeys(targets):
+            if c not in out:
+                positions, r = {}, c
+                for s in range(T):
+                    positions.setdefault(r, set()).add(s)
+                    r = r * b % m
+                out.update({t: (c, positions[t]) for t in targets if t in positions and t not in out})
+        return out
+
+    # units in two cosets of <2> (3^a 5^b), T = _BLOCK exactly (3 mod 2^14),
+    # and T = 2 3^11 with enough targets for several giant blocks
+    @pytest.mark.parametrize("m,b,count", [(45, 2, None), (3**3 * 5**2, 2, None), (3 * 5**4, 2, None),
+                                           (2**14, 3, None), (3**12, 2, 200)])
+    def test_every_start_is_a_walk_position(self, m, b, count):
+        T = nt.mult_order(b, m)
+        units = [a for a in range(1, m) if gcd(a, m) == 1]
+        if count:
+            units = random.Random(m).sample(units, count)
+        # the last positions of the walk from 1, whose giant steps end there,
+        # then units, and numerators sharing a factor with m (shorter orbits)
+        tail = [pow(b, s, m) for s in range(max(0, T - 2 * se._BLOCK), T)]
+        targets = [1] + tail + [a * b % m for a in units] + [3 * b % m, 6, m // 2, m - 2]
+        got, want = se._starts(targets, b % m, m, T), self.walked(targets, b % m, m, T)
+        assert got.keys() == want.keys()
+        for t, (c, s) in got.items():
+            assert c == want[t][0] and 0 <= s < T and s in want[t][1]
+        assert len({got[a * b % m][0] for a in units}) == (1 if m == 3**12 else 2)
 
 
 class TestScanSums:
@@ -381,7 +427,8 @@ class TestVerifyDifferencing:
         for a, b, m, m_prime, N in cases:
             tau = nt.mult_order(b, m_prime)
             taus.add(tau)
-            inner, errors = se._inner_sums(a % m, b % m, m, N, tau)
+            lhs_sq, inner, errors = se._inner_sums(a % m, b % m, m, N, tau)
+            assert lhs_sq == se.eval_sum(a, b, m, N).magnitude ** 2
             lags = range(tau, N, tau)
             assert len(inner) == len(errors) == len(lags)
             for lag, fast, bound in zip(lags, inner, errors):
@@ -392,7 +439,11 @@ class TestVerifyDifferencing:
         assert {1, 2} <= taus and zero_lags > 0
 
     def test_lhs_is_eval_sum_bit_for_bit(self):
+        # one fsum below _SCALAR_CUTOFF, blocks from it on (one partial
+        # block at 4097), a = 0 mod m, and the exact path above _INT64_SAFE_M
         for a, b, m, m_prime, N in ((1, 2, 9, 3, 6), (5, 2, 3**12, 3, 5000), (4, 7, 5**9, 5, 2047),
+                                    (4, 7, 5**9, 5, 2048), (11, 2, 3**10, 3**2, 4097),
+                                    (3**10, 2, 3**10, 3, 4097), (0, 2, 45, 15, 2047),
                                     (1, 2, 3**21, 3, 60)):
             rep = se.verify_differencing(a, b, m, m_prime, N)
             assert rep.lhs_squared == se.eval_sum(a, b, m, N).magnitude ** 2
