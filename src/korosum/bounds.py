@@ -16,19 +16,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import EpsilonOutOfRange, NotInterior, OutOfRange, RangeViolation
 from .numtheory import (
     UPPER_SLACK,
-    ModulusStructure,
     PrimeSet,
     c_p_alpha,
     capital_m,
     factor_smooth,
     round_up,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LN2 = math.log(2.0)
 
@@ -316,97 +318,93 @@ def level_rows(ks: Tuple[int, ...], P: PrimeSet, b: int) -> Tuple[Tuple[float, .
     return tuple(rows)
 
 
-class ModulusBounds:
-    """The bound system at one P-smooth modulus m, for the levels in `ks`.
+class BoundTable(NamedTuple):
+    """The bounds of rows (m, N), one array row each: (main term + secondary
+    term) * round-up log factor, where a term past the float range reads inf."""
 
-    What depends on m alone or on (P, b, k) is computed once, here or on
-    first use; the methods evaluate only the N-dependent part (N >= 1).
-    bound_eval, best_k and bound_baseline are wrappers over these methods,
-    so a scan row and the single-bound calls agree bit for bit.
-    """
+    long: np.ndarray  # (rows, 3): sqrt m, M N / sqrt m, bound (gcd(a, m) = 1)
+    short: np.ndarray  # (rows, 2): sqrt m, bound (d = 1)
+    recursive: Optional[np.ndarray]  # (rows, levels, 3): terms with A_k, B_k, bound
+    best: Optional[np.ndarray]  # (rows,): index of the least recursive bound, ties to the first
+    main: Optional[np.ndarray]  # (rows, 3): level `best` with K1 K2^k, K3 for A_k, B_k
 
-    def __init__(self, m: int, P: PrimeSet, b: int, ks=()):
-        if b < 2:
-            raise OutOfRange("b must be at least 2")
-        self.m, self.P, self.b = m, P, b
-        self.fac = factor_smooth(m, P)
-        self.log_m = math.log(m)
-        self.ks = tuple(ks)
-        # per level: (alpha_k log m, gamma_k, nu_k, A_k, B_k, log K1 + k log K2,
-        # log K3, round-up (1 + log m)^(2^-k))
-        self.levels = [(alpha * self.log_m, *row, round_up((1.0 + self.log_m) ** root))
-                       for alpha, *row, root in level_rows(self.ks, P, b)]
 
-    @cached_property
-    def structure(self) -> ModulusStructure:
-        """Order decomposition of b mod m (checks gcd(b, m) = 1)."""
-        return self.fac.order_structure(self.b)
+def _float_or_inf(n: int) -> float:
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
 
-    @cached_property
-    def _roots(self) -> Tuple[float, float, float, int]:
-        root = math.sqrt(self.m)
-        return root, round_up(root), round_up(1.0 + self.log_m), capital_m(self.P, self.b)
 
-    def recursive(self, N: int) -> Tuple[List[Tuple[float, float, float]], int]:
-        """(main term, secondary term, bound) at every level with the
-        certified A_k, B_k, and the index of the smallest bound (ties go to
-        the smaller k).  Each term is round_up(A_k exp(x)), inf past the
-        float range."""
-        log_n = math.log(N)
-        exp, up = math.exp, 1.0 + UPPER_SLACK
-        recs = []
-        best, least = 0, math.inf
-        for al_log_m, gamma, nu, a_k, b_k, _, _, logfac in self.levels:
-            try:
-                tm = a_k * exp(al_log_m + gamma * log_n) * up
-            except OverflowError:
-                tm = math.inf
-            try:
-                ts = b_k * exp(-al_log_m + nu * log_n) * up
-            except OverflowError:
-                ts = math.inf
-            bound = (tm + ts) * logfac
-            if bound < least:
-                best, least = len(recs), bound
-            recs.append((tm, ts, bound))
-        return recs, best
+def bound_table(rows: Sequence[Tuple[int, int]], P: PrimeSet, b: int,
+                ks: Sequence[int] = ()) -> BoundTable:
+    """Every bound of the rows (m, N), m P-smooth and N >= 1, at the levels
+    ks (none but long and short when ks is empty), with the float operations
+    of the formulas in bound_eval and bound_baseline, in order, as array
+    passes over rows x levels.  numpy's +, *, /, min and argmin are exact
+    IEEE operations; its exp and power differ from libm's in the last bit on
+    about 5 % and 4 % of arguments, so those two are math's."""
+    import numpy as np  # here, so that cli compiles sumeval before numpy loads
 
-    def main(self, i: int, N: int) -> Tuple[float, float, float]:
-        """The terms and bound of level ks[i] with the closed-form K1 K2^k and
-        K3 in place of A_k, B_k; the exponents are the same, so main >=
-        recursive always."""
-        al_log_m, gamma, nu, _, _, log_main, log_k3, logfac = self.levels[i]
-        log_n = math.log(N)
-        tm = _exp_or_inf(log_main + (al_log_m + gamma * log_n))
-        ts = _exp_or_inf(log_k3 + (-al_log_m + nu * log_n))
-        return tm, ts, (tm + ts) * logfac
+    def exp(x):  # math.exp of every element, inf above _EXP_MAX
+        e = np.fromiter(map(math.exp, memoryview(np.minimum(x, _EXP_MAX).ravel())), float, x.size)
+        e = e.reshape(x.shape)
+        e[x > _EXP_MAX] = math.inf
+        return e
 
-    def long(self, N: int) -> Tuple[float, float, float]:
-        """(sqrt m, M N / sqrt m, bound) of the long baseline (gcd(a, m) = 1)."""
-        root, tm, logfac, M = self._roots
-        try:
-            ts = round_up(M * N / root)
-        except OverflowError:  # M N past the float range
-            ts = math.inf
-        return tm, ts, (tm + ts) * logfac
+    if b < 2:  # capital_m would not terminate
+        raise OutOfRange("b must be at least 2")
+    up = 1.0 + UPPER_SLACK
+    index: Dict[int, int] = {}
+    at = np.array([index.setdefault(m, len(index)) for m, _ in rows], dtype=np.intp)
+    log_m = np.array([math.log(m) for m in index])
+    root = np.array([math.sqrt(_float_or_inf(m)) for m in index])[at]
+    sqrt_up, log_fac = root * up, ((1.0 + log_m) * up)[at]
+    M = capital_m(P, b)
+    mn = np.array([_float_or_inf(M * N) for _, N in rows])
+    # past the float range a product reads inf, as in Python, and M N / sqrt m where sqrt m does
+    with np.errstate(over="ignore", invalid="ignore"):
+        long_ts = np.where(root < math.inf, mn / root, math.inf) * up
+        long = np.stack([sqrt_up, long_ts, (sqrt_up + long_ts) * log_fac], axis=1)
+        short = np.stack([sqrt_up, sqrt_up * log_fac], axis=1)
+        if not ks:
+            return BoundTable(long, short, None, None, None)
+        alpha, gamma, nu, a_k, b_k, log_main, log_k3, roots = np.transpose(level_rows(tuple(ks), P, b))
+        fac = np.array([x**r for x in (1.0 + log_m).tolist() for r in roots.tolist()])
+        fac = (fac.reshape(len(index), len(ks)) * up)[at]
+        al = (log_m[:, None] * alpha)[at]
+        log_n = np.array([math.log(N) for _, N in rows])
+        e = exp(np.stack([al + gamma * log_n[:, None], -al + nu * log_n[:, None]]))
+        tm, ts = a_k * e[0] * up, b_k * e[1] * up
+        bound = (tm + ts) * fac
+        best = bound.argmin(axis=1)
+        pick = np.arange(len(rows)), best
+        al = al[pick]
+        e = exp(np.stack([log_main[best] + (al + gamma[best] * log_n),
+                          log_k3[best] + (-al + nu[best] * log_n)])) * up
+        main = np.stack([e[0], e[1], (e[0] + e[1]) * fac[pick]], axis=1)
+    return BoundTable(long, short, np.stack([tm, ts, bound], axis=2), best, main)
 
-    def short(self, d: int = 1) -> Tuple[float, float]:
-        """(sqrt(m/d), bound) of the short baseline at the reduced modulus m/d."""
-        md = self.m // d
-        tm = round_up(math.sqrt(md))
-        return tm, tm * round_up(1.0 + math.log(md))
+
+def _one_row(m: int, N: int, P: PrimeSet, b: int, ks: Sequence[int] = ()) -> BoundTable:
+    """bound_table of (m, N) alone, after checking N and that m is P-smooth."""
+    if N < 1:
+        raise OutOfRange("N must be positive")
+    factor_smooth(m, P)
+    return bound_table([(m, N)], P, b, ks)
 
 
 def bound_eval(m: int, N: int, k: int, P: PrimeSet, b: int, form: str = "recursive") -> BoundReport:
-    """Level-k bound on |S_N| for P-smooth m, with the certified constants
-    ("recursive") or the closed-form ones ("main", see ModulusBounds.main)."""
-    if N < 1:
-        raise OutOfRange("N must be positive")
-    mb = ModulusBounds(m, P, b, (k,))
+    """Level-k bound on |S_N| for P-smooth m, (round_up(A_k exp(x)) +
+    round_up(B_k exp(y))) round_up((1 + log m)^(2^-k)) with x = alpha_k log m
+    + gamma_k log N and y = -alpha_k log m + nu_k log N ("recursive"); "main"
+    takes round_up(exp(log K1 + k log K2 + x)) and round_up(exp(log K3 + y))
+    for the terms, and as K1 K2^k >= A_k, K3 >= B_k, main >= recursive."""
+    table = _one_row(m, N, P, b, (k,))
     if form == "recursive":
-        tm, ts, bound = mb.recursive(N)[0][0]
+        tm, ts, bound = table.recursive[0, 0].tolist()
     elif form == "main":
-        tm, ts, bound = mb.main(0, N)
+        tm, ts, bound = table.main[0].tolist()
     else:
         raise OutOfRange(f"unknown bound form {form!r}")
     return BoundReport(m, N, k, bound, tm, ts, bound < N, form)
@@ -415,28 +413,26 @@ def bound_eval(m: int, N: int, k: int, P: PrimeSet, b: int, form: str = "recursi
 def bound_baseline(m: int, N: int, d: int, P: PrimeSet, b: int, form: str = "short") -> BoundReport:
     """Baseline bounds below the recursion.
 
-    short: sqrt(m/d) * (1 + log(m/d)), valid for N <= ord(b, m) and d = 1
-    or d < m/m1, where d = gcd(a, m).  The report's m field carries the
+    short: sqrt(m/d) (1 + log(m/d)), valid for N <= ord(b, m) and d = 1 or
+    d < m/m1, where d = gcd(a, m).  The report's m field carries the
     reduced modulus m/d so the report invariant stays intact.
-    long : (sqrt(m) + M N / sqrt(m)) * (1 + log m), valid for d = 1, any N.
+    long : (sqrt(m) + M N / sqrt(m)) (1 + log m), valid for d = 1, any N.
+    Each of sqrt, M N / sqrt m and 1 + log is rounded up.
     """
-    if N < 1:
-        raise OutOfRange("N must be positive")
     if d < 1 or m % d != 0:
         raise RangeViolation(f"d={d} must divide m={m}")
-    mb = ModulusBounds(m, P, b)
     if form == "short":
-        struct = mb.structure
+        struct = factor_smooth(m, P).order_structure(b)
         if N > struct.order:
             raise RangeViolation(f"short form needs N <= ord(b, m) = {struct.order}")
         if not (d == 1 or d * struct.m1 < m):
             raise RangeViolation(f"short form needs d=1 or d < m/m1 = {m}/{struct.m1}")
-        tm, bound = mb.short(d)
+        tm, bound = _one_row(m // d, N, P, b).short[0].tolist()
         return BoundReport(m // d, N, 0, bound, tm, 0.0, bound < N, "short")
     if form == "long":
         if d != 1:
             raise RangeViolation("long form requires gcd(a, m) = 1")
-        tm, ts, bound = mb.long(N)
+        tm, ts, bound = _one_row(m, N, P, b).long[0].tolist()
         return BoundReport(m, N, 0, bound, tm, ts, bound < N, "long")
     raise OutOfRange(f"unknown baseline form {form!r}")
 
@@ -503,10 +499,9 @@ def best_k(m: int, N: int, P: PrimeSet, b: int, k_max: int) -> BestK:
     alongside the prediction from optimal-range membership of log N / log m."""
     if k_max < 0:
         raise OutOfRange("k_max must be non-negative")
-    if N < 1:
-        raise OutOfRange("N must be positive")
-    recs, k_star = ModulusBounds(m, P, b, range(k_max + 1)).recursive(N)
-    tm, ts, bound = recs[k_star]
+    table = _one_row(m, N, P, b, range(k_max + 1))
+    k_star = int(table.best[0])
+    tm, ts, bound = table.recursive[0, k_star].tolist()
     winner = BoundReport(m, N, k_star, bound, tm, ts, bound < N, "recursive")
     k_hat = None
     if m > 1:

@@ -21,11 +21,13 @@ from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-# bounds and sumeval come first, so that they are compiled before numpy loads
-# (sumeval loads it): a module compiled after numpy has loaded keeps about
-# 5 KB resident per line (VmHWM of `import korosum.cli`, CPython 3.11).
+# bounds and sumeval come first, and numpy after them, so that they are
+# compiled before numpy loads (sumeval loads it): a module compiled after
+# numpy has loaded keeps about 5 KB resident per line (VmHWM of
+# `import korosum.cli`, CPython 3.11).
 from . import bounds, sumeval
 from . import digits, normalnum, numtheory
+import numpy as np
 from .errors import BoundViolation, ConfigError, KorosumError, OutOfRange
 from .numtheory import PrimeSet
 
@@ -265,48 +267,49 @@ def _scan_chunk(moduli: Sequence[int], config: ScanConfig) -> Tuple[List[ScanRow
     """All rows for consecutive moduli; returns (rows, violation_or_None),
     stopping at the first violation in (m, a, N) order.
 
-    The bounds depend on (m, N) alone, so each is evaluated once per N and
-    checked against every unit's sum; the sums of the whole chunk come from
-    one eval_scan_sums call.
+    The bounds depend on (m, N) alone: one bound_table call evaluates them
+    for every (m, N) of the chunk, and each is checked against every unit's
+    sum; the sums of the whole chunk come from one eval_scan_sums call.
     """
-    b, P, ks = config.b, PrimeSet(config.primes), range(config.k_lo, config.k_hi + 1)
-    cells = []
+    b, P = config.b, PrimeSet(config.primes)
+    cells, pairs, in_order, prime_bound = [], [], [], []
     for m in moduli:
-        mb = bounds.ModulusBounds(m, P, b, ks)
-        prime_powers = [(p, e) for p, e in mb.fac.exponents.items() if e]
-        prime_base = prime_powers[0] if len(prime_powers) == 1 and prime_powers[0][0] % 2 else None
-        short_bound = mb.short()[1]
-        per_n = []
-        for N in _n_values_for(m, config.n_policy):
-            recs, best = mb.recursive(N)
-            rec = recs[best][2]
-            main = mb.main(best, N)[2]
-            long_val = mb.long(N)[2]
-            short = short_bound if N <= mb.structure.order else None
-            prime_val = None
-            if prime_base is not None and N >= 2:
-                prime_val = bounds.bound_korobov_prime(prime_base[0], prime_base[1], N)
-            valid_bounds = [r[2] for r in recs] + [main, long_val]
-            if short is not None:
-                valid_bounds.append(short)
-            row_bounds = (rec, main, long_val, short, prime_val, rec < N, main < N)
-            # x -> x * (1 + slack) is monotone: a sum exceeds some bound
-            # beyond slack exactly when it exceeds the least one
-            limit = min(valid_bounds) * (1.0 + VALIDITY_SLACK)
-            per_n.append((N, mb.ks[best], limit, valid_bounds, row_bounds))
-        units = tuple(_units_for(mb.fac, config.a_policy, config.seed))
-        cells.append((m, mb.structure.order, units, per_n))
-    sums = sumeval.eval_scan_sums(b, [(m, T, units, [N for N, *_ in per_n])
-                                      for m, T, units, per_n in cells])
+        fac = numtheory.factor_smooth(m, P)
+        T = fac.order_structure(b).order
+        prime_powers = [(p, e) for p, e in fac.exponents.items() if e]
+        base = prime_powers[0] if len(prime_powers) == 1 and prime_powers[0][0] % 2 else None
+        Ns = _n_values_for(m, config.n_policy)
+        cells.append((m, T, tuple(_units_for(fac, config.a_policy, config.seed)), Ns))
+        pairs += [(m, N) for N in Ns]
+        in_order += [N <= T for N in Ns]
+        prime_bound += [bounds.bound_korobov_prime(*base, N) if base and N >= 2 else None for N in Ns]
+    table = bounds.bound_table(pairs, P, b, range(config.k_lo, config.k_hi + 1))
+    levels = table.recursive[..., 2]
+    rec = levels.min(axis=1)
+    main, long, short = table.main[:, 2], table.long[:, 2], table.short[:, 1]
+    # x -> x * (1 + slack) is monotone: a sum exceeds some bound beyond
+    # slack exactly when it exceeds the least one
+    limits = np.minimum(np.minimum(rec, main), np.minimum(long, np.where(in_order, short, np.inf)))
+    limits = (limits * (1.0 + VALIDITY_SLACK)).tolist()
+    k_stars = (table.best + config.k_lo).tolist()
+    rec, main, long, short = rec.tolist(), main.tolist(), long.tolist(), short.tolist()
+    sums = sumeval.eval_scan_sums(b, cells)
     rows: List[ScanRow] = []
-    for (m, _, units, per_n), values in zip(cells, sums):
+    start = 0
+    for (m, _, units, Ns), values in zip(cells, sums):
+        at, start = range(start, start + len(Ns)), start + len(Ns)
+        short_m = short[at[0]]  # the rows of m share one float
+        per_n = [(j, N, (rec[j], main[j], long[j], short_m if in_order[j] else None, prime_bound[j],
+                         rec[j] < N, main[j] < N)) for j, N in zip(at, Ns)]
         for a, unit_values in zip(units, values):
-            for (N, k_star, limit, valid_bounds, row_bounds), value in zip(per_n, unit_values):
+            for (j, N, row_bounds), value in zip(per_n, unit_values):
                 s_abs = abs(value)
-                if s_abs > limit:
-                    v = next(v for v in valid_bounds if s_abs > v * (1.0 + VALIDITY_SLACK))
+                if s_abs > limits[j]:
+                    valid = levels[j].tolist() + [main[j], long[j]]
+                    valid += [short_m] if in_order[j] else []
+                    v = next(v for v in valid if s_abs > v * (1.0 + VALIDITY_SLACK))
                     return rows, {"m": m, "a": a, "N": N, "s_abs": s_abs, "violated_bound": v}
-                rows.append(ScanRow(m, a, N, k_star, s_abs, s_abs / N, *row_bounds))
+                rows.append(ScanRow(m, a, N, k_stars[j], s_abs, s_abs / N, *row_bounds))
     return rows, None
 
 
@@ -402,12 +405,10 @@ def _dumps(payload, indent: int) -> str:
     return json.dumps(_to_jsonable(payload), indent=indent, allow_nan=False)
 
 
-def _emit(args, payload, text_lines: Sequence[str]) -> None:
-    if args.json:
-        print(_dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit(args, payload, text_lines: Sequence[str]) -> int:
+    """Print the payload as JSON (--json) or the text lines; exit status 0."""
+    print(_dumps(payload, indent=2) if args.json else "\n".join(text_lines))
+    return 0
 
 
 def _parse_primes(text: str) -> Tuple[int, ...]:
@@ -421,6 +422,13 @@ def _parse_primes(text: str) -> Tuple[int, ...]:
 #: every k up to it (on the Stoneham schedule, on a 2-vCPU Xeon guest: 0.17 s
 #: at 1000, 1.3 s at 2000, unfinished after 15 s at 100000).
 MAX_K_CHECK = 1000
+#: Most terms of `sum` without --reduced: 6 s on the blocked path on that
+#: guest, 90 s for m above 3.04e9.
+MAX_SUM_TERMS = 10**8
+#: Largest `verify --n`, and most N^2/tau with tau = ord(b, m'): the fast path
+#: keeps about 48 N bytes, and both paths take N^2/(2 tau) inner-sum terms
+#: (on that guest 0.04 s on the fast path, 3 s on the exact, 45 s above 3.04e9).
+MAX_VERIFY_N, MAX_VERIFY_WORK = 10**6, 10**8
 
 
 def _int_in(lo: int, hi: Optional[int] = None):
@@ -442,24 +450,24 @@ def _int_in(lo: int, hi: Optional[int] = None):
 def _cmd_order(args) -> int:
     if args.primes:
         st = numtheory.factor_smooth(args.m, PrimeSet(args.primes)).order_structure(args.b)
-        _emit(args, st, [
+        return _emit(args, st, [
             f"ord({args.b}, {args.m}) = {st.order}",
             f"  tau1={st.tau1} mu={st.mu} tau'={st.tau_prime} m1={st.m1} beta={st.beta}",
         ])
-    else:
-        order = numtheory.mult_order(args.b, args.m)
-        _emit(args, {"order": order}, [f"ord({args.b}, {args.m}) = {order}"])
-    return 0
+    order = numtheory.mult_order(args.b, args.m)
+    return _emit(args, {"order": order}, [f"ord({args.b}, {args.m}) = {order}"])
 
 
 def _cmd_sum(args) -> int:
+    if not args.reduced and args.n > MAX_SUM_TERMS:
+        raise OutOfRange(f"--n must be at most {MAX_SUM_TERMS} terms, got {args.n}; "
+                         "--reduced evaluates one period ord(b, m) and folds")
     fn = sumeval.eval_sum_reduced if args.reduced else sumeval.eval_sum
     res = fn(args.a, args.b, args.m, args.n)
-    _emit(args, res, [
+    return _emit(args, res, [
         f"S_{args.n}({args.a}/{args.m}, b={args.b}) = {res.value:.12g}",
         f"|S| = {res.magnitude:.12g}   |S|/N = {res.magnitude / args.n:.6g}",
     ])
-    return 0
 
 
 def _cmd_bound(args) -> int:
@@ -467,21 +475,19 @@ def _cmd_bound(args) -> int:
     if args.form == "best":
         best = bounds.best_k(args.m, args.n, P, args.b, args.k_max)
         rep = best.report
-        _emit(args, {**dataclasses.asdict(rep), "k_hat": best.k_hat}, [
+        return _emit(args, {**dataclasses.asdict(rep), "k_hat": best.k_hat}, [
             f"best level k*={best.k_star} (interval prediction k_hat={best.k_hat})",
             f"bound = {rep.bound_value:.6g}  nontrivial={rep.nontrivial}",
         ])
-        return 0
     if args.form in ("short", "long"):
         rep = bounds.bound_baseline(args.m, args.n, args.d, P, args.b, args.form)
     else:
         rep = bounds.bound_eval(args.m, args.n, args.k, P, args.b, args.form)
-    _emit(args, rep, [
+    return _emit(args, rep, [
         f"{rep.source} bound at k={rep.k}: {rep.bound_value:.6g} "
         f"(terms {rep.term_main:.6g} + {rep.term_secondary:.6g}), "
         f"nontrivial={rep.nontrivial}",
     ])
-    return 0
 
 
 def _cmd_intervals(args) -> int:
@@ -501,8 +507,7 @@ def _cmd_intervals(args) -> int:
         if tk is not None:
             line += f"   optimal ~ [{float(tk.lo):.6f}, {float(tk.hi):.6f}]"
         lines.append(line)
-    _emit(args, {"intervals": rows}, lines)
-    return 0
+    return _emit(args, {"intervals": rows}, lines)
 
 
 def _cmd_constants(args) -> int:
@@ -525,8 +530,7 @@ def _cmd_constants(args) -> int:
         f"c = {lc.c:.18f} +/- {lc.tail_bound:.3g}",
     ]
     lines += [f"  k={cs.k}: A_k = {cs.a_k:.6g}, B_k = {cs.b_k:.6g}" for cs in table]
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, payload, lines)
 
 
 def _load_json(path: str):
@@ -566,8 +570,7 @@ def _cmd_digits(args) -> int:
     ]
     if args.primes:
         lines.append(f"envelope {rep.envelope:.6g}, ratio {rep.ratio:.6g} (advisory)")
-    _emit(args, rep, lines)
-    return 0
+    return _emit(args, rep, lines)
 
 
 def _cmd_normal(args) -> int:
@@ -585,11 +588,13 @@ def _cmd_normal(args) -> int:
     lines += [f"  N={n:>9}  D* = {d:.6f}  (D <= {2 * d:.6f})" for n, d in trace.rows]
     lines.append(f"final D* = {trace.final_d_star:.6f}, trend decreasing: "
                  f"{trace.overall_decreasing}")
-    _emit(args, payload, lines)
-    return 0
+    return _emit(args, payload, lines)
 
 
 def _cmd_verify(args) -> int:
+    if args.n > MAX_VERIFY_N or args.n**2 > MAX_VERIFY_WORK * numtheory.mult_order(args.b, args.m_prime):
+        raise OutOfRange(f"--n must be at most {MAX_VERIFY_N}, with N^2/tau at most "
+                         f"{MAX_VERIFY_WORK} (tau = ord(b, m')), got {args.n}")
     rep = sumeval.verify_differencing(args.a, args.b, args.m, args.m_prime, args.n)
     _emit(args, rep, [
         f"lhs^2 = {rep.lhs_squared:.6g}  rhs = {rep.rhs:.6g}  "

@@ -417,8 +417,8 @@ def _ref_level(m, N, k, P, b, form):
     log_pow_sec = -float(ex.alpha) * log_m + float(ex.nu) * log_n
     if form == "recursive":
         cs = bd.constants(k, P, b)
-        tm = nt.round_up(cs.a_k * math.exp(log_pow_main))
-        ts = nt.round_up(cs.b_k * math.exp(log_pow_sec))
+        tm = nt.round_up(cs.a_k * _exp_or_overflow(log_pow_main))
+        ts = nt.round_up(cs.b_k * _exp_or_overflow(log_pow_sec))
     else:
         kc = bd.k_constants(P, b)
         tm = bd._exp_or_inf(kc.log_k1 + k * math.log(kc.k2) + log_pow_main)
@@ -427,9 +427,20 @@ def _ref_level(m, N, k, P, b, form):
     return tm, ts, (tm + ts) * logfac
 
 
+def _exp_or_overflow(x):
+    """math.exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _ref_long(m, N, P, b):
     tm = nt.round_up(math.sqrt(m))
-    ts = nt.round_up(nt.capital_m(P, b) * N / math.sqrt(m))
+    try:
+        ts = nt.round_up(nt.capital_m(P, b) * N / math.sqrt(m))
+    except OverflowError:  # M N past the float range
+        ts = math.inf
     logfac = nt.round_up(1.0 + math.log(m))
     return tm, ts, (tm + ts) * logfac
 
@@ -480,6 +491,11 @@ class TestAgainstPerCallReference:
         # m = 3^20 is above _INT64_SAFE_M
         ((3,), 2, [3**19, 3**20], {"kind": "sample", "count": 2},
          {"kind": "explicit", "values": [1, 8, 100]}, 0, 3),
+        # N near the top of the float range: at 10^300 levels 2-4 read inf and
+        # level 5 does not; at 10^308 every level and M N read inf, and the
+        # tie between the levels goes to the first, k_lo
+        ((3,), 2, [3, 27, 3**5], {"kind": "sample", "count": 2},
+         {"kind": "explicit", "values": [5, 10**300, 10**308]}, 2, 5),
     ]
 
     def test_scan_rows(self, monkeypatch):
@@ -524,13 +540,58 @@ class TestAgainstPerCallReference:
         assert {(2, 3**10, 3**11), (2, 3**20, 1), (2, 3**20, 100)} <= set(reduced)
         assert any(r[0] == 3**10 and r[2] == 100 for r in got)
         assert any(r[0] == 27 and r[2] == 100 for r in got) and nt.mult_order(2, 27) == 18
+        # rows past the float range: the least level after levels that read
+        # inf, and rows where every level, main and long read inf
+        huge = [r for r in got if r[2] in (10**300, 10**308)]
+        assert len(huge) == 12
+        assert all(r[3] == 5 and r[6] != "inf" for r in huge if r[2] == 10**300)
+        assert all(r[3] == 2 and r[6] == r[7] == r[8] == "inf" for r in huge if r[2] == 10**308)
+
+    @pytest.mark.parametrize("between", ["least_and_second", "second_and_third", "within_slack"])
+    def test_scan_violation(self, monkeypatch, between):
+        """A sum planted between two bounds of its row: the scan reports the
+        first bound it exceeds beyond slack, in the order levels k_lo..k_hi,
+        main, long, short, after the rows before it in (m, a, N) order."""
+        P, m, a, N, slack = P3, 27, 2, 6, cli.VALIDITY_SLACK
+        levels = [_ref_level(m, N, k, P, 2, "recursive")[2] for k in range(4)]
+        k_star = levels.index(min(levels))
+        ordered = levels + [_ref_level(m, N, k_star, P, 2, "main")[2], _ref_long(m, N, P, 2)[2],
+                            _ref_short(m, 1)[1]]
+        assert N <= nt.mult_order(2, m)  # the short bound holds at this row
+        least, second, third = sorted(set(ordered))[:3]
+        s_abs = {"least_and_second": least * (1.0 + 2 * slack),
+                 "second_and_third": (second + third) / 2,
+                 "within_slack": least * (1.0 + slack / 2)}[between]
+        want = next((v for v in ordered if s_abs > v * (1.0 + slack)), None)
+        # the first bound exceeded is the least, is not the least, or is none
+        assert want == {"least_and_second": least, "second_and_third": second,
+                        "within_slack": None}[between]
+        real = se.eval_scan_sums
+
+        def planted(b, cells):
+            sums = real(b, cells)
+            i = [cell[0] for cell in cells].index(m)
+            sums[i][cells[i][2].index(a)][cells[i][3].index(N)] = complex(0.0, s_abs)
+            return sums
+
+        monkeypatch.setattr(se, "eval_scan_sums", planted)
+        config = cli.ScanConfig((3,), 2, 9, 81, {"kind": "fixed", "values": [1, 2]},
+                                {"kind": "explicit", "values": [2, N, 50]}, 0, 3, 42, None, "csv", 1)
+        rows, violation = cli._scan_chunk([9, 27, 81], config)
+        keys = [(r.m, r.a, r.N) for r in rows]
+        if want is None:
+            assert violation is None and len(keys) == 18 and (m, a, N) in keys
+            return
+        assert violation == {"m": m, "a": a, "N": N, "s_abs": s_abs, "violated_bound": want}
+        assert keys == [(9, 1, 2), (9, 1, 6), (9, 1, 50), (9, 2, 2), (9, 2, 6), (9, 2, 50),
+                        (27, 1, 2), (27, 1, 6), (27, 1, 50), (27, 2, 2)]
 
     @pytest.mark.parametrize("primes,b,moduli", [(c[0], c[1], c[2]) for c in CASES])
     def test_single_bound_calls(self, primes, b, moduli):
         P = nt.PrimeSet(primes)
         for m in moduli:
             order = nt.mult_order(b, m)
-            for N in (1, 2, 30, order, order + 1, 5 * m):
+            for N in (1, 2, 30, order, order + 1, 5 * m, 10**300, 10**308):
                 for k in range(7):
                     for form in ("recursive", "main"):
                         rep = bd.bound_eval(m, N, k, P, b, form)

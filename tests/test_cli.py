@@ -356,11 +356,12 @@ class TestCommands:
         assert cli.main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         # the levels whose terms overflow read inf; the least bound is finite
-        recs, best = bd.ModulusBounds(729, nt.PrimeSet.of(3), 2, range(9)).recursive(N)
-        assert math.inf in [bound for _, _, bound in recs]
+        table = bd.bound_table([(729, N)], nt.PrimeSet.of(3), 2, range(9))
+        levels, best = table.recursive[0, :, 2].tolist(), int(table.best[0])
+        assert math.inf in levels
         assert payload["k"] == best
-        assert payload["bound_value"] == recs[best][2] < math.inf
-        assert payload["nontrivial"] == (recs[best][2] < N)
+        assert payload["bound_value"] == levels[best] < math.inf
+        assert payload["nontrivial"] == (levels[best] < N)
 
     def test_scan_n_past_float_range(self, tmp_path, capsys):
         doc = make_config(m_range=[3, 30], N_policy={"kind": "explicit", "values": [10**300]})
@@ -545,6 +546,52 @@ class TestFlagRanges:
     def test_intervals_k_max_at_max_level(self, capsys):
         assert cli.main(["intervals", "--k-max", "50", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["intervals"]) == 51
+
+    @staticmethod
+    def _tripwire(name):
+        def called(*args):
+            raise AssertionError(f"{name}{args} called past the limit")
+        return called
+
+    def test_sum_past_term_limit(self, monkeypatch, capsys):
+        # direct evaluation defines sum's bits, so it is refused, not folded
+        for name in ("eval_sum", "eval_sum_reduced"):
+            monkeypatch.setattr(se, name, self._tripwire(name))
+        n = cli.MAX_SUM_TERMS + 1
+        assert cli.main(["sum", "--a", "1", "--b", "2", "--m", "9", "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert f"--n must be at most {cli.MAX_SUM_TERMS}" in err and "--reduced" in err
+
+    def test_sum_reduced_has_no_term_limit(self, capsys):
+        argv = ["sum", "--a", "1", "--b", "2", "--m", "9", "--n", str(10**40), "--reduced", "--json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["N"] == 10**40
+
+    @pytest.mark.parametrize("m_prime,n", [(str(3**10), cli.MAX_VERIFY_N + 1),  # tau = 39366
+                                           # tau = ord(2, 3) = 2: N^2 / 2 just past the limit
+                                           ("3", math.isqrt(2 * cli.MAX_VERIFY_WORK) + 1),
+                                           # tau = ord(2, 3^5) = 162
+                                           ("243", math.isqrt(162 * cli.MAX_VERIFY_WORK) + 1)])
+    def test_verify_past_limits(self, monkeypatch, capsys, m_prime, n):
+        monkeypatch.setattr(se, "verify_differencing", self._tripwire("verify_differencing"))
+        argv = ["verify", "--a", "1", "--b", "2", "--m", str(3**12), "--m-prime", m_prime, "--n", str(n)]
+        assert cli.main(argv) == 2
+        assert "--n must be at most" in capsys.readouterr().err
+        argv[-1] = str(n - 1)  # inside the limits: verify_differencing is reached
+        with pytest.raises(AssertionError, match="called past the limit"):
+            cli.main(argv)
+
+    def test_verify_limits_admit_criterion_05(self):
+        # criterion 05 draws N <= 5000, and tau >= 1
+        assert 5000 <= cli.MAX_VERIFY_N and 5000**2 <= cli.MAX_VERIFY_WORK
+
+    def test_bound_long_past_float_range_modulus(self, capsys):
+        # sqrt m past the float range reads inf (it raised OverflowError)
+        argv = ["bound", "--m", str(3**700), "--n", "10", "--primes", "3", "--b", "2",
+                "--form", "long", "--json"]
+        assert cli.main(argv) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["term_main"] == payload["term_secondary"] == payload["bound_value"] == "inf"
 
     def test_digits_letter_pattern(self, capsys):
         argv = ["digits", "--a", "1", "--m", str(3**9), "--base", "16", "--pattern", "1f",
