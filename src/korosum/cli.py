@@ -422,9 +422,12 @@ def _parse_primes(text: str) -> Tuple[int, ...]:
 #: every k up to it (on the Stoneham schedule, on a 2-vCPU Xeon guest: 0.17 s
 #: at 1000, 1.3 s at 2000, unfinished after 15 s at 100000).
 MAX_K_CHECK = 1000
-#: Most terms of `sum` without --reduced: 6 s on the blocked path on that
-#: guest, 90 s for m above 3.04e9.
+#: Most terms of `sum`, N or with --reduced min(N, T) + (N mod T if N >= T)
+#: for T = ord(b, m): 6 s on the blocked path on that guest, 90 s above 3.04e9.
 MAX_SUM_TERMS = 10**8
+#: Largest `digits --n`: 1 s on that guest while b m stays in int64, 35 s
+#: past it (Python-int digits).
+MAX_DIGITS = 10**8
 #: Largest `verify --n`, and most N^2/tau with tau = ord(b, m'): the fast path
 #: keeps about 48 N bytes, and both paths take N^2/(2 tau) inner-sum terms
 #: (on that guest 0.04 s on the fast path, 3 s on the exact, 45 s above 3.04e9).
@@ -459,9 +462,11 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    if not args.reduced and args.n > MAX_SUM_TERMS:
-        raise OutOfRange(f"--n must be at most {MAX_SUM_TERMS} terms, got {args.n}; "
-                         "--reduced evaluates one period ord(b, m) and folds")
+    T = numtheory.mult_order(args.b, args.m) if args.reduced else math.inf
+    if min(args.n, T) + (args.n % T if args.n >= T else 0) > MAX_SUM_TERMS:
+        raise OutOfRange(f"--n must be at most {MAX_SUM_TERMS} terms, got {args.n}; " + (
+            f"--reduced evaluates min(N, T) + (N mod T if N >= T) terms, T = ord(b, m) = {T}" if args.reduced
+            else "--reduced evaluates one period ord(b, m) and folds"))
     fn = sumeval.eval_sum_reduced if args.reduced else sumeval.eval_sum
     res = fn(args.a, args.b, args.m, args.n)
     return _emit(args, res, [
@@ -557,6 +562,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_digits(args) -> int:
+    if args.n > MAX_DIGITS:
+        raise OutOfRange(f"--n must be at most {MAX_DIGITS} digits, got {args.n}")
     pattern = digits.DigitPattern.from_string(args.pattern, args.base)
     if args.primes:
         P = PrimeSet(args.primes)

@@ -116,38 +116,34 @@ class SmoothFactorization:
     n: int
     exponents: Dict[int, int]
 
-    def radical(self) -> int:
-        r = 1
-        for p, e in self.exponents.items():
-            if e > 0:
-                r *= p
-        return r
-
     def order_structure(self, b: int) -> "ModulusStructure":
         """Order of b mod n from the structure of n alone (no iteration in n).
 
         tau1 = ord(b, rad n); mu = 1 iff n even, tau1 odd and b = 3 mod 4;
         beta[p] from p^beta || b**((mu+1)*tau1) - 1; m1 clips beta to the
         exponents of n; tau' doubles tau1 exactly when mu = 1 and 4 | n.
-        The resulting order is (n/m1) * tau'.
+        The resulting order is (n/m1) * tau'.  tau1, mu and beta depend on b
+        and the primes of n alone, so they come from an lru cache
+        (_radical_structure); each result has a beta dict of its own.
         """
         m = self.n
         if b < 2:
             raise OutOfRange("b must be at least 2")
         if math.gcd(b, m) != 1:
             raise NotCoprime(b, m)
-        if m == 1:
-            return ModulusStructure(1, 1, 0, 1, {}, 1, 1)
-        primes_of_m = [p for p, e in self.exponents.items() if e > 0]
-        tau1 = mult_order(b, self.radical())
-        mu = 1 if (m % 2 == 0 and tau1 % 2 == 1 and b % 4 == 3) else 0
-        e = (mu + 1) * tau1
-        beta = {p: _val_of_power_minus_one(b, e, p) for p in primes_of_m}
-        m1 = 1
-        for p in primes_of_m:
-            m1 *= p ** min(self.exponents[p], beta[p])
+        tau1, mu, beta = _radical_structure(b, tuple(p for p, e in self.exponents.items() if e > 0))
+        m1 = math.prod(p ** min(self.exponents[p], v) for p, v in beta)
         tau_prime = 2 * tau1 if (mu == 1 and m % 4 == 0) else tau1
-        return ModulusStructure(m, tau1, mu, tau_prime, beta, m1, (m // m1) * tau_prime)
+        return ModulusStructure(m, tau1, mu, tau_prime, dict(beta), m1, (m // m1) * tau_prime)
+
+
+@lru_cache(maxsize=1024)
+def _radical_structure(b: int, primes: Tuple[int, ...]) -> Tuple[int, int, Tuple[Tuple[int, int], ...]]:
+    """(tau1, mu, ((p, beta[p]), ...)) of order_structure for the moduli with
+    exactly these prime factors, coprime to b."""
+    tau1 = mult_order(b, math.prod(primes))
+    mu = 1 if (2 in primes and tau1 % 2 == 1 and b % 4 == 3) else 0
+    return tau1, mu, tuple((p, _val_of_power_minus_one(b, (mu + 1) * tau1, p)) for p in primes)
 
 
 @dataclass

@@ -8,9 +8,11 @@ bound).  Large sums run through a block-vectorized path whose integer work
 stays exact in int64 and whose reduction tree has a fixed shape, making
 results bit-reproducible for a given input regardless of who calls them.
 The scan hands eval_scan_sums a chunk of moduli at once: sums whose windows
-are all short come from one batched int64 walk per chunk, and the units of
-one modulus that need a long full period share one streamed walk per coset
-of <b>; both give the bits of the per-call evaluators.
+are all short come from one batched int64 walk per chunk, each term split
+exactly into two 40-bit fixed-point slices whose prefix sums are exact (fsum
+where a term leaves bits below 2^-80), and the units of one modulus that
+need a long full period share one streamed walk per coset of <b>; both give
+the bits of the per-call evaluators.
 """
 
 from __future__ import annotations
@@ -228,6 +230,24 @@ def _fold(N: int, T: int, window) -> complex:
     return value
 
 
+def _prefix_fsums(x):
+    """(s, exact) for x in [-1, 1] with fewer than _SCALAR_CUTOFF terms per
+    row (last axis): s[..., L-1] is fsum(x[..., :L]) bit for bit in each row
+    whose exact is True.
+
+    Each x splits exactly as h1 + h2 + rest, h1 and h2 multiples of 2^-40
+    and 2^-80; exact marks rows with no rest (every |x| >= 2^-28 has none).
+    A row's h1 (h2) prefix is below 2^51 units of 2^-40 (2^-80), so np.cumsum
+    adds exactly; their sum rounds the exact total once, as fsum does.  No
+    exact h2 prefix is -0.0 (rest = x - h1 never is), so a zero total is
+    +0.0, as fsum's is.
+    """
+    h1 = np.rint(x * 2.0**40) * 2.0**-40
+    rest = x - h1
+    h2 = np.rint(rest * 2.0**80) * 2.0**-80
+    return np.cumsum(h1, axis=-1) + np.cumsum(h2, axis=-1), (rest == h2).all(axis=-1)
+
+
 def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     """[[[eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units]
     for m, T, units, Ns in cells], given T = ord(b, m), bit for bit.
@@ -235,10 +255,11 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     A sum is short when m <= _INT64_SAFE_M and its windows (T if N >= T,
     N mod T if non-zero) are below _SCALAR_CUTOFF: every short window of
     (m, a) is a prefix of the residues a b^n mod m, n = 1..min(T, N).  These
-    walks are sorted by length into batches of at most _SCALAR_CUTOFF
-    residues, doubled in int64 like _power_table; numpy's cos/sin equal
-    math's (a test pins it) and fsum rounds correctly, so every window is
-    _eval_scalar's.  Other sums take one eval_sum_reduced call per (m, N).
+    walks are sorted by length into batches of at most _BLOCK residues,
+    doubled in int64 like _power_table.  numpy's cos/sin equal math's (a test
+    pins it), and each window is the fsum of its terms, by _prefix_fsums or,
+    in a walk it cannot split exactly, by fsum: _eval_scalar's bits.  Other
+    sums take one eval_sum_reduced call per (m, N).
     """
     out, walks = [], []
     for m, T, units, Ns in cells:
@@ -249,12 +270,13 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
                 for row, res in zip(out[-1], eval_sum_reduced(units, b, m, N)):
                     row[j] = res.value
         if short:
-            width = min(T, max(Ns[j] for j in short))
-            walks += [(width, a, m, T, Ns, short, row) for a, row in zip(units, out[-1])]
+            lengths = sorted({L for j in short for L in (T if Ns[j] >= T else 0, Ns[j] % T) if L})
+            walks += [(lengths[-1], a, m, T, [(Ns[j], j) for j in short], lengths, row)
+                      for a, row in zip(units, out[-1])]
     walks.sort(key=lambda w: w[0])
     while walks:
         n = 1
-        while n < len(walks) and (n + 1) * walks[n][0] <= _SCALAR_CUTOFF:
+        while n < len(walks) and (n + 1) * walks[n][0] <= _BLOCK:
             n += 1
         batch, walks = walks[:n], walks[n:]
         width = batch[-1][0]
@@ -268,12 +290,17 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
             step = step * step % m
             k *= 2
         theta = res * (TWO_PI / m)
-        for (_, _, _, T, Ns, short, row), re, im in zip(batch, np.cos(theta).tolist(),
-                                                        np.sin(theta).tolist()):
-            lengths = {L for j in short for L in (T if Ns[j] >= T else 0, Ns[j] % T) if L}
-            sums = {L: complex(fsum(re[:L]), fsum(im[:L])) for L in lengths}
-            for j in short:
-                row[j] = _fold(Ns[j], T, sums.__getitem__)
+        z = np.stack((np.cos(theta), np.sin(theta)), axis=1)
+        prefix, exact = _prefix_fsums(z)
+        for i in np.flatnonzero(~exact.all(axis=1)):
+            for L in batch[i][5]:
+                prefix[i, :, L - 1] = [fsum(x) for x in z[i, :, :L].tolist()]
+        at, ends = zip(*[(i, L - 1) for i, w in enumerate(batch) for L in w[5]])
+        got = iter(prefix[at, :, ends].tolist())
+        for _, _, _, T, Nj, lengths, row in batch:
+            sums = {L: complex(*next(got)) for L in lengths}
+            for N, j in Nj:
+                row[j] = _fold(N, T, sums.__getitem__)
     return out
 
 

@@ -18,7 +18,8 @@ from typing import Union
 from korosum.bounds import RationalInterval
 from korosum.cli import ScanRow
 from korosum.errors import NotCoprime, NotDivisor, OutOfRange
-from korosum.numtheory import PrimeSet, Rational, carmichael_lambda, factor_smooth, factorize
+from korosum.numtheory import (ModulusStructure, PrimeSet, Rational, carmichael_lambda, factor_smooth,
+                               factorize)
 
 
 def factorize_trial(n: int) -> dict:
@@ -54,6 +55,23 @@ def mult_order_naive(b: int, m: int) -> int:
         t += 1
         assert t <= cap, f"order of {b} mod {m} exceeded lambda={cap}"
     return t
+
+
+def order_structure_uncached(m: int, P: PrimeSet, b: int) -> ModulusStructure:
+    """ModulusStructure of b mod the P-smooth m from its definitions, per
+    modulus: tau1 = ord(b, rad m) by iteration, each beta[p] by dividing p
+    out of the integer b**((mu+1) tau1) - 1."""
+    exps = {p: e for p, e in factor_smooth(m, P).exponents.items() if e}
+    tau1 = mult_order_naive(b, math.prod(exps))
+    mu = 1 if (m % 2 == 0 and tau1 % 2 == 1 and b % 4 == 3) else 0
+    beta = {}
+    for p in exps:
+        x, beta[p] = b ** ((mu + 1) * tau1) - 1, 0
+        while x % p == 0:
+            x, beta[p] = x // p, beta[p] + 1
+    m1 = math.prod(p ** min(e, beta[p]) for p, e in exps.items())
+    tau_prime = 2 * tau1 if (mu == 1 and m % 4 == 0) else tau1
+    return ModulusStructure(m, tau1, mu, tau_prime, beta, m1, m // m1 * tau_prime)
 
 
 def divisor_power_sum(n: int, alpha: Rational, P: Union[PrimeSet, None] = None) -> float:

@@ -567,6 +567,38 @@ class TestFlagRanges:
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["N"] == 10**40
 
+    @pytest.mark.parametrize("m,n", [(3**17, cli.MAX_SUM_TERMS + 1),  # T = 86093442: T + (N - T)
+                                     (3**18, cli.MAX_SUM_TERMS + 1),  # T = 258280326 > N
+                                     (3**40, 10**22)])  # T = 2 3^39 ~ 8.1e18
+    def test_sum_reduced_past_folded_limit(self, monkeypatch, capsys, m, n):
+        monkeypatch.setattr(se, "eval_sum_reduced", self._tripwire("eval_sum_reduced"))
+        argv = ["sum", "--a", "1", "--b", "2", "--m", str(m), "--n", str(n), "--reduced"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--n must be at most {cli.MAX_SUM_TERMS}" in err
+        assert f"T = ord(b, m) = {nt.mult_order(2, m)}" in err
+        if n == cli.MAX_SUM_TERMS + 1:  # min(N, T) + (N mod T if N >= T) is at the limit
+            argv[-2] = str(n - 1)
+            with pytest.raises(AssertionError, match="called past the limit"):
+                cli.main(argv)
+
+    @pytest.mark.parametrize("reduced", [[], ["--reduced"]])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sum_non_positive_n(self, capsys, n, reduced):
+        assert cli.main(["sum", "--a", "1", "--b", "2", "--m", "9", "--n", n] + reduced) == 2
+        assert "N must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("primes", [[], ["--primes", "7"]])
+    def test_digits_past_limit(self, monkeypatch, capsys, primes):
+        monkeypatch.setattr(dg, "count_occurrences", self._tripwire("count_occurrences"))
+        argv = ["digits", "--a", "1", "--m", "7", "--base", "10", "--pattern", "14",
+                "--n", str(cli.MAX_DIGITS + 1)] + primes
+        assert cli.main(argv) == 2
+        assert f"--n must be at most {cli.MAX_DIGITS} digits" in capsys.readouterr().err
+        argv[argv.index("--n") + 1] = str(cli.MAX_DIGITS)  # at the cap: the count is reached
+        with pytest.raises(AssertionError, match="called past the limit"):
+            cli.main(argv)
+
     @pytest.mark.parametrize("m_prime,n", [(str(3**10), cli.MAX_VERIFY_N + 1),  # tau = 39366
                                            # tau = ord(2, 3) = 2: N^2 / 2 just past the limit
                                            ("3", math.isqrt(2 * cli.MAX_VERIFY_WORK) + 1),

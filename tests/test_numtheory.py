@@ -14,7 +14,7 @@ from korosum.errors import (
     OutOfRange,
 )
 from oracles import (divisor_power_sum, euler_phi, factorize_trial, is_prime_trial,
-                     mult_order_naive, phi_d)
+                     mult_order_naive, order_structure_uncached, phi_d)
 
 P3 = nt.PrimeSet.of(3)
 P35 = nt.PrimeSet.of(3, 5)
@@ -145,6 +145,26 @@ class TestOrders:
                 if math.gcd(b, m) != 1:
                     continue
                 assert nt.factor_smooth(m, P).order_structure(b).order == mult_order_naive(b, m)
+
+    def test_radical_cache_against_uncached_derivation(self):
+        # criterion 04's (P, b) pairs; P = {2} with b = 3 and b = 7 takes mu = 1
+        for P, b in ((P357, 2), (P357, 10), (P2, 3), (P2, 7)):
+            moduli = [m for m in nt.smooth_numbers(P, 10_000) if math.gcd(b, m) == 1]
+            for m in moduli:
+                st = nt.factor_smooth(m, P).order_structure(b)
+                assert st == order_structure_uncached(m, P, b)
+                assert st.order == mult_order_naive(b, m)
+            assert {nt.factor_smooth(m, P).order_structure(b).mu for m in moduli} == (
+                {0, 1} if P == P2 else {0})
+
+    def test_each_result_has_its_own_beta(self):
+        first = nt.factor_smooth(45, P35).order_structure(2)
+        assert first.beta == {3: 1, 5: 1}
+        first.beta[3] = 99
+        hits = nt._radical_structure.cache_info().hits
+        again = nt.factor_smooth(3**4 * 5, P35).order_structure(2)
+        assert nt._radical_structure.cache_info().hits == hits + 1  # served by the cache
+        assert again.beta == {3: 1, 5: 1} and again.m1 == 15
 
 
 class TestCapitalM:

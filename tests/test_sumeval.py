@@ -261,6 +261,92 @@ class TestScanSums:
         assert sorted(calls) == [
             (3**8, 2048), (3**8, 4374), (3**8, 9000), (3**20, 1), (3**20, 64)]
 
+    @staticmethod
+    def _hex_prefix_fsums(rows):
+        return [[fsum(row[:L]).hex() for L in range(1, len(row) + 1)] for row in rows]
+
+    @pytest.mark.parametrize("width", [1, 2, 2047])
+    def test_prefix_sums_equal_fsum_at_the_extremes(self, width):
+        rows = [[1.0] * width, [-1.0] * width, [(-1.0) ** n for n in range(width)],
+                [-((-1.0) ** n) for n in range(width)]]
+        s, exact = se._prefix_fsums(np.array(rows))
+        assert exact.tolist() == [True] * len(rows)
+        assert [[x.hex() for x in row] for row in s.tolist()] == self._hex_prefix_fsums(rows)
+
+    def test_prefix_sums_round_once_and_give_fsums_zero(self):
+        rng = np.random.default_rng(20261018)
+        u = 2.0**-53
+        rows = [
+            # exact totals zero (rows 0 and 3), or prefixes at a tie between two floats
+            [0.5, -0.25, -0.25, 0.75, -0.75],
+            [1.0, u, u, -u, -1.0],
+            [1.0 - u, u, u / 2, -(1.0 - u), -u],
+            [2.0**-28, -(2.0**-28), 0.3, -0.3, 0.0],
+            np.cos(rng.integers(0, 10**9, 5) * (se.TWO_PI / 10**9)).tolist(),
+        ]
+        s, exact = se._prefix_fsums(np.array(rows))
+        assert exact.all()
+        assert [[x.hex() for x in row] for row in s.tolist()] == self._hex_prefix_fsums(rows)
+        # a zero total is +0.0, as fsum's is, also from terms rint sends to -0.0
+        s, exact = se._prefix_fsums(np.array(rows[0:4:3] + [[-0.0] * 5, [-(2.0**-41), 2.0**-41, -0.0, -0.0, -0.0]]))
+        assert exact.all() and [math.copysign(1.0, x) for x in s[:, -1].tolist()] == [1.0] * 4
+        # 2047 terms of random phases, and of cos near 1, whose prefixes need all 53 bits
+        for row in (np.cos(rng.integers(0, 10**9, 2047) * (se.TWO_PI / 10**9)),
+                    np.cos(np.arange(1, 2048) * 1e-6)):
+            s, exact = se._prefix_fsums(np.stack((row, -row[::-1])))
+            assert exact.all()
+            assert [[x.hex() for x in r] for r in s.tolist()] == self._hex_prefix_fsums(
+                [row.tolist(), (-row[::-1]).tolist()])
+
+    def test_bits_below_the_slices_mark_the_row(self):
+        # a subnormal, 1e-300 and 5e-10 keep bits below 2^-80: their rows
+        # are not exact, and the rows beside them still are
+        rows = [[0.5, 5e-324, 0.25], [0.5, 0.25, 0.125], [1e-300, 0.0, 0.0], [0.7, -0.1, 5e-10]]
+        s, exact = se._prefix_fsums(np.array(rows))
+        assert exact.tolist() == [False, True, False, False]
+        assert [x.hex() for x in s[1]] == self._hex_prefix_fsums(rows[1:2])[0]
+
+    def test_walk_through_a_cosine_zero_takes_fsum(self, monkeypatch):
+        # m = 3,000,000,001: cos at r = (m - 1)/4 is 5.2e-10, below the slices
+        m, b = 3_000_000_001, 2
+        quarter = (m - 1) // 4
+        assert m <= se._INT64_SAFE_M
+        assert not se._prefix_fsums(np.array([math.cos(quarter * (se.TWO_PI / m))]))[1]
+        hits = quarter * pow(b, -1, m) % m  # its walk starts at (m - 1)/4: S_1 is that cos alone
+        units = (1, hits, 12345)
+        Ns = [1, 2, 3, 4, 100]
+        exact = []
+        prefix_fsums = se._prefix_fsums
+
+        def spy(x):
+            s, ok = prefix_fsums(x)
+            exact.append(ok.all(axis=1).tolist())
+            return s, ok
+
+        monkeypatch.setattr(se, "_prefix_fsums", spy)
+        got = se.eval_scan_sums(b, [(m, nt.mult_order(b, m), units, Ns)])
+        assert exact == [[True, False, True]]
+        want = [[se.eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units]
+        assert [[(v.real.hex(), v.imag.hex()) for v in row] for row in got[0]] == [
+            [(v.real.hex(), v.imag.hex()) for v in row] for row in want]
+
+    def test_batches_of_mixed_widths(self, monkeypatch):
+        b = 2
+        # (m, T, units, Ns) -> walk widths 1000 (x2), 1020, 1029, 1100 (x3), 2047 (x2)
+        cells = [(3**8, 4374, (1, 2), [1000]), (5**5, 2500, (1,), [1020, 7]),
+                 (7**4, 1029, (1,), [2047, 3000]), (3**7 * 5, 2916, (1, 2, 4), [1100, 5000]),
+                 (3**9, 13122, (1, 2), [2047])]
+        shapes = []
+        prefix_fsums = se._prefix_fsums
+        monkeypatch.setattr(se, "_prefix_fsums", lambda x: shapes.append(x.shape) or prefix_fsums(x))
+        got = se.eval_scan_sums(b, cells)
+        # at most 4096 residues per batch, a batch as wide as its widest walk
+        assert shapes == [(3, 2, 1020), (3, 2, 1100), (2, 2, 2047), (1, 2, 2047)]
+        want = [[[se.eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units]
+                for m, T, units, Ns in cells]
+        assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
+            [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
+
 
 class TestChooseMPrime:
     def test_floor_collapse_gives_radical(self):
