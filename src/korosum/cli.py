@@ -35,7 +35,7 @@ from .numtheory import PrimeSet
 VALIDITY_SLACK = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanRow:
     m: int
     a: int
@@ -428,6 +428,9 @@ MAX_SUM_TERMS = 10**8
 #: Largest `digits --n`: 1 s on that guest while b m stays in int64, 35 s
 #: past it (Python-int digits).
 MAX_DIGITS = 10**8
+#: Largest `normal --n-max`: the trace holds 8 bytes per point; at the cap, on
+#: the Stoneham schedule on that guest, 542 MB peak RSS and 19 s.
+MAX_N_MAX = 2**26
 #: Largest `verify --n`, and most N^2/tau with tau = ord(b, m'): the fast path
 #: keeps about 48 N bytes, and both paths take N^2/(2 tau) inner-sum terms
 #: (on that guest 0.04 s on the fast path, 3 s on the exact, 45 s above 3.04e9).
@@ -581,6 +584,8 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_normal(args) -> int:
+    if args.n_max > MAX_N_MAX:
+        raise OutOfRange(f"n_max={args.n_max} is too large: --n-max must be at most {MAX_N_MAX}")
     schedule = load_schedule(_load_json(args.schedule))
     validation = normalnum.validate_schedule(schedule, args.k_check)
     trace = normalnum.discrepancy_trace(schedule, args.n_max)

@@ -10,6 +10,7 @@ construction is about.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import NotSmooth, OutOfRange, OutOfUnitInterval, ScheduleViolation
 from .numtheory import PrimeSet, factor_smooth, factorize
-from .sumeval import _orbit_blocks, eval_sum
+from .sumeval import _BLOCK, _orbit_blocks, eval_sum
 
 #: Explicit constant adopted for the discrepancy-from-exponential-sums
 #: inequality; 3 is a classical admissible choice.
@@ -230,29 +231,34 @@ def _points(schedule: Schedule, n_max: int) -> np.ndarray:
 
 
 def star_discrepancy(points: Union[Sequence[float], np.ndarray]) -> float:
-    """D*_N by the sorted-order formula.
+    """D*_N by the sorted-order formula, over a sorted copy of the points.
 
     For sorted x_(1) <= ... <= x_(N):
     D* = max_i max(i/N - x_(i), x_(i) - (i-1)/N), exact to float precision.
     The two-sided discrepancy D satisfies D* <= D <= 2 D*.
     """
-    xs = np.sort(np.asarray(points, dtype=np.float64))
-    n = xs.size
-    if n == 0:
+    xs = np.asarray(points, dtype=np.float64)
+    if xs.ndim != 1:
+        raise OutOfRange(f"points must be one-dimensional, got shape {xs.shape}")
+    if xs.size == 0:
         raise OutOfRange("need at least one point")
-    if xs[0] < 0.0 or xs[-1] >= 1.0:
+    return _sorted_star_discrepancy(np.sort(xs))
+
+
+def _sorted_star_discrepancy(xs: np.ndarray) -> float:
+    """D*_N of points sorted ascending, in blocks of _BLOCK points: the float
+    operations of the whole-array formula, so the same bits, with a peak of a
+    few blocks beyond xs."""
+    n = xs.size
+    if not (xs[0] >= 0.0 and xs[-1] < 1.0):  # NaN sorts last and fails the test
         raise OutOfUnitInterval("points must lie in [0, 1)")
-    # i/N - x_(i), then x_(i) - (i-1)/N, each worked in place in one array,
-    # the first freed before the second: the peak stays at xs plus one array
-    up = np.arange(1, n + 1, dtype=np.float64)
-    up /= n
-    up -= xs
-    worst = np.max(up)
-    del up
-    down = np.arange(0, n, dtype=np.float64)
-    down /= n
-    np.subtract(xs, down, out=down)
-    return float(max(worst, np.max(down)))
+    worst = -math.inf
+    for lo in range(0, n, _BLOCK):
+        x = xs[lo : lo + _BLOCK]
+        grid = np.arange(lo, lo + x.size + 1, dtype=np.float64)
+        grid /= n
+        worst = max(worst, np.max(grid[1:] - x), np.max(x - grid[:-1]))
+    return float(worst)
 
 
 def erdos_turan_estimate(a: int, c_modulus: int, b: int, J: int, M: int) -> float:
@@ -278,11 +284,19 @@ def discrepancy_trace(
     if checkpoints is None:
         checkpoints = [1 << j for j in range(0, n_max.bit_length()) if (1 << j) <= n_max]
     else:
-        checkpoints = sorted(set(int(c) for c in checkpoints))
+        try:
+            checkpoints = sorted(set(operator.index(c) for c in checkpoints))
+        except TypeError:
+            raise OutOfRange("checkpoints must be integers") from None
         if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > n_max:
             raise OutOfRange("checkpoints must lie in [1, n_max]")
     pts = _points(schedule, n_max)
-    rows = [(N, star_discrepancy(pts[:N])) for N in checkpoints]
+    rows = []
+    for N in checkpoints:
+        # the points are held once: D* needs only the prefix's multiset, and
+        # sorting pts[:N] in place leaves every longer prefix's multiset as is
+        pts[:N].sort()
+        rows.append((N, _sorted_star_discrepancy(pts[:N])))
     return TraceResult(rows, rows[-1][1], len(rows) >= 2 and rows[-1][1] < rows[0][1])
 
 

@@ -599,6 +599,17 @@ class TestFlagRanges:
         with pytest.raises(AssertionError, match="called past the limit"):
             cli.main(argv)
 
+    def test_normal_n_max_past_limit(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(nn, "discrepancy_trace", self._tripwire("discrepancy_trace"))
+        sched_path = tmp_path / "stoneham.json"
+        sched_path.write_text(json.dumps(STONEHAM_DOC))
+        argv = ["normal", "--schedule", str(sched_path), "--n-max", str(cli.MAX_N_MAX + 1)]
+        assert cli.main(argv) == 2
+        assert f"n_max={cli.MAX_N_MAX + 1} is too large" in capsys.readouterr().err
+        argv[-1] = str(cli.MAX_N_MAX)  # at the cap: the trace is reached
+        with pytest.raises(AssertionError, match="called past the limit"):
+            cli.main(argv)
+
     @pytest.mark.parametrize("m_prime,n", [(str(3**10), cli.MAX_VERIFY_N + 1),  # tau = 39366
                                            # tau = ord(2, 3) = 2: N^2 / 2 just past the limit
                                            ("3", math.isqrt(2 * cli.MAX_VERIFY_WORK) + 1),

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -140,6 +141,28 @@ class TestStarDiscrepancy:
             nn.star_discrepancy([0.5, 1.0])
         with pytest.raises(OutOfUnitInterval):
             nn.star_discrepancy([-0.1])
+        with pytest.raises(OutOfUnitInterval):  # NaN sorts last
+            nn.star_discrepancy([0.5, math.nan])
+
+    @pytest.mark.parametrize("points", [[[0.1, 0.2], [0.3, 0.4]], 0.5, []], ids=["2d", "scalar", "empty"])
+    def test_rejects_non_vectors(self, points):
+        with pytest.raises(OutOfRange):
+            nn.star_discrepancy(points)
+
+    def test_sorts_a_copy(self):
+        pts = np.array([0.7, 0.1, 0.4])
+        nn.star_discrepancy(pts)
+        assert pts.tolist() == [0.7, 0.1, 0.4]
+
+    @pytest.mark.parametrize("n", [1, se._BLOCK - 1, se._BLOCK, se._BLOCK + 1, 3 * se._BLOCK + 5])
+    def test_blocks_match_the_whole_array_formula(self, n):
+        # max_i max(i/N - x_(i), x_(i) - (i-1)/N) over whole arrays, as one
+        # expression: the blocked evaluation must give the same bits
+        rng = np.random.default_rng(n)
+        for xs in (np.sort(rng.random(n)), np.sort(np.floor(rng.random(n) * 7) / 7)):
+            i = np.arange(1, n + 1, dtype=np.float64)
+            whole = float(max(np.max(i / n - xs), np.max(xs - (i - 1) / n)))
+            assert nn.star_discrepancy(xs).hex() == whole.hex()
 
     def test_matches_brute_force(self):
         rng = random.Random(9)
@@ -223,8 +246,38 @@ class TestDiscrepancyTrace:
         assert info.value.index == k
 
     def test_explicit_checkpoints_validated(self):
-        with pytest.raises(Exception):
+        with pytest.raises(OutOfRange):
             nn.discrepancy_trace(STONEHAM, 16, checkpoints=[0, 4])
+        with pytest.raises(OutOfRange):  # not truncated to N = 2
+            nn.discrepancy_trace(STONEHAM, 16, checkpoints=[2.9, 8])
+
+    @pytest.mark.parametrize(
+        "schedule,n_max,checkpoints",
+        [
+            (STONEHAM, 1 << 14, None),
+            (STONEHAM, 9000, [8192, 3, 4097, 3, 1, 9000, 4096, 1]),
+            (nn.Schedule.geometric(2, 5, 3), 3 * se._BLOCK + 5, None),
+            # x_0 .. x_63 are 0: the first seven prefixes hold zeros only
+            (nn.Schedule.geometric(2, 3, 64), 5000, None),
+        ],
+        ids=["default", "unsorted_duplicates", "not_power_of_two", "zero_prefix"],
+    )
+    def test_rows_are_star_discrepancy_of_each_prefix(self, schedule, n_max, checkpoints):
+        points = nn._points(schedule, n_max)
+        trace = nn.discrepancy_trace(schedule, n_max, checkpoints)
+        sizes = sorted(set(checkpoints or [1 << j for j in range(n_max.bit_length())]))
+        assert [N for N, _ in trace.rows] == sizes
+        assert [d.hex() for _, d in trace.rows] == [nn.star_discrepancy(points[:N]).hex() for N in sizes]
+
+    def test_trace_holds_the_points_once(self):
+        n_max = 1 << 18
+        tracemalloc.start()
+        try:
+            nn.discrepancy_trace(STONEHAM, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n_max  # 8 bytes per point and a few blocks
 
 
 class TestAlphaDigits:

@@ -20,6 +20,7 @@ KEEP = {
     "rows_from_csv": "the reader of the scan report render_report writes",
     "digit_frequencies": "per-digit counts of a/m, timed by the benchmark",
     "ancillary_sequence": "the exact x_n whose floats the discrepancy trace uses",
+    "star_discrepancy": "D*_N of any point set, the object of criterion 09",
 }
 
 
