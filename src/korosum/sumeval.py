@@ -4,15 +4,17 @@ Every phase angle comes from the exact integer residue a*b^n mod m, kept
 by iterated modular multiplication, so the only floating-point steps are
 the final sin/cos and a compensated accumulation (plus, in the
 differencing verifier's fast path, dot products with a certified error
-bound).  Large sums run through a block-vectorized path whose integer work
-stays exact in int64 and whose reduction tree has a fixed shape, making
-results bit-reproducible for a given input regardless of who calls them.
-The scan hands eval_scan_sums a chunk of moduli at once: sums whose windows
-are all short come from one batched int64 walk per chunk, each term split
-exactly into two 40-bit fixed-point slices whose prefix sums are exact (fsum
-where a term leaves bits below 2^-80), and the units of one modulus that
-need a long full period share one streamed walk per coset of <b>; both give
-the bits of the per-call evaluators.
+bound).  Every sum is built from three primitives: _powers, the one int64
+doubling of residues; _phases, the one place an angle r (2 pi / m) is
+formed and cos/sin taken; and _phase_sum, the one reduction rule (fsum over
+the terms of a sum shorter than _SCALAR_CUTOFF or with m above
+_INT64_SAFE_M, else fsum of per-block np.sums), so results are bit-reproducible
+for a given input regardless of who calls them.  The scan hands
+eval_scan_sums a chunk of moduli at once: sums whose windows are all short
+come from one batched walk per chunk, each term split exactly into two
+40-bit fixed-point slices whose prefix sums are exact (fsum where a term
+leaves bits below 2^-80), and the full periods of a modulus share one
+streamed walk per coset of <b>; both give eval_sum's bits.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from .numtheory import PrimeSet, factor_smooth, mult_order
 
 TWO_PI = 2.0 * math.pi
 
-#: Inner sums below this length use the scalar loop; longer ones use the
-#: block-vectorized path.
+#: Sums below this length are one fsum over their terms; longer ones (with
+#: m <= _INT64_SAFE_M) the fsum of one np.sum per block.
 _SCALAR_CUTOFF = 2048
 
-#: Block length of the vectorized path (also the power-table length).
+#: Block length of the orbit and phase blocks (also the power-table length).
 _BLOCK = 4096
 
 #: Largest modulus for which residue*residue stays inside int64.
@@ -93,34 +95,29 @@ class DifferencingReport:
     margin: float
 
 
+def _powers(first, step, m, width: int) -> np.ndarray:
+    """first * step^j mod m for j < width, one row per entry of the (rows, 1)
+    int64 column `first`; step and m are ints or such columns, m <=
+    _INT64_SAFE_M.  Doubling, x step^(j+k) = (x step^j) step^k, keeps every
+    product below m^2, inside int64."""
+    out = np.empty((len(first), width), dtype=np.int64)
+    out[:, :1] = first
+    k = 1
+    while k < width:
+        out[:, k : 2 * k] = out[:, : min(k, width - k)] * step % m
+        step = step * step % m
+        k *= 2
+    return out
+
+
 @lru_cache(maxsize=2)
 def _power_table(b_red: int, m: int):
     """(array of b^j mod m for j < _BLOCK, b^_BLOCK mod m), cached per (b, m);
     the array is shared by every caller, so it is read-only.  Every caller
     walks one (b, m) at a time, so a couple of entries suffice."""
-    # doubling: b^(j+k) = b^j * b^k, every product below m^2 (int64-safe)
-    pows = np.empty(_BLOCK, dtype=np.int64)
-    pows[0] = 1 % m
-    k = 1
-    while k < _BLOCK:
-        pows[k : 2 * k] = pows[:k] * pow(b_red, k, m) % m
-        k *= 2
+    pows = _powers([[1 % m]], b_red, m, _BLOCK)[0]
     pows.flags.writeable = False
     return pows, pow(b_red, _BLOCK, m)
-
-
-def _eval_scalar(a0: int, b0: int, m: int, N: int) -> complex:
-    cos, sin = math.cos, math.sin
-    scale = TWO_PI / m
-    res = []
-    ims = []
-    r = a0 * b0 % m
-    for _ in range(N):
-        theta = scale * r
-        res.append(cos(theta))
-        ims.append(sin(theta))
-        r = r * b0 % m
-    return complex(fsum(res), fsum(ims))
 
 
 def _orbit_blocks(r0: int, b0: int, m: int, N: int):
@@ -140,23 +137,36 @@ def _orbit_blocks(r0: int, b0: int, m: int, N: int):
         return
     pows, step = _power_table(b0, m)
     lead = r0
-    done = 0
-    while done < N:
-        size = min(_BLOCK, N - done)
-        yield lead * pows[:size] % m
+    for done in range(0, N, _BLOCK):
+        yield lead * pows[: N - done] % m
         lead = lead * step % m
-        done += size
 
 
-def _eval_blocked(a0: int, b0: int, m: int, N: int) -> complex:
-    scale = TWO_PI / m
-    re_parts = []
-    im_parts = []
-    for block in _orbit_blocks(a0 * b0 % m, b0, m, N):
-        theta = block * scale
-        re_parts.append(float(np.sum(np.cos(theta))))
-        im_parts.append(float(np.sum(np.sin(theta))))
-    return complex(fsum(re_parts), fsum(im_parts))
+def _phases(residues: np.ndarray, m, out=None) -> np.ndarray:
+    """cos and sin of the angles r (2 pi / m) of exact residues r, stacked on
+    a new first axis (into `out` when given): the one place an angle is formed
+    and cos/sin taken.  m is an int or broadcasts against the residues.  The
+    Python ints of an object block are rounded once to double, so the angle
+    is Python's float product (2 pi / m) * r, bit for bit."""
+    if residues.dtype == object:
+        residues = residues.astype(np.float64)
+    theta = residues * (TWO_PI / m)
+    if out is None:
+        out = np.empty((2,) + theta.shape)
+    np.cos(theta, out=out[0])
+    np.sin(theta, out=out[1])
+    return out
+
+
+def _phase_sum(blocks, per_term: bool) -> complex:
+    """sum cos + i sum sin over (cos, sin) blocks, by eval_sum's reduction
+    rule: with per_term, fsum over every term (the blocks are held, 16 bytes a
+    term, and their terms streamed into fsum a block at a time); else fsum of
+    each block's np.sum, streamed, a reduction tree of fixed shape."""
+    if per_term:
+        blocks = list(blocks)
+        return complex(*(fsum(chain.from_iterable(z[i].tolist() for z in blocks)) for i in (0, 1)))
+    return complex(*map(fsum, zip(*[np.add.reduce(z, axis=1).tolist() for z in blocks])))
 
 
 def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
@@ -176,10 +186,8 @@ def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
         value = complex(N, 0.0)
     else:
         b0 = b % m
-        if N < _SCALAR_CUTOFF or m > _INT64_SAFE_M:
-            value = _eval_scalar(a0, b0, m, N)
-        else:
-            value = _eval_blocked(a0, b0, m, N)
+        blocks = (_phases(r, m) for r in _orbit_blocks(a0 * b0 % m, b0, m, N))
+        value = _phase_sum(blocks, N < _SCALAR_CUTOFF or m > _INT64_SAFE_M)
     return SumResult(value, abs(value), N, m, a, b)
 
 
@@ -190,10 +198,10 @@ def eval_sum_reduced(
 
     The full period is evaluated once; only the remainder costs extra.
     `a` is one numerator, or a tuple of numerators with one SumResult each,
-    in order.  When two or more numerators need a full period (N >= T) with
-    T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M, both their windows come from
-    one streamed walk per coset of <b> (_coset_window_sums); every other
-    call is one eval_sum per numerator and window.  Both give the same bits.
+    in order.  When N >= T and m <= _INT64_SAFE_M, both windows of every
+    numerator come from one streamed walk per coset of <b>
+    (_coset_window_sums); otherwise each window is one eval_sum.  Both give
+    the same bits.
     """
     if m < 1:
         raise OutOfRange("modulus must be positive")
@@ -204,16 +212,10 @@ def eval_sum_reduced(
     T = mult_order(b, m)
     q, r = divmod(N, T)
     numerators = a if isinstance(a, tuple) else (a,)
-    walked = {}
-    if q and len(numerators) > 1 and T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M:
-        walked = _coset_window_sums(numerators, b % m, m, T, (T, r))
+    walked = _coset_window_sums(numerators, b % m, m, T, (T, r)) if q and m <= _INT64_SAFE_M else {}
     results = []
     for x in numerators:
-        def window(L, x=x):
-            got = walked.get((x, L))
-            return eval_sum(x, b, m, L).value if got is None else got
-
-        value = _fold(N, T, window)
+        value = _fold(N, T, lambda L: walked[x, L] if (x, L) in walked else eval_sum(x, b, m, L).value)
         results.append(SumResult(value, abs(value), N, m, x, b))
     return tuple(results) if isinstance(a, tuple) else results[0]
 
@@ -255,11 +257,11 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     A sum is short when m <= _INT64_SAFE_M and its windows (T if N >= T,
     N mod T if non-zero) are below _SCALAR_CUTOFF: every short window of
     (m, a) is a prefix of the residues a b^n mod m, n = 1..min(T, N).  These
-    walks are sorted by length into batches of at most _BLOCK residues,
-    doubled in int64 like _power_table.  numpy's cos/sin equal math's (a test
-    pins it), and each window is the fsum of its terms, by _prefix_fsums or,
-    in a walk it cannot split exactly, by fsum: _eval_scalar's bits.  Other
-    sums take one eval_sum_reduced call per (m, N).
+    walks are sorted by length into batches of at most _BLOCK residues, one
+    _powers table and one _phases call per batch, and each window is the
+    fsum of its terms, by _prefix_fsums or, in a walk it cannot split
+    exactly, by fsum: eval_sum's terms and reduction.  Other sums take one
+    eval_sum_reduced call per (m, N).
     """
     out, walks = [], []
     for m, T, units, Ns in cells:
@@ -279,18 +281,10 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
         while n < len(walks) and (n + 1) * walks[n][0] <= _BLOCK:
             n += 1
         batch, walks = walks[:n], walks[n:]
-        width = batch[-1][0]
-        m = np.array([w[2] for w in batch], dtype=np.int64)[:, None]
-        res = np.empty((n, width), dtype=np.int64)
-        res[:, 0] = [a % mw * (b % mw) % mw for _, a, mw, *_ in batch]
-        step = np.array([[b % w[2]] for w in batch], dtype=np.int64)
-        k = 1
-        while k < width:  # res[:, j] = a b^(j+1) mod m; every product is below m^2
-            res[:, k : 2 * k] = res[:, : min(k, width - k)] * step % m
-            step = step * step % m
-            k *= 2
-        theta = res * (TWO_PI / m)
-        z = np.stack((np.cos(theta), np.sin(theta)), axis=1)
+        m = np.array([[w[2]] for w in batch], dtype=np.int64)
+        first = np.array([[a % mw * (b % mw) % mw] for _, a, mw, *_ in batch], dtype=np.int64)
+        # z[i, :, j] = (cos, sin) of a b^(j+1) mod m for walk i
+        z = _phases(_powers(first, b % m, m, batch[-1][0]), m).swapaxes(0, 1)
         prefix, exact = _prefix_fsums(z)
         for i in np.flatnonzero(~exact.all(axis=1)):
             for L in batch[i][5]:
@@ -315,7 +309,7 @@ def _starts(targets, b0: int, m: int, T: int) -> Dict[int, Tuple[int, int]]:
     starts: Dict[int, Tuple[int, int]] = {}
     while pending:
         c = pending[0]
-        baby = np.array([next(_orbit_blocks(t, b0, m, B)) for t in pending])
+        baby = _powers(np.array(pending, dtype=np.int64)[:, None], b0, m, B)
         for i0, giant in zip(range(0, G, _BLOCK), _orbit_blocks(c, pow(b0, B, m), m, G)):
             order = np.argsort(giant)
             idx = order[np.searchsorted(giant, baby, sorter=order).clip(max=giant.size - 1)]
@@ -331,24 +325,24 @@ def _coset_window_sums(
     numerators: Tuple[int, ...], b0: int, m: int, T: int, lengths: Tuple[int, ...]
 ) -> Dict[Tuple[int, int], complex]:
     """{(a, L): eval_sum(a, b0, m, L).value} for every numerator a % m != 0
-    and every L in `lengths` with 0 < L <= T, where T = ord(b0, m) >=
-    _SCALAR_CUTOFF, from T phase factors per coset of <b0> and memory
+    and every L in `lengths` with 0 < L <= T, where T = ord(b0, m) and m <=
+    _INT64_SAFE_M, from T phase factors per coset of <b0> and memory
     independent of T.
 
     The terms a b0^n, n = 1..L, are w_s, ..., w_{s+L-1} (indices mod T) of
     the walk w_j = c b0^j of the coset's first target c, with w_s = a b0
-    (_starts).  One pass takes cos/sin of w_j for j < T, _BLOCK at a time,
+    (_starts).  One pass takes _phases of w_j for j < T, _BLOCK at a time,
     then reuses the first chunk for w_{T+j} = w_j, and reduces every piece
-    of a window as the terms held cover it: eval_sum's fsum below
-    _SCALAR_CUTOFF, else np.sum of each of _eval_blocked's blocks, then fsum.
+    of a window (eval_sum's blocks of it) by _phase_sum as the terms held
+    cover it; a window is the fsum of its pieces.
     """
-    def pieces(s, L):  # (start, size, fsum?) of the window w_s .. w_{s+L-1}
+    def pieces(s, L):  # (start, size, per_term) of the window w_s .. w_{s+L-1}
         return [((s + k) % T, min(_BLOCK, L - k), L < _SCALAR_CUTOFF) for k in range(0, L, _BLOCK)]
 
     lengths = [L for L in set(lengths) if L]
     targets = {x: x % m * b0 % m for x in numerators if x % m}
-    starts = _starts(targets.values(), b0, m, T)
-    sums = {}  # (c, piece) -> sum of cos + i sum of sin over its terms
+    starts = _starts(targets.values(), b0, m, T) if targets else {}
+    sums = {}  # (c, piece) -> its _phase_sum
     for c in dict.fromkeys(c for c, _ in starts.values()):
         requests = sorted({p for c_t, s in starts.values() if c_t == c
                            for L in lengths for p in pieces(s, L)}, key=lambda p: p[0] + p[1])
@@ -360,18 +354,13 @@ def _coset_window_sums(
             if block is None:
                 new[...] = first
             else:
-                theta = block * (TWO_PI / m)
-                np.cos(theta, out=new[0])
-                np.sin(theta, out=new[1])
+                _phases(block, m, out=new)
                 first = new.copy() if first is None else first
             base, done = done - _BLOCK, done + new.shape[1]
-            # a piece ending in this chunk is at most _BLOCK long, so it starts
-            # inside zs; np.add.reduce along a row is np.sum of that row
+            # a piece ending in this chunk is at most _BLOCK long, so it starts inside zs
             while i < len(requests) and sum(requests[i][:2]) <= done:
-                start, size, exact = requests[i]
-                z = zs[:, start - base : start - base + size]
-                sums[c, requests[i]] = complex(
-                    *(map(fsum, z.tolist()) if exact else np.add.reduce(z, axis=1)))
+                start, size, per_term = requests[i]
+                sums[c, requests[i]] = _phase_sum([zs[:, start - base : start - base + size]], per_term)
                 i += 1
             zs[:, :_BLOCK] = zs[:, new.shape[1] : new.shape[1] + _BLOCK]
 
@@ -467,14 +456,10 @@ def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
     exact residue vector serves every lag.  S_N reduces the same cos/sin as
     eval_sum does, so |S_N|^2 is eval_sum's magnitude**2 bit for bit.
     """
-    theta = np.concatenate(list(_orbit_blocks(a0 * b0 % m, b0, m, N))) * (TWO_PI / m)
+    cs = _phases(np.concatenate(list(_orbit_blocks(a0 * b0 % m, b0, m, N))), m)
+    s_n = _phase_sum((cs[:, k : k + _BLOCK] for k in range(0, N, _BLOCK)), N < _SCALAR_CUTOFF)
     z = np.empty(N, dtype=np.complex128)
-    z.real = cos = np.cos(theta)
-    z.imag = sin = np.sin(theta)
-    # eval_sum's reduction: fsum of the terms below _SCALAR_CUTOFF, else of _BLOCK-term np.sums
-    terms = (cos.tolist(), sin.tolist()) if N < _SCALAR_CUTOFF else (
-        [np.sum(x[k : k + _BLOCK]) for k in range(0, N, _BLOCK)] for x in (cos, sin))
-    s_n = complex(*map(fsum, terms))
+    z.real, z.imag = cs
     inner = [float(abs(np.vdot(z[: N - lag], z[lag:]))) for lag in range(tau, N, tau)]
     return abs(s_n) ** 2, inner, _dot_error_bound(N - np.arange(tau, N, tau))
 
@@ -518,15 +503,7 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
             )
     else:
         lhs_sq = eval_sum(a, b, m, N).magnitude ** 2
-    step = pow(b, tau, m)
-    r = 1
-    inner = []
-    i = 1
-    while i * tau < N:
-        r = r * step % m
-        a_i = a * (r - 1) % m
-        inner.append(eval_sum(a_i, b, m, N - i * tau).magnitude)
-        i += 1
+    inner = [eval_sum(a * (pow(b, lag, m) - 1), b, m, N - lag).magnitude for lag in range(tau, N, tau)]
     rhs = m_prime * N + 2.0 * m_prime * fsum(inner)
     holds = lhs_sq <= rhs * (1.0 + HOLDS_SLACK)
     return DifferencingReport(lhs_sq, rhs, m_prime, tau, holds, "exact", _margin(rhs, lhs_sq))

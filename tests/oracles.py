@@ -4,7 +4,8 @@ Each is the direct definition of a quantity: the order by iteration up to
 lambda(m), divisor-power sums and the totient from a trial-division
 factorization, primality and factorization by trial division, restricted totients by
 counting, interval relations by endpoint comparison, the CSV report by
-csv.writer one field at a time.  Most take time that grows with their input,
+csv.writer one field at a time, exponential sums by the scalar and blocked
+loops the library once had.  Most take time that grows with their input,
 and no library code uses any of them, so they live with the tests.
 """
 
@@ -14,6 +15,8 @@ import io
 import math
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 from korosum.bounds import RationalInterval
 from korosum.cli import ScanRow
@@ -167,3 +170,34 @@ def csv_report(rows) -> bytes:
     for row in rows:
         writer.writerow([text(getattr(row, name)) for name in names])
     return buf.getvalue().encode("utf-8")
+
+
+def eval_sum_scalar(a0: int, b0: int, m: int, N: int) -> complex:
+    """S_N = sum_{n=1}^{N} e(a0 b0^n / m) by a scalar loop over the exact
+    residues r: math.cos and math.sin of (2 pi / m) r, then one fsum each."""
+    scale = 2.0 * math.pi / m
+    res, ims = [], []
+    r = a0 * b0 % m
+    for _ in range(N):
+        theta = scale * r
+        res.append(math.cos(theta))
+        ims.append(math.sin(theta))
+        r = r * b0 % m
+    return complex(math.fsum(res), math.fsum(ims))
+
+
+def eval_sum_blocked(a0: int, b0: int, m: int, N: int, block: int = 4096) -> complex:
+    """S_N in blocks of `block` exact residues (m < 2^53): np.sum of the cos
+    and of the sin of each block, then fsum of the block sums."""
+    scale = 2.0 * math.pi / m
+    re_parts, im_parts = [], []
+    r = a0 * b0 % m
+    for done in range(0, N, block):
+        rs = []
+        for _ in range(min(block, N - done)):
+            rs.append(r)
+            r = r * b0 % m
+        theta = np.array(rs, dtype=np.int64) * scale
+        re_parts.append(float(np.sum(np.cos(theta))))
+        im_parts.append(float(np.sum(np.sin(theta))))
+    return complex(math.fsum(re_parts), math.fsum(im_parts))

@@ -330,6 +330,11 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["magnitude"]) < 1e-10
 
+    def test_sum_reduced_of_a_non_unit(self, capsys):
+        # a = 0: the coset walk of N >= T has no unit to start from
+        assert cli.main(["sum", "--a", "0", "--b", "2", "--m", "6561", "--n", "100000", "--reduced"]) == 0
+        assert "= 100000+0j" in capsys.readouterr().out
+
     def test_bound_best(self, capsys):
         code = cli.main(
             ["bound", "--m", "729", "--n", "27", "--primes", "3", "--b", "2",

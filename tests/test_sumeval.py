@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from korosum import numtheory as nt
 from korosum import sumeval as se
 from korosum.errors import DegenerateRange, NotCoprime
-from oracles import mult_order_naive
+from oracles import eval_sum_blocked, eval_sum_scalar, mult_order_naive
 
 P3 = nt.PrimeSet.of(3)
 P35 = nt.PrimeSet.of(3, 5)
@@ -56,6 +56,33 @@ class TestEvalSum:
     def test_matches_oracle_blocked_path(self):
         for a, b, m, N in ((1, 2, 3**9, 5000), (11, 7, 5**7, 9001), (5, 2, 59049, 4096)):
             assert abs(se.eval_sum(a, b, m, N).value - oracle_sum(a, b, m, N)) < 1e-9
+
+    @pytest.mark.parametrize("m", [9, 3**9, 5**7, 3**20, 3**21, 3**41, 2**89 - 1],
+                             ids=["9", "3^9", "5^7", "3^20", "3^21", "3^41", "2^89-1"])
+    def test_bits_equal_the_reference_loops(self, m):
+        # the scalar loop below _SCALAR_CUTOFF terms and above _INT64_SAFE_M,
+        # blocks of _BLOCK otherwise; a zero, a unit, and a numerator sharing
+        # a factor with m (all of the prime 2^89 - 1)
+        shared = next((7 * p for p in (3, 5) if m % p == 0), 3 * m)
+        for a in (0, 7, shared):
+            for N in (1, 2047, 2048, 4096, 4097, 9000):
+                ref = eval_sum_scalar if N < 2048 or m > se._INT64_SAFE_M else eval_sum_blocked
+                got, want = se.eval_sum(a, 2, m, N).value, ref(a % m, 2, m, N)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (a, N)
+
+    def test_per_term_sums_hold_the_phases_only(self):
+        # above _INT64_SAFE_M every term is fsum'd: the float64 blocks are held
+        # (16 bytes a term) and streamed into fsum one block at a time
+        m, N = 3**41, 2 * 10**5
+        se.eval_sum(1, 2, m, 10)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            se.eval_sum(1, 2, m, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * N
 
     def test_power_table_is_shared_and_read_only(self):
         m = 5**7
@@ -115,8 +142,9 @@ class TestEvalSumReduced:
 
 
 class TestBatchedFold:
-    """eval_sum_reduced on a tuple of numerators against one call per
-    numerator, bit for bit: the coset walk must reproduce every float."""
+    """eval_sum_reduced on a tuple of numerators against q * S_T + S_r folded
+    here from eval_sum windows, bit for bit: the coset walk must reproduce
+    every float."""
 
     # (m, b): index 2 with T in [_SCALAR_CUTOFF, _BLOCK) and T > 2 _BLOCK,
     # index 4 with T = _BLOCK + 20, index 6, index 2 with T = _BLOCK, and m
@@ -156,11 +184,33 @@ class TestBatchedFold:
             got = se.eval_sum_reduced(numerators, b, m, N)
             if m <= se._INT64_SAFE_M and N >= T:  # both windows of every unit come from the walk
                 assert set(evals) <= {2 * m}
-            want = [se.eval_sum_reduced(a, b, m, N) for a in numerators]
-            assert [(r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in got] == [
-                (r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in want]
-        walked = len(lengths) - 1 if m <= se._INT64_SAFE_M else 0  # every N >= T
-        assert len(walks) == walked
+            q, r = divmod(N, T)
+            want = []
+            for a in numerators:  # _fold's order of operations
+                value = 0j
+                if q:
+                    value += q * evaluate(a, b, m, T).value
+                if r:
+                    value += evaluate(a, b, m, r).value
+                want.append((a, N, value.real, value.imag, abs(value)))
+            assert [(r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in got] == want
+        # one walk per N >= T: every length but T - 1
+        assert len(walks) == (len(lengths) - 1 if m <= se._INT64_SAFE_M else 0)
+
+    def test_every_full_period_is_walked(self, monkeypatch):
+        # one numerator or many, T = 6 or T = 1458: N >= T takes no eval_sum
+        def tripwire(*args):
+            raise AssertionError(f"eval_sum{args}")
+
+        monkeypatch.setattr(se, "eval_sum", tripwire)
+        for a in (1, (1,), (1, 2, 4)):
+            se.eval_sum_reduced(a, 2, 9, 20)
+            se.eval_sum_reduced(a, 2, 3**7, 5000)
+
+    def test_no_unit_numerator_walks_nothing(self):
+        # every numerator is 0 mod m: the walk has no target, every window is N terms of 1
+        got = se.eval_sum_reduced((6561, 13122), 2, 6561, 10**5)
+        assert [r.value for r in got] == [complex(10**5, 0.0)] * 2
 
     def test_single_numerators_keep_the_fold(self):
         assert se.eval_sum_reduced((1,), 2, 3**7, 5000) == (se.eval_sum_reduced(1, 2, 3**7, 5000),)
@@ -225,16 +275,27 @@ class TestScanSums:
     """eval_scan_sums against one eval_sum_reduced call per (a, N), bit for bit."""
 
     def test_numpy_trig_equals_libm(self):
-        # the short-sum batches take numpy's cos/sin where _eval_scalar takes
-        # math's; their bits agree on every theta = r (2 pi / m) sampled here
+        # every sum takes numpy's cos/sin (in _phases) where the reference
+        # loops take math's; their bits agree on every theta = r (2 pi / m)
+        # sampled here, for int64 residues and for Python ints above
+        # _INT64_SAFE_M (m up to 2^100), whose angle is (2 pi / m) * r
         rng = np.random.default_rng(20261018)
         m = rng.integers(2, se._INT64_SAFE_M, size=10**6, endpoint=True)
         r = rng.integers(0, m)
         theta = r * (se.TWO_PI / m)
         assert theta[7] == int(r[7]) * (se.TWO_PI / int(m[7]))
+        draws = random.Random(20261019)
+        big = [draws.randrange(se._INT64_SAFE_M + 1, 2 ** draws.randrange(33, 101)) for _ in range(10**5)]
+        theta = np.concatenate((theta, [(se.TWO_PI / mb) * draws.randrange(mb) for mb in big]))
         values = theta.tolist()
         for fn, ref in ((np.cos, math.cos), (np.sin, math.sin)):
             assert np.array_equal(fn(theta).view(np.int64), np.array(list(map(ref, values))).view(np.int64))
+        # _phases forms those angles from an object block
+        m = 2**89 - 1
+        rs = [draws.randrange(m) for _ in range(1000)]
+        got = se._phases(np.array(rs, dtype=object), m)
+        want = [[f((se.TWO_PI / m) * r) for r in rs] for f in (math.cos, math.sin)]
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
     def test_every_float_equals_the_per_call_fold(self, monkeypatch):
         calls = []

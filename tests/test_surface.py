@@ -61,3 +61,20 @@ def test_keep_list_names_exist_and_are_unreferenced():
     defined = {name for _, name in _public_definitions(trees)}
     assert set(KEEP) <= defined
     assert not set(KEEP) & _referenced(trees), "a kept name is now used by src/: drop it from KEEP"
+
+
+def _trig_sites(node, where):
+    """The function (module.name...) around every reference to cos or sin."""
+    for child in ast.iter_child_nodes(node):
+        inner = f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+        names = ([child.id] if isinstance(child, ast.Name) else [child.attr] if isinstance(child, ast.Attribute)
+                 else [a.asname or a.name for a in child.names] if isinstance(child, ast.ImportFrom) else [])
+        if {"cos", "sin"} & set(names):
+            yield inner
+        yield from _trig_sites(child, inner)
+
+
+def test_cos_and_sin_are_taken_in_phases_alone():
+    # every phase factor e(r/m) of every sum comes from one place
+    sites = {site for module, tree in _trees().items() for site in _trig_sites(tree, module[:-3])}
+    assert sites == {"sumeval._phases"}
