@@ -4,17 +4,12 @@ Every phase angle comes from the exact integer residue a*b^n mod m, kept
 by iterated modular multiplication, so the only floating-point steps are
 the final sin/cos and a compensated accumulation (plus, in the
 differencing verifier's fast path, dot products with a certified error
-bound).  Every sum is built from three primitives: _powers, the one int64
-doubling of residues; _phases, the one place an angle r (2 pi / m) is
-formed and cos/sin taken; and _phase_sum, the one reduction rule (fsum over
-the terms of a sum shorter than _SCALAR_CUTOFF or with m above
-_INT64_SAFE_M, else fsum of per-block np.sums), so results are bit-reproducible
-for a given input regardless of who calls them.  The scan hands
-eval_scan_sums a chunk of moduli at once: sums whose windows are all short
-come from one batched walk per chunk, each term split exactly into two
-40-bit fixed-point slices whose prefix sums are exact (fsum where a term
-leaves bits below 2^-80), and the full periods of a modulus share one
-streamed walk per coset of <b>; both give eval_sum's bits.
+bound).  Every sum is built from three primitives, so its bits do not
+depend on who asks for it: _powers doubles residues in int64, _phases
+takes cos/sin, and _phase_sum reduces.  The scan's short windows are
+exact prefix sums of batched walks (eval_scan_sums), and full periods of
+at least _SCALAR_CUTOFF terms share one streamed walk per coset of <b>
+(_coset_window_sums).
 """
 
 from __future__ import annotations
@@ -34,8 +29,8 @@ from .numtheory import PrimeSet, factor_smooth, mult_order
 
 TWO_PI = 2.0 * math.pi
 
-#: Sums below this length are one fsum over their terms; longer ones (with
-#: m <= _INT64_SAFE_M) the fsum of one np.sum per block.
+#: Sums below this length are one fsum over their terms (_phase_sum); full
+#: periods this long are walked per coset (eval_sum_reduced).
 _SCALAR_CUTOFF = 2048
 
 #: Block length of the orbit and phase blocks (also the power-table length).
@@ -137,17 +132,19 @@ def _orbit_blocks(r0: int, b0: int, m: int, N: int):
         return
     pows, step = _power_table(b0, m)
     lead = r0
-    for done in range(0, N, _BLOCK):
-        yield lead * pows[: N - done] % m
+    done = 0
+    while done < N:
+        size = min(_BLOCK, N - done)
+        yield lead * pows[:size] % m
         lead = lead * step % m
+        done += size
 
 
 def _phases(residues: np.ndarray, m, out=None) -> np.ndarray:
     """cos and sin of the angles r (2 pi / m) of exact residues r, stacked on
-    a new first axis (into `out` when given): the one place an angle is formed
-    and cos/sin taken.  m is an int or broadcasts against the residues.  The
-    Python ints of an object block are rounded once to double, so the angle
-    is Python's float product (2 pi / m) * r, bit for bit."""
+    a new first axis (into `out` when given); m is an int or broadcasts
+    against the residues.  An object block's Python ints are rounded once to
+    double, so the angle is Python's float product (2 pi / m) * r."""
     if residues.dtype == object:
         residues = residues.astype(np.float64)
     theta = residues * (TWO_PI / m)
@@ -158,15 +155,18 @@ def _phases(residues: np.ndarray, m, out=None) -> np.ndarray:
     return out
 
 
-def _phase_sum(blocks, per_term: bool) -> complex:
-    """sum cos + i sum sin over (cos, sin) blocks, by eval_sum's reduction
-    rule: with per_term, fsum over every term (the blocks are held, 16 bytes a
-    term, and their terms streamed into fsum a block at a time); else fsum of
-    each block's np.sum, streamed, a reduction tree of fixed shape."""
-    if per_term:
+def _phase_sum(blocks, N: int, m: int) -> complex:
+    """sum cos + i sum sin over the (cos, sin) blocks of a sum of N terms mod
+    m, by the one reduction rule: below _SCALAR_CUTOFF terms or above
+    _INT64_SAFE_M the fsum of every term (the blocks are held, 16 bytes a
+    term); else the fsum of each block's np.sum, a tree of fixed shape."""
+    if N < _SCALAR_CUTOFF or m > _INT64_SAFE_M:
         blocks = list(blocks)
-        return complex(*(fsum(chain.from_iterable(z[i].tolist() for z in blocks)) for i in (0, 1)))
-    return complex(*map(fsum, zip(*[np.add.reduce(z, axis=1).tolist() for z in blocks])))
+        re = fsum(chain.from_iterable(z[0].tolist() for z in blocks))
+        im = fsum(chain.from_iterable(z[1].tolist() for z in blocks))
+        return complex(re, im)
+    parts = [np.add.reduce(z, axis=1).tolist() for z in blocks]
+    return complex(fsum(p[0] for p in parts), fsum(p[1] for p in parts))
 
 
 def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
@@ -187,7 +187,7 @@ def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
     else:
         b0 = b % m
         blocks = (_phases(r, m) for r in _orbit_blocks(a0 * b0 % m, b0, m, N))
-        value = _phase_sum(blocks, N < _SCALAR_CUTOFF or m > _INT64_SAFE_M)
+        value = _phase_sum(blocks, N, m)
     return SumResult(value, abs(value), N, m, a, b)
 
 
@@ -198,10 +198,10 @@ def eval_sum_reduced(
 
     The full period is evaluated once; only the remainder costs extra.
     `a` is one numerator, or a tuple of numerators with one SumResult each,
-    in order.  When N >= T and m <= _INT64_SAFE_M, both windows of every
-    numerator come from one streamed walk per coset of <b>
-    (_coset_window_sums); otherwise each window is one eval_sum.  Both give
-    the same bits.
+    in order.  When N >= T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M, both
+    windows of every numerator come from one streamed walk per coset of <b>
+    (_coset_window_sums); otherwise each window is one eval_sum (a shorter
+    period does not repay the walk's set-up).  Both give the same bits.
     """
     if m < 1:
         raise OutOfRange("modulus must be positive")
@@ -212,10 +212,15 @@ def eval_sum_reduced(
     T = mult_order(b, m)
     q, r = divmod(N, T)
     numerators = a if isinstance(a, tuple) else (a,)
-    walked = _coset_window_sums(numerators, b % m, m, T, (T, r)) if q and m <= _INT64_SAFE_M else {}
+    walked = {}
+    if q and T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M:
+        walked = _coset_window_sums(numerators, b % m, m, T, (T, r))
     results = []
     for x in numerators:
-        value = _fold(N, T, lambda L: walked[x, L] if (x, L) in walked else eval_sum(x, b, m, L).value)
+        def window(L, x=x):
+            return walked[x, L] if (x, L) in walked else eval_sum(x, b, m, L).value
+
+        value = _fold(N, T, window)
         results.append(SumResult(value, abs(value), N, m, x, b))
     return tuple(results) if isinstance(a, tuple) else results[0]
 
@@ -255,12 +260,10 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     for m, T, units, Ns in cells], given T = ord(b, m), bit for bit.
 
     A sum is short when m <= _INT64_SAFE_M and its windows (T if N >= T,
-    N mod T if non-zero) are below _SCALAR_CUTOFF: every short window of
-    (m, a) is a prefix of the residues a b^n mod m, n = 1..min(T, N).  These
-    walks are sorted by length into batches of at most _BLOCK residues, one
-    _powers table and one _phases call per batch, and each window is the
-    fsum of its terms, by _prefix_fsums or, in a walk it cannot split
-    exactly, by fsum: eval_sum's terms and reduction.  Other sums take one
+    N mod T if non-zero) are below _SCALAR_CUTOFF: each is a prefix of the
+    walk a b^n mod m, n = 1..min(T, N).  The walks go in batches of at most
+    _BLOCK residues, and a window is the fsum of its terms, by _prefix_fsums
+    or by fsum where a walk cannot be split exactly.  Other sums take one
     eval_sum_reduced call per (m, N).
     """
     out, walks = [], []
@@ -325,19 +328,19 @@ def _coset_window_sums(
     numerators: Tuple[int, ...], b0: int, m: int, T: int, lengths: Tuple[int, ...]
 ) -> Dict[Tuple[int, int], complex]:
     """{(a, L): eval_sum(a, b0, m, L).value} for every numerator a % m != 0
-    and every L in `lengths` with 0 < L <= T, where T = ord(b0, m) and m <=
-    _INT64_SAFE_M, from T phase factors per coset of <b0> and memory
-    independent of T.
+    and every L in `lengths` with 0 < L <= T = ord(b0, m), m <= _INT64_SAFE_M,
+    from T phase factors per coset of <b0> in memory independent of T.
 
     The terms a b0^n, n = 1..L, are w_s, ..., w_{s+L-1} (indices mod T) of
     the walk w_j = c b0^j of the coset's first target c, with w_s = a b0
     (_starts).  One pass takes _phases of w_j for j < T, _BLOCK at a time,
-    then reuses the first chunk for w_{T+j} = w_j, and reduces every piece
-    of a window (eval_sum's blocks of it) by _phase_sum as the terms held
-    cover it; a window is the fsum of its pieces.
+    then reuses the first chunk for w_{T+j} = w_j; each piece of a window
+    (eval_sum's blocks of it) is reduced by _phase_sum once the terms held
+    cover it, and a window is the fsum of its pieces.
     """
-    def pieces(s, L):  # (start, size, per_term) of the window w_s .. w_{s+L-1}
-        return [((s + k) % T, min(_BLOCK, L - k), L < _SCALAR_CUTOFF) for k in range(0, L, _BLOCK)]
+    def pieces(s, L):  # (start, size, length for _phase_sum's rule) of w_s .. w_{s+L-1}
+        rule = min(L, _SCALAR_CUTOFF)
+        return [((s + k) % T, min(_BLOCK, L - k), rule) for k in range(0, L, _BLOCK)]
 
     lengths = [L for L in set(lengths) if L]
     targets = {x: x % m * b0 % m for x in numerators if x % m}
@@ -359,8 +362,8 @@ def _coset_window_sums(
             base, done = done - _BLOCK, done + new.shape[1]
             # a piece ending in this chunk is at most _BLOCK long, so it starts inside zs
             while i < len(requests) and sum(requests[i][:2]) <= done:
-                start, size, per_term = requests[i]
-                sums[c, requests[i]] = _phase_sum([zs[:, start - base : start - base + size]], per_term)
+                start, size, L = requests[i]
+                sums[c, requests[i]] = _phase_sum([zs[:, start - base : start - base + size]], L, m)
                 i += 1
             zs[:, :_BLOCK] = zs[:, new.shape[1] : new.shape[1] + _BLOCK]
 
@@ -457,7 +460,7 @@ def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
     eval_sum does, so |S_N|^2 is eval_sum's magnitude**2 bit for bit.
     """
     cs = _phases(np.concatenate(list(_orbit_blocks(a0 * b0 % m, b0, m, N))), m)
-    s_n = _phase_sum((cs[:, k : k + _BLOCK] for k in range(0, N, _BLOCK)), N < _SCALAR_CUTOFF)
+    s_n = _phase_sum((cs[:, k : k + _BLOCK] for k in range(0, N, _BLOCK)), N, m)
     z = np.empty(N, dtype=np.complex128)
     z.real, z.imag = cs
     inner = [float(abs(np.vdot(z[: N - lag], z[lag:]))) for lag in range(tau, N, tau)]
@@ -503,7 +506,15 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
             )
     else:
         lhs_sq = eval_sum(a, b, m, N).magnitude ** 2
-    inner = [eval_sum(a * (pow(b, lag, m) - 1), b, m, N - lag).magnitude for lag in range(tau, N, tau)]
+    step = pow(b, tau, m)
+    r = 1
+    inner = []
+    i = 1
+    while i * tau < N:
+        r = r * step % m
+        a_i = a * (r - 1) % m
+        inner.append(eval_sum(a_i, b, m, N - i * tau).magnitude)
+        i += 1
     rhs = m_prime * N + 2.0 * m_prime * fsum(inner)
     holds = lhs_sq <= rhs * (1.0 + HOLDS_SLACK)
     return DifferencingReport(lhs_sq, rhs, m_prime, tau, holds, "exact", _margin(rhs, lhs_sq))

@@ -34,6 +34,19 @@ def oracle_sum(a, b, m, N):
     return complex(fsum(res), fsum(ims))
 
 
+def folded(a, b, m, N, eval_sum=se.eval_sum):
+    """q * S_T + S_r folded here from eval_sum windows in _fold's order of
+    operations: eval_sum_reduced's value, without its coset walk."""
+    T = nt.mult_order(b, m)
+    q, r = divmod(N, T)
+    value = 0j
+    if q:
+        value += q * eval_sum(a, b, m, T).value
+    if r:
+        value += eval_sum(a, b, m, r).value
+    return value
+
+
 class TestEvalSum:
     def test_modulus_one(self):
         r = se.eval_sum(1, 2, 1, 5)
@@ -147,14 +160,15 @@ class TestBatchedFold:
     every float."""
 
     # (m, b): index 2 with T in [_SCALAR_CUTOFF, _BLOCK) and T > 2 _BLOCK,
-    # index 4 with T = _BLOCK + 20, index 6, index 2 with T = _BLOCK, and m
-    # above _INT64_SAFE_M with T = ord(1 + 3^14, 3^21) = 3^7
+    # index 4 with T = _BLOCK + 20, index 6, index 2 with T = _BLOCK, m
+    # above _INT64_SAFE_M with T = ord(1 + 3^14, 3^21) = 3^7, and index 2
+    # with T = 972 < _SCALAR_CUTOFF, which folds eval_sum windows
     CASES = [(3**7 * 5, 2), (3**6 * 5**3, 2), (3 * 5 * 7**4, 2), (3**8 * 7, 2), (2**14, 3),
-             (3**21, 1 + 3**14)]
+             (3**21, 1 + 3**14), (3**6 * 5, 2)]
     REMAINDERS = (1, 2, 100, 2047, 2048, 2049, 4095, 4096, 4097, 8191, 8192, 8193)
 
     @pytest.mark.parametrize("m,b", CASES,
-                             ids=["T<block", "T>2block", "index4", "index6", "T=block", "huge_m"])
+                             ids=["T<block", "T>2block", "index4", "index6", "T=block", "huge_m", "T<cutoff"])
     def test_every_float_equals_the_per_numerator_fold(self, monkeypatch, m, b):
         walks, evals = [], []
 
@@ -179,33 +193,35 @@ class TestBatchedFold:
         # the full-period window of every unit but its coset's first wraps past T
         numerators = tuple(units + [units[0], units[1] + m, 3 * b, 2 * m])
         lengths = [T - 1, T, T + 1] + [2 * T + r for r in self.REMAINDERS if r < T]
+        walked = m <= se._INT64_SAFE_M and T >= se._SCALAR_CUTOFF
         for N in lengths:
             del evals[:]
             got = se.eval_sum_reduced(numerators, b, m, N)
-            if m <= se._INT64_SAFE_M and N >= T:  # both windows of every unit come from the walk
+            if walked and N >= T:  # both windows of every unit come from the walk
                 assert set(evals) <= {2 * m}
-            q, r = divmod(N, T)
-            want = []
-            for a in numerators:  # _fold's order of operations
-                value = 0j
-                if q:
-                    value += q * evaluate(a, b, m, T).value
-                if r:
-                    value += evaluate(a, b, m, r).value
-                want.append((a, N, value.real, value.imag, abs(value)))
-            assert [(r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in got] == want
+            want = [folded(a, b, m, N, evaluate) for a in numerators]
+            assert [(r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in got] == [
+                (a, N, v.real, v.imag, abs(v)) for a, v in zip(numerators, want)]
         # one walk per N >= T: every length but T - 1
-        assert len(walks) == (len(lengths) - 1 if m <= se._INT64_SAFE_M else 0)
+        assert len(walks) == (len(lengths) - 1 if walked else 0)
 
-    def test_every_full_period_is_walked(self, monkeypatch):
-        # one numerator or many, T = 6 or T = 1458: N >= T takes no eval_sum
+    def test_one_numerator_walks_like_many(self, monkeypatch):
+        # T = 4374 >= _SCALAR_CUTOFF: N >= T takes no eval_sum; T = 6 and
+        # T = 1458 fold eval_sum windows, which cost less than the walk's set-up
         def tripwire(*args):
             raise AssertionError(f"eval_sum{args}")
 
-        monkeypatch.setattr(se, "eval_sum", tripwire)
+        walks = []
+        walk = se._coset_window_sums
+        monkeypatch.setattr(se, "_coset_window_sums", lambda *args: walks.append(args[2]) or walk(*args))
         for a in (1, (1,), (1, 2, 4)):
             se.eval_sum_reduced(a, 2, 9, 20)
             se.eval_sum_reduced(a, 2, 3**7, 5000)
+        assert walks == []
+        monkeypatch.setattr(se, "eval_sum", tripwire)
+        for a in (1, (1,), (1, 2, 4)):
+            se.eval_sum_reduced(a, 2, 3**8, 10000)
+        assert walks == [3**8] * 3
 
     def test_no_unit_numerator_walks_nothing(self):
         # every numerator is 0 mod m: the walk has no target, every window is N terms of 1
@@ -232,7 +248,9 @@ class TestBatchedFold:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        assert got == tuple(se.eval_sum_reduced(a, b, m, m) for a in units)
+        want = [folded(a, b, m, m) for a in units]
+        assert [(r.value.real.hex(), r.value.imag.hex()) for r in got] == [
+            (v.real.hex(), v.imag.hex()) for v in want]
 
 
 class TestStarts:
@@ -272,7 +290,8 @@ class TestStarts:
 
 
 class TestScanSums:
-    """eval_scan_sums against one eval_sum_reduced call per (a, N), bit for bit."""
+    """eval_scan_sums against eval_sum_reduced's fold of eval_sum windows,
+    bit for bit."""
 
     def test_numpy_trig_equals_libm(self):
         # every sum takes numpy's cos/sin (in _phases) where the reference
@@ -313,7 +332,7 @@ class TestScanSums:
             units = tuple(a for a in range(1, 60) if gcd(a, m) == 1)[:40] + (m, 2 * m + 1)
             cells.append((m, nt.mult_order(b, m), units, Ns))
         got = se.eval_scan_sums(b, cells)
-        want = [[[fold(a, b, m, N).value for N in Ns] for a in units] for m, T, units, Ns in cells]
+        want = [[[folded(a, b, m, N) for N in Ns] for a in units] for m, T, units, Ns in cells]
         assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
             [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
         # short windows (5^3 at N = 3000 is 30 periods of T = 100) batch
@@ -387,7 +406,7 @@ class TestScanSums:
         monkeypatch.setattr(se, "_prefix_fsums", spy)
         got = se.eval_scan_sums(b, [(m, nt.mult_order(b, m), units, Ns)])
         assert exact == [[True, False, True]]
-        want = [[se.eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units]
+        want = [[folded(a, b, m, N) for N in Ns] for a in units]
         assert [[(v.real.hex(), v.imag.hex()) for v in row] for row in got[0]] == [
             [(v.real.hex(), v.imag.hex()) for v in row] for row in want]
 
@@ -403,8 +422,7 @@ class TestScanSums:
         got = se.eval_scan_sums(b, cells)
         # at most 4096 residues per batch, a batch as wide as its widest walk
         assert shapes == [(3, 2, 1020), (3, 2, 1100), (2, 2, 2047), (1, 2, 2047)]
-        want = [[[se.eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units]
-                for m, T, units, Ns in cells]
+        want = [[[folded(a, b, m, N) for N in Ns] for a in units] for m, T, units, Ns in cells]
         assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
             [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
 
