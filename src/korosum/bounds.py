@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import EpsilonOutOfRange, NotInterior, OutOfRange, RangeViolation
+from .errors import OutOfRange
 from .numtheory import (
     UPPER_SLACK,
     PrimeSet,
@@ -101,10 +101,9 @@ class RationalInterval:
         if self.hi is not None and self.hi < self.lo:
             raise OutOfRange("interval endpoints out of order")
 
-    def contains(self, x, strict: bool = False) -> bool:
-        if strict:
-            return self.lo < x and (self.hi is None or x < self.hi)
-        return self.lo <= x and (self.hi is None or x <= self.hi)
+    def contains(self, x) -> bool:
+        """x lies strictly inside: lo < x < hi."""
+        return self.lo < x and (self.hi is None or x < self.hi)
 
 
 @dataclass(frozen=True)
@@ -420,18 +419,18 @@ def bound_baseline(m: int, N: int, d: int, P: PrimeSet, b: int, form: str = "sho
     Each of sqrt, M N / sqrt m and 1 + log is rounded up.
     """
     if d < 1 or m % d != 0:
-        raise RangeViolation(f"d={d} must divide m={m}")
+        raise OutOfRange(f"d={d} must divide m={m}")
     if form == "short":
         struct = factor_smooth(m, P).order_structure(b)
         if N > struct.order:
-            raise RangeViolation(f"short form needs N <= ord(b, m) = {struct.order}")
+            raise OutOfRange(f"short form needs N <= ord(b, m) = {struct.order}")
         if not (d == 1 or d * struct.m1 < m):
-            raise RangeViolation(f"short form needs d=1 or d < m/m1 = {m}/{struct.m1}")
+            raise OutOfRange(f"short form needs d=1 or d < m/m1 = {m}/{struct.m1}")
         tm, bound = _one_row(m // d, N, P, b).short[0].tolist()
         return BoundReport(m // d, N, 0, bound, tm, 0.0, bound < N, "short")
     if form == "long":
         if d != 1:
-            raise RangeViolation("long form requires gcd(a, m) = 1")
+            raise OutOfRange("long form requires gcd(a, m) = 1")
         tm, ts, bound = _one_row(m, N, P, b).long[0].tolist()
         return BoundReport(m, N, 0, bound, tm, ts, bound < N, "long")
     raise OutOfRange(f"unknown baseline form {form!r}")
@@ -480,9 +479,9 @@ def delta_of_subinterval(k: int, interval: RationalInterval) -> Fraction:
     ex = exponents(k)
     ambient, _ = intervals(k)
     if interval.lo <= ambient.lo:
-        raise NotInterior(f"left endpoint {interval.lo} not interior to I_{k}")
+        raise OutOfRange(f"left endpoint {interval.lo} not interior to I_{k}")
     if ambient.hi is not None and (interval.hi is None or interval.hi >= ambient.hi):
-        raise NotInterior(f"right endpoint {interval.hi} not interior to I_{k}")
+        raise OutOfRange(f"right endpoint {interval.hi} not interior to I_{k}")
     delta1 = (1 - ex.gamma) * interval.lo - ex.alpha
     if ex.nu == 1:
         delta2 = ex.alpha
@@ -490,7 +489,7 @@ def delta_of_subinterval(k: int, interval: RationalInterval) -> Fraction:
         delta2 = ex.alpha - (ex.nu - 1) * interval.hi
     delta = min(delta1, delta2)
     if delta <= 0:
-        raise NotInterior("subinterval admits no positive decay exponent")
+        raise OutOfRange("subinterval admits no positive decay exponent")
     return delta
 
 
@@ -525,15 +524,15 @@ def corollary_constants(epsilon: Union[Fraction, float], P: PrimeSet, b: int) ->
     """
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
-        raise EpsilonOutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
+        raise OutOfRange(f"epsilon must lie in (0, 1), got {epsilon}")
     level = None
     for k in range(0, 200):
         ambient, _ = intervals(k)
-        if ambient.contains(eps, strict=True):
+        if ambient.contains(eps):
             level = k
             break
     if level is None:
-        raise EpsilonOutOfRange(f"no level admits {epsilon} strictly inside its range")
+        raise OutOfRange(f"no level admits {epsilon} strictly inside its range")
     if level == 0:
         segments = ((0, RationalInterval(eps, Fraction(1))),)
     else:

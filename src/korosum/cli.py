@@ -423,9 +423,8 @@ def _parse_primes(text: str) -> Tuple[int, ...]:
 #: at 1000, 1.3 s at 2000, unfinished after 15 s at 100000).
 MAX_K_CHECK = 1000
 #: Most terms of `sum`, N or with --reduced min(N, T) + (N mod T if N >= T)
-#: for T = ord(b, m): 6 s on the blocked path on that guest, in constant
-#: memory; above 3.04e9 the fsum over every term holds 16 bytes a term of
-#: float64 phases (154 MB over import at 10^7 terms, 4.2 s), 1.6 GB at the cap.
+#: for T = ord(b, m): 6 s on the blocked path on that guest, about 30 s above
+#: 3.04e9 (Python-int residues; 2.8 s at 10^7), in memory of a few blocks.
 MAX_SUM_TERMS = 10**8
 #: Largest `digits --n`: 1 s on that guest while b m stays in int64, 35 s
 #: past it (Python-int digits).

@@ -25,35 +25,12 @@ class NotCoprime(KorosumError):
         super().__init__(f"gcd({a}, {b}) != 1")
 
 
-class NotDivisor(KorosumError):
-    """d was required to divide n but does not."""
-
-
-class NonPositiveAlpha(KorosumError):
-    """An exponent that must be positive was <= 0."""
-
-
 class OutOfRange(KorosumError):
-    """A numeric argument fell outside its documented range."""
+    """An argument fell outside its documented range."""
 
 
 class DegenerateRange(KorosumError):
-    """The reduced-modulus construction has no valid exponent; callers
-    fall back to the trivial-bound branch."""
-
-
-class RangeViolation(KorosumError):
-    """Preconditions of a baseline bound form are not met."""
-
-
-class NotInterior(KorosumError):
-    """A subinterval shares an endpoint with the ambient non-trivial range,
-    which would force the decay exponent to zero."""
-
-
-class EpsilonOutOfRange(KorosumError):
-    """No level admits the requested exponent strictly inside its
-    non-trivial range."""
+    """The reduced-modulus construction has no valid exponent."""
 
 
 class ScheduleViolation(KorosumError):
@@ -67,10 +44,6 @@ class ScheduleViolation(KorosumError):
         self.hypothesis = hypothesis
         self.index = index
         super().__init__(f"schedule violates '{hypothesis}' at k={index}")
-
-
-class OutOfUnitInterval(KorosumError):
-    """A discrepancy input point lies outside [0, 1)."""
 
 
 class ConfigError(KorosumError):

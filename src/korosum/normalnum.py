@@ -10,7 +10,6 @@ construction is about.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -18,7 +17,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NotSmooth, OutOfRange, OutOfUnitInterval, ScheduleViolation
+from .errors import NotSmooth, OutOfRange, ScheduleViolation
 from .numtheory import PrimeSet, factor_smooth, factorize
 from .sumeval import _BLOCK, _orbit_blocks, eval_sum
 
@@ -251,7 +250,7 @@ def _sorted_star_discrepancy(xs: np.ndarray) -> float:
     few blocks beyond xs."""
     n = xs.size
     if not (xs[0] >= 0.0 and xs[-1] < 1.0):  # NaN sorts last and fails the test
-        raise OutOfUnitInterval("points must lie in [0, 1)")
+        raise OutOfRange("points must lie in [0, 1)")
     worst = -math.inf
     for lo in range(0, n, _BLOCK):
         x = xs[lo : lo + _BLOCK]
@@ -273,26 +272,13 @@ def erdos_turan_estimate(a: int, c_modulus: int, b: int, J: int, M: int) -> floa
     return ERDOS_TURAN_CONSTANT * total
 
 
-def discrepancy_trace(
-    schedule: Schedule,
-    n_max: int,
-    checkpoints: Optional[Sequence[int]] = None,
-) -> TraceResult:
+def discrepancy_trace(schedule: Schedule, n_max: int) -> TraceResult:
     """D*_N at geometric checkpoints N = 2^j <= n_max over x_0 .. x_{N-1}."""
     if n_max < 1:
         raise OutOfRange("n_max must be positive")
-    if checkpoints is None:
-        checkpoints = [1 << j for j in range(0, n_max.bit_length()) if (1 << j) <= n_max]
-    else:
-        try:
-            checkpoints = sorted(set(operator.index(c) for c in checkpoints))
-        except TypeError:
-            raise OutOfRange("checkpoints must be integers") from None
-        if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > n_max:
-            raise OutOfRange("checkpoints must lie in [1, n_max]")
     pts = _points(schedule, n_max)
     rows = []
-    for N in checkpoints:
+    for N in (1 << j for j in range(n_max.bit_length())):
         # the points are held once: D* needs only the prefix's multiset, and
         # sorting pts[:N] in place leaves every longer prefix's multiset as is
         pts[:N].sort()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Tuple, Union
 
-from .errors import NonPositiveAlpha, NotCoprime, NotSmooth, OutOfRange
+from .errors import NotCoprime, NotSmooth, OutOfRange
 
 Rational = Union[int, Fraction]
 
@@ -312,7 +312,7 @@ def c_p_alpha(P: PrimeSet, alpha: Rational) -> float:
     P-smooth n and a > 0.
     """
     if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
+        raise OutOfRange(f"alpha must be positive, got {alpha}")
     a = float(alpha)
     out = 1.0
     for p in P:

@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .errors import DegenerateRange, NotCoprime, NotDivisor, OutOfRange
+from .errors import DegenerateRange, NotCoprime, OutOfRange
 from .numtheory import PrimeSet, factor_smooth, mult_order
 
 TWO_PI = 2.0 * math.pi
@@ -155,12 +155,12 @@ def _phases(residues: np.ndarray, m, out=None) -> np.ndarray:
     return out
 
 
-def _phase_sum(blocks, N: int, m: int) -> complex:
-    """sum cos + i sum sin over the (cos, sin) blocks of a sum of N terms mod
-    m, by the one reduction rule: below _SCALAR_CUTOFF terms or above
-    _INT64_SAFE_M the fsum of every term (the blocks are held, 16 bytes a
-    term); else the fsum of each block's np.sum, a tree of fixed shape."""
-    if N < _SCALAR_CUTOFF or m > _INT64_SAFE_M:
+def _phase_sum(blocks, N: int) -> complex:
+    """sum cos + i sum sin over the (cos, sin) blocks of a sum of N terms, by
+    the one reduction rule: below _SCALAR_CUTOFF terms the fsum of every
+    term; else the fsum of each block's np.sum, a tree of fixed shape, in
+    memory of one block whatever N is."""
+    if N < _SCALAR_CUTOFF:
         blocks = list(blocks)
         re = fsum(chain.from_iterable(z[0].tolist() for z in blocks))
         im = fsum(chain.from_iterable(z[1].tolist() for z in blocks))
@@ -169,25 +169,31 @@ def _phase_sum(blocks, N: int, m: int) -> complex:
     return complex(fsum(p[0] for p in parts), fsum(p[1] for p in parts))
 
 
-def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
-    """S_N = sum_{n=1}^{N} e(a * b^n / m) with exact integer phases.
-
-    Coprimality of a (or b) with m is NOT required: reduced fractions with
-    shared factors appear naturally inside the differencing recursion.
-    """
+def _check_args(b: int, m: int, N: int) -> None:
+    """The arguments every sum S_N = sum e(a b^n / m) takes: m >= 1, N >= 1
+    and b >= 2 (a is any integer)."""
     if m < 1:
         raise OutOfRange("modulus must be positive")
     if N < 1:
         raise OutOfRange("N must be positive")
     if b < 2:
         raise OutOfRange("b must be at least 2")
+
+
+def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
+    """S_N = sum_{n=1}^{N} e(a * b^n / m) with exact integer phases.
+
+    Coprimality of a (or b) with m is NOT required: reduced fractions with
+    shared factors appear naturally inside the differencing recursion.
+    """
+    _check_args(b, m, N)
     a0 = a % m
     if m == 1 or a0 == 0:
         value = complex(N, 0.0)
     else:
         b0 = b % m
         blocks = (_phases(r, m) for r in _orbit_blocks(a0 * b0 % m, b0, m, N))
-        value = _phase_sum(blocks, N, m)
+        value = _phase_sum(blocks, N)
     return SumResult(value, abs(value), N, m, a, b)
 
 
@@ -203,10 +209,7 @@ def eval_sum_reduced(
     (_coset_window_sums); otherwise each window is one eval_sum (a shorter
     period does not repay the walk's set-up).  Both give the same bits.
     """
-    if m < 1:
-        raise OutOfRange("modulus must be positive")
-    if N < 1:
-        raise OutOfRange("N must be positive")
+    _check_args(b, m, N)
     if m > 1 and gcd(b, m) != 1:
         raise NotCoprime(b, m)
     T = mult_order(b, m)
@@ -363,7 +366,7 @@ def _coset_window_sums(
             # a piece ending in this chunk is at most _BLOCK long, so it starts inside zs
             while i < len(requests) and sum(requests[i][:2]) <= done:
                 start, size, L = requests[i]
-                sums[c, requests[i]] = _phase_sum([zs[:, start - base : start - base + size]], L, m)
+                sums[c, requests[i]] = _phase_sum([zs[:, start - base : start - base + size]], L)
                 i += 1
             zs[:, :_BLOCK] = zs[:, new.shape[1] : new.shape[1] + _BLOCK]
 
@@ -427,7 +430,7 @@ def m_bar(b: int, m: int, m_prime: int) -> int:
     if gcd(b, m) != 1:
         raise NotCoprime(b, m)
     if m % m_prime != 0:
-        raise NotDivisor(f"{m_prime} does not divide {m}")
+        raise OutOfRange(f"{m_prime} does not divide {m}")
     tau = mult_order(b, m_prime)
     return gcd((pow(b, tau, m) - 1) % m, m)
 
@@ -460,7 +463,7 @@ def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
     eval_sum does, so |S_N|^2 is eval_sum's magnitude**2 bit for bit.
     """
     cs = _phases(np.concatenate(list(_orbit_blocks(a0 * b0 % m, b0, m, N))), m)
-    s_n = _phase_sum((cs[:, k : k + _BLOCK] for k in range(0, N, _BLOCK)), N, m)
+    s_n = _phase_sum((cs[:, k : k + _BLOCK] for k in range(0, N, _BLOCK)), N)
     z = np.empty(N, dtype=np.complex128)
     z.real, z.imag = cs
     inner = [float(abs(np.vdot(z[: N - lag], z[lag:]))) for lag in range(tau, N, tau)]
@@ -494,6 +497,7 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
         raise NotCoprime(b, m)
     if gcd(b, m_prime) != 1:
         raise NotCoprime(b, m_prime)
+    _check_args(b, m, N)
     tau = mult_order(b, m_prime)
     if m <= _INT64_SAFE_M:
         lhs_sq, inner, errors = _inner_sums(a % m, b % m, m, N, tau)

@@ -20,7 +20,7 @@ import numpy as np
 
 from korosum.bounds import RationalInterval
 from korosum.cli import ScanRow
-from korosum.errors import NotCoprime, NotDivisor, OutOfRange
+from korosum.errors import NotCoprime, OutOfRange
 from korosum.numtheory import (ModulusStructure, PrimeSet, Rational, carmichael_lambda, factor_smooth,
                                factorize)
 
@@ -121,7 +121,7 @@ def phi_d(n: int, d: int, x: Union[int, float, Fraction]) -> int:
     Such i are exactly d*j with j < x/d and gcd(j, n/d) = 1.
     """
     if n < 1 or d < 1 or n % d != 0:
-        raise NotDivisor(f"{d} does not divide {n}")
+        raise OutOfRange(f"{d} does not divide {n}")
     if x <= 0:
         raise OutOfRange("x must be positive")
     nd = n // d
@@ -187,8 +187,9 @@ def eval_sum_scalar(a0: int, b0: int, m: int, N: int) -> complex:
 
 
 def eval_sum_blocked(a0: int, b0: int, m: int, N: int, block: int = 4096) -> complex:
-    """S_N in blocks of `block` exact residues (m < 2^53): np.sum of the cos
-    and of the sin of each block, then fsum of the block sums."""
+    """S_N in blocks of `block` exact residues, each rounded once to double
+    (exact below 2^53): np.sum of the cos and of the sin of each block, then
+    fsum of the block sums."""
     scale = 2.0 * math.pi / m
     re_parts, im_parts = [], []
     r = a0 * b0 % m
@@ -197,7 +198,7 @@ def eval_sum_blocked(a0: int, b0: int, m: int, N: int, block: int = 4096) -> com
         for _ in range(min(block, N - done)):
             rs.append(r)
             r = r * b0 % m
-        theta = np.array(rs, dtype=np.int64) * scale
+        theta = np.array(rs, dtype=np.float64) * scale
         re_parts.append(float(np.sum(np.cos(theta))))
         im_parts.append(float(np.sum(np.sin(theta))))
     return complex(math.fsum(re_parts), math.fsum(im_parts))

@@ -10,7 +10,7 @@ from korosum import bounds as bd
 from korosum import cli
 from korosum import numtheory as nt
 from korosum import sumeval as se
-from korosum.errors import EpsilonOutOfRange, NotInterior, OutOfRange, RangeViolation
+from korosum.errors import OutOfRange
 from oracles import contains_interval, overlaps
 
 P3 = nt.PrimeSet.of(3)
@@ -236,17 +236,17 @@ class TestBoundBaseline:
 
     def test_preconditions(self):
         order = nt.mult_order(2, 9)
-        with pytest.raises(RangeViolation):
+        with pytest.raises(OutOfRange):
             bd.bound_baseline(9, order + 1, 1, P3, 2, "short")
-        with pytest.raises(RangeViolation):
+        with pytest.raises(OutOfRange):
             bd.bound_baseline(9, 3, 2, P3, 2, "short")  # d does not divide m
-        with pytest.raises(RangeViolation):
+        with pytest.raises(OutOfRange):
             bd.bound_baseline(45, 5, 3, P35, 2, "long")
         # d = m/m1 is excluded for the short form unless d = 1
         struct = nt.factor_smooth(45, P35).order_structure(2)
         bad_d = 45 // struct.m1
         if bad_d > 1:
-            with pytest.raises(RangeViolation):
+            with pytest.raises(OutOfRange):
                 bd.bound_baseline(45, 5, bad_d, P35, 2, "short")
 
 
@@ -308,7 +308,7 @@ class TestIntervals:
 class TestDeltaOfSubinterval:
     def test_ambient_interval_rejected(self):
         ik, _ = bd.intervals(2)
-        with pytest.raises(NotInterior):
+        with pytest.raises(OutOfRange):
             bd.delta_of_subinterval(2, ik)
 
     def test_level_two_by_hand(self):
@@ -365,9 +365,9 @@ class TestCorollaryConstants:
         )
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(EpsilonOutOfRange):
+        with pytest.raises(OutOfRange):
             bd.corollary_constants(Fraction(3, 2), P3, 2)
-        with pytest.raises(EpsilonOutOfRange):
+        with pytest.raises(OutOfRange):
             bd.corollary_constants(0, P3, 2)
 
     def test_threshold_function(self):

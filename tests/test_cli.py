@@ -593,6 +593,19 @@ class TestFlagRanges:
         assert cli.main(["sum", "--a", "1", "--b", "2", "--m", "9", "--n", n] + reduced) == 2
         assert "N must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--m", "9", "--b", "2", "--n", "0"], "N must be positive"),
+        (["verify", "--m", "9", "--b", "2", "--n", "-3"], "N must be positive"),
+        (["verify", "--m", "9", "--b", "1", "--n", "20"], "b must be at least 2"),
+        (["verify", "--m", "-9", "--b", "2", "--n", "20"], "modulus must be positive"),
+        (["sum", "--m", "19683", "--b", "-2", "--n", "100000", "--reduced"], "b must be at least 2"),
+    ], ids=["verify_n0", "verify_n-3", "verify_b1", "verify_m-9", "sum_reduced_b-2"])
+    def test_sum_and_verify_reject_what_eval_sum_rejects(self, capsys, argv, message):
+        # one argument check serves eval_sum, eval_sum_reduced and verify_differencing
+        extra = ["--a", "1"] + (["--m-prime", "3"] if argv[0] == "verify" else [])
+        assert cli.main(argv + extra) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("primes", [[], ["--primes", "7"]])
     def test_digits_past_limit(self, monkeypatch, capsys, primes):
         monkeypatch.setattr(dg, "count_occurrences", self._tripwire("count_occurrences"))
@@ -861,6 +874,11 @@ _SCAN_DOCS = _perturbed(
 )
 
 
+#: Integer arguments in [-10^40, 10^40], small ones drawn often enough that
+#: sums and verifications run as well as get rejected.
+_INT_ARG = st.one_of(st.integers(-3, 100), st.integers(-(10**40), 10**40))
+
+
 class TestInputBoundaryFuzz:
     """Every document ends in exit 0, 2 or 3, never in an uncaught exception."""
 
@@ -880,6 +898,20 @@ class TestInputBoundaryFuzz:
         path.write_text(json.dumps(doc))
         self._run(["normal", "--schedule", str(path), f"--n-max={n_max}",
                    f"--k-check={k_check}", "--json"])
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(a=_INT_ARG, b=_INT_ARG, m=_INT_ARG, n=st.integers(-3, 300), reduced=st.booleans())
+    def test_sum_arguments(self, a, b, m, n, reduced):
+        self._run(["sum", f"--a={a}", f"--b={b}", f"--m={m}", f"--n={n}", "--json"]
+                  + ["--reduced"] * reduced)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(a=_INT_ARG, b=_INT_ARG, m=_INT_ARG, m_prime=_INT_ARG, n=st.integers(-3, 300))
+    def test_verify_arguments(self, a, b, m, m_prime, n):
+        self._run(["verify", f"--a={a}", f"--b={b}", f"--m={m}", f"--m-prime={m_prime}",
+                   f"--n={n}", "--json"])
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])

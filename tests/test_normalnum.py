@@ -11,7 +11,7 @@ import pytest
 from korosum import normalnum as nn
 from korosum import numtheory as nt
 from korosum import sumeval as se
-from korosum.errors import OutOfRange, OutOfUnitInterval, ScheduleViolation
+from korosum.errors import OutOfRange, ScheduleViolation
 
 P3 = nt.PrimeSet.of(3)
 
@@ -137,11 +137,11 @@ class TestStarDiscrepancy:
         assert nn.star_discrepancy(pts) == pytest.approx(1 / (2 * n), abs=1e-15)
 
     def test_rejects_outside_unit_interval(self):
-        with pytest.raises(OutOfUnitInterval):
+        with pytest.raises(OutOfRange):
             nn.star_discrepancy([0.5, 1.0])
-        with pytest.raises(OutOfUnitInterval):
+        with pytest.raises(OutOfRange):
             nn.star_discrepancy([-0.1])
-        with pytest.raises(OutOfUnitInterval):  # NaN sorts last
+        with pytest.raises(OutOfRange):  # NaN sorts last
             nn.star_discrepancy([0.5, math.nan])
 
     @pytest.mark.parametrize("points", [[[0.1, 0.2], [0.3, 0.4]], 0.5, []], ids=["2d", "scalar", "empty"])
@@ -212,7 +212,7 @@ class TestDiscrepancyTrace:
         assert trace.final_d_star < 0.2
 
     def test_zero_prefix_checkpoints_near_one(self):
-        trace = nn.discrepancy_trace(STONEHAM, 4, checkpoints=[1, 2])
+        trace = nn.discrepancy_trace(STONEHAM, 4)
         assert trace.rows[0][1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
@@ -245,27 +245,20 @@ class TestDiscrepancyTrace:
             nn.discrepancy_trace(sched, m_k + 1)
         assert info.value.index == k
 
-    def test_explicit_checkpoints_validated(self):
-        with pytest.raises(OutOfRange):
-            nn.discrepancy_trace(STONEHAM, 16, checkpoints=[0, 4])
-        with pytest.raises(OutOfRange):  # not truncated to N = 2
-            nn.discrepancy_trace(STONEHAM, 16, checkpoints=[2.9, 8])
-
     @pytest.mark.parametrize(
-        "schedule,n_max,checkpoints",
+        "schedule,n_max",
         [
-            (STONEHAM, 1 << 14, None),
-            (STONEHAM, 9000, [8192, 3, 4097, 3, 1, 9000, 4096, 1]),
-            (nn.Schedule.geometric(2, 5, 3), 3 * se._BLOCK + 5, None),
+            (STONEHAM, 1 << 14),
+            (nn.Schedule.geometric(2, 5, 3), 3 * se._BLOCK + 5),
             # x_0 .. x_63 are 0: the first seven prefixes hold zeros only
-            (nn.Schedule.geometric(2, 3, 64), 5000, None),
+            (nn.Schedule.geometric(2, 3, 64), 5000),
         ],
-        ids=["default", "unsorted_duplicates", "not_power_of_two", "zero_prefix"],
+        ids=["default", "not_power_of_two", "zero_prefix"],
     )
-    def test_rows_are_star_discrepancy_of_each_prefix(self, schedule, n_max, checkpoints):
+    def test_rows_are_star_discrepancy_of_each_prefix(self, schedule, n_max):
         points = nn._points(schedule, n_max)
-        trace = nn.discrepancy_trace(schedule, n_max, checkpoints)
-        sizes = sorted(set(checkpoints or [1 << j for j in range(n_max.bit_length())]))
+        trace = nn.discrepancy_trace(schedule, n_max)
+        sizes = [1 << j for j in range(n_max.bit_length())]
         assert [N for N, _ in trace.rows] == sizes
         assert [d.hex() for _, d in trace.rows] == [nn.star_discrepancy(points[:N]).hex() for N in sizes]
 

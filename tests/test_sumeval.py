@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from korosum import numtheory as nt
 from korosum import sumeval as se
-from korosum.errors import DegenerateRange, NotCoprime
+from korosum.errors import DegenerateRange, NotCoprime, OutOfRange
 from oracles import eval_sum_blocked, eval_sum_scalar, mult_order_naive
 
 P3 = nt.PrimeSet.of(3)
@@ -73,19 +73,19 @@ class TestEvalSum:
     @pytest.mark.parametrize("m", [9, 3**9, 5**7, 3**20, 3**21, 3**41, 2**89 - 1],
                              ids=["9", "3^9", "5^7", "3^20", "3^21", "3^41", "2^89-1"])
     def test_bits_equal_the_reference_loops(self, m):
-        # the scalar loop below _SCALAR_CUTOFF terms and above _INT64_SAFE_M,
-        # blocks of _BLOCK otherwise; a zero, a unit, and a numerator sharing
+        # the scalar loop below _SCALAR_CUTOFF terms, blocks of _BLOCK
+        # otherwise, whatever m is; a zero, a unit, and a numerator sharing
         # a factor with m (all of the prime 2^89 - 1)
         shared = next((7 * p for p in (3, 5) if m % p == 0), 3 * m)
         for a in (0, 7, shared):
             for N in (1, 2047, 2048, 4096, 4097, 9000):
-                ref = eval_sum_scalar if N < 2048 or m > se._INT64_SAFE_M else eval_sum_blocked
+                ref = eval_sum_scalar if N < 2048 else eval_sum_blocked
                 got, want = se.eval_sum(a, 2, m, N).value, ref(a % m, 2, m, N)
                 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (a, N)
 
-    def test_per_term_sums_hold_the_phases_only(self):
-        # above _INT64_SAFE_M every term is fsum'd: the float64 blocks are held
-        # (16 bytes a term) and streamed into fsum one block at a time
+    def test_long_sums_hold_a_few_blocks(self):
+        # above _INT64_SAFE_M too, a long sum reduces block by block: the
+        # Python-int residues and phases of one block are held, not N terms
         m, N = 3**41, 2 * 10**5
         se.eval_sum(1, 2, m, 10)
         tracemalloc.start()
@@ -95,7 +95,7 @@ class TestEvalSum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * N
+        assert peak <= 1_000_000
 
     def test_power_table_is_shared_and_read_only(self):
         m = 5**7
@@ -141,6 +141,14 @@ class TestEvalSumReduced:
     def test_requires_coprime(self):
         with pytest.raises(NotCoprime):
             se.eval_sum_reduced(1, 3, 9, 5)
+
+    @pytest.mark.parametrize("b,m,N,message", [(-2, 3**9, 10**5, "b must be at least 2"),
+                                               (2, -9, 20, "modulus must be positive"),
+                                               (2, 9, 0, "N must be positive")])
+    def test_rejects_what_eval_sum_rejects(self, b, m, N, message):
+        for call in (se.eval_sum, se.eval_sum_reduced, lambda *args: se.verify_differencing(*args[:3], 3, N)):
+            with pytest.raises(OutOfRange, match=message):
+                call(1, b, m, N)
 
     def test_agreement_with_direct(self):
         rng = random.Random(101)

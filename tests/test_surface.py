@@ -78,3 +78,35 @@ def test_cos_and_sin_are_taken_in_phases_alone():
     # every phase factor e(r/m) of every sum comes from one place
     sites = {site for module, tree in _trees().items() for site in _trig_sites(tree, module[:-3])}
     assert sites == {"sumeval._phases"}
+
+
+#: Error classes that no src/ handler catches and that carry no data, each
+#: kept for a stated reason.
+DISTINCT_ERRORS = {
+    "DegenerateRange": "callers of choose_m_prime (perfbench, criterion 05) fall back to another m'",
+}
+
+
+def _caught(trees):
+    """Every exception name an except clause in src/ catches."""
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names.update(k.id if isinstance(k, ast.Name) else k.attr for k in kinds)
+    return names
+
+
+def test_every_error_class_is_told_apart():
+    # a class is worth having when a handler catches it, it carries data, or a
+    # stated reason keeps it; any other rejection is OutOfRange
+    trees = _trees()
+    caught = _caught(trees)
+    classes = [node for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)]
+    carries_data = {c.name for c in classes
+                    if any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in c.body)}
+    untold = sorted(c.name for c in classes
+                    if c.name not in caught | carries_data and c.name not in DISTINCT_ERRORS)
+    assert untold == [], f"error classes no caller tells apart (raise OutOfRange instead): {untold}"
+    assert set(DISTINCT_ERRORS) <= {c.name for c in classes} - caught - carries_data
