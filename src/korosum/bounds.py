@@ -34,9 +34,6 @@ if TYPE_CHECKING:
 
 LN2 = math.log(2.0)
 
-#: Decay rate of the prime-power comparator bound 3N exp(-g (log N)^3 / (log p^a)^2).
-PRIME_POWER_GAMMA = 1.0 / (2.0 * 10.0**6)
-
 #: Coefficient of the advisory decay envelope exp(-coeff (log log m)^(3/2)).
 #: Any value below log(2)/8 is admissible asymptotically; half of that
 #: absorbs the lower-order factors at desk scale.
@@ -434,20 +431,6 @@ def bound_baseline(m: int, N: int, d: int, P: PrimeSet, b: int, form: str = "sho
         tm, ts, bound = _one_row(m, N, P, b).long[0].tolist()
         return BoundReport(m, N, 0, bound, tm, ts, bound < N, "long")
     raise OutOfRange(f"unknown baseline form {form!r}")
-
-
-def bound_korobov_prime(p: int, alpha_exp: Union[int, float], N: int) -> float:
-    """Comparator bound 3N exp(-g (log N)^3 / (log p^alpha)^2), g = 1/(2e6).
-
-    Its own validity preconditions are not checkable from (p, alpha, N)
-    alone, so callers must treat the value as advisory.
-    """
-    if p < 3 or p % 2 == 0:
-        raise OutOfRange("p must be an odd prime")
-    if N < 2:
-        raise OutOfRange("N must be at least 2")
-    log_pa = alpha_exp * math.log(p)
-    return 3.0 * N * math.exp(-PRIME_POWER_GAMMA * math.log(N) ** 3 / log_pa**2)
 
 
 def intervals(k: int) -> Tuple[RationalInterval, Optional[RationalInterval]]:

@@ -47,7 +47,6 @@ class ScanRow:
     bound_main: float
     bound_long: float
     bound_short: Optional[float]
-    bound_prime: Optional[float]
     nontrivial_recursive: bool
     nontrivial_main: bool
 
@@ -272,17 +271,14 @@ def _scan_chunk(moduli: Sequence[int], config: ScanConfig) -> Tuple[List[ScanRow
     sum; the sums of the whole chunk come from one eval_scan_sums call.
     """
     b, P = config.b, PrimeSet(config.primes)
-    cells, pairs, in_order, prime_bound = [], [], [], []
+    cells, pairs, in_order = [], [], []
     for m in moduli:
         fac = numtheory.factor_smooth(m, P)
         T = fac.order_structure(b).order
-        prime_powers = [(p, e) for p, e in fac.exponents.items() if e]
-        base = prime_powers[0] if len(prime_powers) == 1 and prime_powers[0][0] % 2 else None
         Ns = _n_values_for(m, config.n_policy)
         cells.append((m, T, tuple(_units_for(fac, config.a_policy, config.seed)), Ns))
         pairs += [(m, N) for N in Ns]
         in_order += [N <= T for N in Ns]
-        prime_bound += [bounds.bound_korobov_prime(*base, N) if base and N >= 2 else None for N in Ns]
     table = bounds.bound_table(pairs, P, b, range(config.k_lo, config.k_hi + 1))
     levels = table.recursive[..., 2]
     rec = levels.min(axis=1)
@@ -299,7 +295,7 @@ def _scan_chunk(moduli: Sequence[int], config: ScanConfig) -> Tuple[List[ScanRow
     for (m, _, units, Ns), values in zip(cells, sums):
         at, start = range(start, start + len(Ns)), start + len(Ns)
         short_m = short[at[0]]  # the rows of m share one float
-        per_n = [(j, N, (rec[j], main[j], long[j], short_m if in_order[j] else None, prime_bound[j],
+        per_n = [(j, N, (rec[j], main[j], long[j], short_m if in_order[j] else None,
                          rec[j] < N, main[j] < N)) for j, N in zip(at, Ns)]
         for a, unit_values in zip(units, values):
             for (j, N, row_bounds), value in zip(per_n, unit_values):
@@ -466,6 +462,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_sum(args) -> int:
+    sumeval._check_args(args.b, args.m, args.n)
     T = numtheory.mult_order(args.b, args.m) if args.reduced else math.inf
     if min(args.n, T) + (args.n % T if args.n >= T else 0) > MAX_SUM_TERMS:
         raise OutOfRange(f"--n must be at most {MAX_SUM_TERMS} terms, got {args.n}; " + (
@@ -605,6 +602,7 @@ def _cmd_normal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    sumeval._check_differencing_args(args.b, args.m, args.m_prime, args.n)
     if args.n > MAX_VERIFY_N or args.n**2 > MAX_VERIFY_WORK * numtheory.mult_order(args.b, args.m_prime):
         raise OutOfRange(f"--n must be at most {MAX_VERIFY_N}, with N^2/tau at most "
                          f"{MAX_VERIFY_WORK} (tau = ord(b, m')), got {args.n}")

@@ -4,11 +4,14 @@ Every phase angle comes from the exact integer residue a*b^n mod m, kept
 by iterated modular multiplication, so the only floating-point steps are
 the final sin/cos and a compensated accumulation (plus, in the
 differencing verifier's fast path, dot products with a certified error
-bound).  Every sum is built from three primitives, so its bits do not
-depend on who asks for it: _powers doubles residues in int64, _phases
-takes cos/sin, and _phase_sum reduces.  The scan's short windows are
-exact prefix sums of batched walks (eval_scan_sums), and full periods of
-at least _SCALAR_CUTOFF terms share one streamed walk per coset of <b>
+bound).  Every window of terms is built from three primitives, so its
+bits do not depend on who asks for it: _powers doubles residues in int64,
+_phases takes cos/sin, and _phase_sum reduces.  eval_sum adds all N
+terms; eval_sum_reduced and eval_scan_sums fold full periods by one rule,
+taking a period that vanishes (_vanishing_primes) as exactly 0, and give
+the same bits as each other.  The scan's short windows are exact prefix
+sums of batched walks (eval_scan_sums), and windows of periods of at
+least _SCALAR_CUTOFF terms share one streamed walk per coset of <b>
 (_coset_window_sums).
 """
 
@@ -25,12 +28,13 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from .errors import DegenerateRange, NotCoprime, OutOfRange
-from .numtheory import PrimeSet, factor_smooth, mult_order
+from .numtheory import PrimeSet, factor_smooth, factorize, mult_order
 
 TWO_PI = 2.0 * math.pi
 
 #: Sums below this length are one fsum over their terms (_phase_sum); full
-#: periods this long are walked per coset (eval_sum_reduced).
+#: periods this long are walked per coset (eval_sum_reduced), and where one
+#: vanishes, a remainder past half of it is taken from its complement.
 _SCALAR_CUTOFF = 2048
 
 #: Block length of the orbit and phase blocks (also the power-table length).
@@ -115,29 +119,32 @@ def _power_table(b_red: int, m: int):
     return pows, pow(b_red, _BLOCK, m)
 
 
-def _orbit_blocks(r0: int, b0: int, m: int, N: int):
+def _orbit_blocks(r0: int, b0: int, m: int, N: int, keep=None):
     """Exact residues r0 * b0^n mod m for n = 0..N-1, 0 <= r0 < m, in blocks of
     up to _BLOCK entries: the one orbit kernel of sums, digits and
     normal-number points.  While m <= _INT64_SAFE_M every product fits int64
     and the blocks are int64, from the power table; above it they are object
-    arrays of Python ints, one multiplication each."""
+    arrays of Python ints, one multiplication each.  Given a set `keep`, the
+    i-th block is formed only if i is in it, and None stands for the others;
+    the lead residue of every block is still advanced exactly."""
     if m > _INT64_SAFE_M:
-        r = r0
-        for done in range(0, N, _BLOCK):
-            block = []
-            for _ in range(min(_BLOCK, N - done)):
+        pows, step = None, pow(b0, _BLOCK, m)
+    else:
+        pows, step = _power_table(b0, m)
+    lead = r0
+    for i, done in enumerate(range(0, N, _BLOCK)):
+        size = min(_BLOCK, N - done)
+        if keep is not None and i not in keep:
+            yield None
+        elif pows is None:
+            block, r = [], lead
+            for _ in range(size):
                 block.append(r)
                 r = r * b0 % m
             yield np.array(block, dtype=object)
-        return
-    pows, step = _power_table(b0, m)
-    lead = r0
-    done = 0
-    while done < N:
-        size = min(_BLOCK, N - done)
-        yield lead * pows[:size] % m
+        else:
+            yield lead * pows[:size] % m
         lead = lead * step % m
-        done += size
 
 
 def _phases(residues: np.ndarray, m, out=None) -> np.ndarray:
@@ -180,6 +187,17 @@ def _check_args(b: int, m: int, N: int) -> None:
         raise OutOfRange("b must be at least 2")
 
 
+def _check_differencing_args(b: int, m: int, m_prime: int, N: int) -> None:
+    """verify_differencing's arguments: those of _check_args, m' >= 1, and b
+    coprime to m and to m'."""
+    _check_args(b, m, N)
+    if m_prime < 1:
+        raise OutOfRange("m_prime must be positive")
+    for n in (m, m_prime):
+        if gcd(b, n) != 1:
+            raise NotCoprime(b, n)
+
+
 def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
     """S_N = sum_{n=1}^{N} e(a * b^n / m) with exact integer phases.
 
@@ -200,14 +218,17 @@ def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
 def eval_sum_reduced(
     a: Union[int, Tuple[int, ...]], b: int, m: int, N: int
 ) -> Union[SumResult, Tuple[SumResult, ...]]:
-    """Same value as eval_sum, but as q * S_T + S_r with T = ord(b, m).
+    """eval_sum's S_N, folded as q * S_T + S_r with T = ord(b, m).
 
-    The full period is evaluated once; only the remainder costs extra.
+    The full period is evaluated once, or not at all where it vanishes
+    (_vanishing_primes: then S_T = 0 exactly, and a remainder r > T/2 with
+    T >= _SCALAR_CUTOFF is minus its complement, T - r terms from x b^r).
     `a` is one numerator, or a tuple of numerators with one SumResult each,
-    in order.  When N >= T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M, both
+    in order.  When N >= T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M, the
     windows of every numerator come from one streamed walk per coset of <b>
     (_coset_window_sums); otherwise each window is one eval_sum (a shorter
-    period does not repay the walk's set-up).  Both give the same bits.
+    period does not repay the walk's set-up).  Both give the same bits: each
+    window is eval_sum's sum of its terms.
     """
     _check_args(b, m, N)
     if m > 1 and gcd(b, m) != 1:
@@ -215,25 +236,58 @@ def eval_sum_reduced(
     T = mult_order(b, m)
     q, r = divmod(N, T)
     numerators = a if isinstance(a, tuple) else (a,)
+    zero = _vanishing_primes(b % m, m, T) if q else ()
+    vanishes = {x: any(x % p for p in zero) for x in numerators}
     walked = {}
     if q and T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M:
-        walked = _coset_window_sums(numerators, b % m, m, T, (T, r))
+        walked = _coset_window_sums([(x, *_side(L, T, vanishes[x])[:2]) for x in numerators
+                                     for L in _windows(N, T, vanishes[x])], b % m, m, T)
     results = []
     for x in numerators:
         def window(L, x=x):
-            return walked[x, L] if (x, L) in walked else eval_sum(x, b, m, L).value
+            k, L, sign = _side(L, T, vanishes[x])
+            value = walked[x, k, L] if (x, k, L) in walked else eval_sum(x * pow(b, k, m), b, m, L).value
+            return -value if sign < 0 else value
 
-        value = _fold(N, T, window)
+        value = _fold(N, T, window, vanishes[x])
         results.append(SumResult(value, abs(value), N, m, x, b))
     return tuple(results) if isinstance(a, tuple) else results[0]
 
 
-def _fold(N: int, T: int, window) -> complex:
-    """q * S_T + S_r with q, r = divmod(N, T), given window(L) = S_L: the
-    value of eval_sum_reduced, in its order of operations."""
+@lru_cache(maxsize=256)
+def _vanishing_primes(b0: int, m: int, T: int) -> Tuple[int, ...]:
+    """The primes p with p^2 | m, p | T = ord(b0, m) and b0^(T/p) = 1 mod m/p.
+
+    For each, b0^(T/p) = 1 + (m/p) t0 mod m with p not dividing t0, so <b0>
+    holds the kernel K = {1 + (m/p) t} (p^2 | m makes it a group of order
+    p), and each coset y K of the orbit of x, p not dividing x, sums to
+    e(y/m) sum_t e(y t/p) = 0.  So S_T(x/m) = 0 exactly whenever some listed
+    p does not divide x.  Every such p divides gcd(T, m)."""
+    return tuple(p for p in factorize(gcd(T, m)) if m % (p * p) == 0 and pow(b0, T // p, m // p) == 1)
+
+
+def _windows(N: int, T: int, vanishes: bool) -> List[int]:
+    """The window lengths _fold(N, T, window, vanishes) asks for."""
+    q, r = divmod(N, T)
+    return [L for L in (T if q and not vanishes else 0, r) if L]
+
+
+def _side(L: int, T: int, vanishes: bool) -> Tuple[int, int, int]:
+    """(k, length, sign) with S_L(x/m) = sign * S_length(x b^k / m), L <= T:
+    where S_T(x/m) = 0 and T >= _SCALAR_CUTOFF, a window of more than half
+    the period is minus its complement, the T - L terms after it."""
+    if vanishes and T >= _SCALAR_CUTOFF and 2 * L > T:
+        return L, T - L, -1
+    return 0, L, 1
+
+
+def _fold(N: int, T: int, window, vanishes: bool = False) -> complex:
+    """q * S_T + S_r with q, r = divmod(N, T), given window(L) = S_L, and
+    S_T = 0 exactly when `vanishes`: the value of eval_sum_reduced, in its
+    order of operations."""
     q, r = divmod(N, T)
     value = 0j
-    if q:
+    if q and not vanishes:
         value += q * window(T)
     if r:
         value += window(r)
@@ -262,12 +316,13 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     """[[[eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units]
     for m, T, units, Ns in cells], given T = ord(b, m), bit for bit.
 
-    A sum is short when m <= _INT64_SAFE_M and its windows (T if N >= T,
-    N mod T if non-zero) are below _SCALAR_CUTOFF: each is a prefix of the
-    walk a b^n mod m, n = 1..min(T, N).  The walks go in batches of at most
-    _BLOCK residues, and a window is the fsum of its terms, by _prefix_fsums
-    or by fsum where a walk cannot be split exactly.  Other sums take one
-    eval_sum_reduced call per (m, N).
+    A sum is short when m <= _INT64_SAFE_M and its windows (T if N >= T and
+    S_T does not vanish, N mod T if non-zero) are below _SCALAR_CUTOFF: each
+    is a prefix of the walk a b^n mod m, n = 1..min(T, N), which stops at
+    the longest window.  The walks go in batches of at most _BLOCK residues,
+    and a window is the fsum of its terms, by _prefix_fsums or by fsum where
+    a walk cannot be split exactly.  Other sums take one eval_sum_reduced
+    call per (m, N).
     """
     out, walks = [], []
     for m, T, units, Ns in cells:
@@ -277,10 +332,12 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
             if j not in short:
                 for row, res in zip(out[-1], eval_sum_reduced(units, b, m, N)):
                     row[j] = res.value
-        if short:
-            lengths = sorted({L for j in short for L in (T if Ns[j] >= T else 0, Ns[j] % T) if L})
-            walks += [(lengths[-1], a, m, T, [(Ns[j], j) for j in short], lengths, row)
-                      for a, row in zip(units, out[-1])]
+        zero = _vanishing_primes(b % m, m, T) if any(Ns[j] >= T for j in short) else ()
+        for a, row in zip(units, out[-1]):
+            vanishes = any(a % p for p in zero)
+            lengths = sorted({L for j in short for L in _windows(Ns[j], T, vanishes)})
+            if lengths:  # else every short sum is 0j: whole periods that vanish
+                walks.append((lengths[-1], a, m, T, vanishes, [(Ns[j], j) for j in short], lengths, row))
     walks.sort(key=lambda w: w[0])
     while walks:
         n = 1
@@ -293,14 +350,14 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
         z = _phases(_powers(first, b % m, m, batch[-1][0]), m).swapaxes(0, 1)
         prefix, exact = _prefix_fsums(z)
         for i in np.flatnonzero(~exact.all(axis=1)):
-            for L in batch[i][5]:
+            for L in batch[i][6]:
                 prefix[i, :, L - 1] = [fsum(x) for x in z[i, :, :L].tolist()]
-        at, ends = zip(*[(i, L - 1) for i, w in enumerate(batch) for L in w[5]])
+        at, ends = zip(*[(i, L - 1) for i, w in enumerate(batch) for L in w[6]])
         got = iter(prefix[at, :, ends].tolist())
-        for _, _, _, T, Nj, lengths, row in batch:
+        for _, _, _, T, vanishes, Nj, lengths, row in batch:
             sums = {L: complex(*next(got)) for L in lengths}
             for N, j in Nj:
-                row[j] = _fold(N, T, sums.__getitem__)
+                row[j] = _fold(N, T, sums.__getitem__, vanishes)
     return out
 
 
@@ -328,54 +385,66 @@ def _starts(targets, b0: int, m: int, T: int) -> Dict[int, Tuple[int, int]]:
 
 
 def _coset_window_sums(
-    numerators: Tuple[int, ...], b0: int, m: int, T: int, lengths: Tuple[int, ...]
-) -> Dict[Tuple[int, int], complex]:
-    """{(a, L): eval_sum(a, b0, m, L).value} for every numerator a % m != 0
-    and every L in `lengths` with 0 < L <= T = ord(b0, m), m <= _INT64_SAFE_M,
-    from T phase factors per coset of <b0> in memory independent of T.
+    windows, b0: int, m: int, T: int
+) -> Dict[Tuple[int, int, int], complex]:
+    """{(x, k, L): eval_sum(x b0^k, b0, m, L).value} for every window (x, k, L)
+    with x % m != 0, 0 <= k < T and 0 < L <= T = ord(b0, m), m <=
+    _INT64_SAFE_M, from at most T phase factors per coset of <b0> in memory
+    independent of T.
 
-    The terms a b0^n, n = 1..L, are w_s, ..., w_{s+L-1} (indices mod T) of
-    the walk w_j = c b0^j of the coset's first target c, with w_s = a b0
-    (_starts).  One pass takes _phases of w_j for j < T, _BLOCK at a time,
-    then reuses the first chunk for w_{T+j} = w_j; each piece of a window
-    (eval_sum's blocks of it) is reduced by _phase_sum once the terms held
-    cover it, and a window is the fsum of its pieces.
+    The terms x b0^(k+n), n = 1..L, are w_{s+k}, ..., w_{s+k+L-1} (indices
+    mod T) of the walk w_j = c b0^j of the coset's first target c, with
+    w_s = x b0 (_starts).  Each window is cut into pieces, eval_sum's blocks
+    of it.  One pass takes _phases of the _BLOCK-term blocks of w_j, j < T,
+    that some piece covers, skips the others, and keeps the first block for
+    the pieces past T (w_{T+j} = w_j).  Each piece is reduced by _phase_sum
+    once the terms held cover it, and a window is the fsum of its pieces.
     """
     def pieces(s, L):  # (start, size, length for _phase_sum's rule) of w_s .. w_{s+L-1}
         rule = min(L, _SCALAR_CUTOFF)
         return [((s + k) % T, min(_BLOCK, L - k), rule) for k in range(0, L, _BLOCK)]
 
-    lengths = [L for L in set(lengths) if L]
-    targets = {x: x % m * b0 % m for x in numerators if x % m}
+    def chunk(j):  # the chunk holding w_j, j < T + _BLOCK
+        return j // _BLOCK if j < T else blocks
+
+    windows = [w for w in dict.fromkeys(windows) if w[0] % m]
+    targets = {x: x % m * b0 % m for x, _, _ in windows}
     starts = _starts(targets.values(), b0, m, T) if targets else {}
+    blocks = -(-T // _BLOCK)  # chunk i < blocks is w_{i _BLOCK} ..., chunk `blocks` the first again
     sums = {}  # (c, piece) -> its _phase_sum
     for c in dict.fromkeys(c for c, _ in starts.values()):
-        requests = sorted({p for c_t, s in starts.values() if c_t == c
-                           for L in lengths for p in pieces(s, L)}, key=lambda p: p[0] + p[1])
+        requests = sorted({p for x, k, L in windows if starts[targets[x]][0] == c
+                           for p in pieces(starts[targets[x]][1] + k, L)}, key=lambda p: p[0] + p[1])
+        needed = {i for start, size, _ in requests for i in range(chunk(start), chunk(start + size - 1) + 1)}
+        if blocks in needed:
+            needed.add(0)
         zs = np.empty((2, 2 * _BLOCK))  # cos, sin of w_{done - _BLOCK} .. w_{done + _BLOCK - 1}
         first = None
         done = i = 0
-        for block in chain(_orbit_blocks(c, b0, m, T), [None]):
-            new = zs[:, _BLOCK : _BLOCK + (first.shape[1] if block is None else block.size)]
-            if block is None:
+        for index, block in enumerate(chain(_orbit_blocks(c, b0, m, T, needed), [None])):
+            width = min(_BLOCK, T - done if index < blocks else T)
+            base, done = done - _BLOCK, done + width
+            if index not in needed:  # no piece reads these terms
+                continue
+            new = zs[:, _BLOCK : _BLOCK + width]
+            if index == blocks:
                 new[...] = first
             else:
                 _phases(block, m, out=new)
-                first = new.copy() if first is None else first
-            base, done = done - _BLOCK, done + new.shape[1]
-            # a piece ending in this chunk is at most _BLOCK long, so it starts inside zs
+                first = new.copy() if index == 0 else first
+            # a piece ending in this chunk is at most _BLOCK long, so it starts inside zs,
+            # and every chunk it spans was taken
             while i < len(requests) and sum(requests[i][:2]) <= done:
                 start, size, L = requests[i]
                 sums[c, requests[i]] = _phase_sum([zs[:, start - base : start - base + size]], L)
                 i += 1
-            zs[:, :_BLOCK] = zs[:, new.shape[1] : new.shape[1] + _BLOCK]
+            zs[:, :_BLOCK] = zs[:, width : width + _BLOCK]
 
     out = {}
-    for x, t in targets.items():
-        c, s = starts[t]
-        for L in lengths:  # fsum of one fsum is that fsum
-            parts = [sums[c, p] for p in pieces(s, L)]
-            out[x, L] = complex(fsum(p.real for p in parts), fsum(p.imag for p in parts))
+    for x, k, L in windows:  # fsum of one fsum is that fsum
+        c, s = starts[targets[x]]
+        parts = [sums[c, p] for p in pieces(s + k, L)]
+        out[x, k, L] = complex(fsum(p.real for p in parts), fsum(p.imag for p in parts))
     return out
 
 
@@ -493,11 +562,7 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
     eval_sum.  `path` says which path decided; `rhs` is that path's
     uncorrected right-hand side.  `holds` allows HOLDS_SLACK of relative noise.
     """
-    if gcd(b, m) != 1:
-        raise NotCoprime(b, m)
-    if gcd(b, m_prime) != 1:
-        raise NotCoprime(b, m_prime)
-    _check_args(b, m, N)
+    _check_differencing_args(b, m, m_prime, N)
     tau = mult_order(b, m_prime)
     if m <= _INT64_SAFE_M:
         lhs_sq, inner, errors = _inner_sums(a % m, b % m, m, N, tau)

@@ -250,32 +250,6 @@ class TestBoundBaseline:
                 bd.bound_baseline(45, 5, bad_d, P35, 2, "short")
 
 
-class TestPrimePowerComparator:
-    def test_exponent_collapse(self):
-        # (log N)^3 = (log p^alpha)^2 makes the bound 3N e^(-gamma)
-        p, alpha = 3, 10.0
-        log_pa = alpha * math.log(p)
-        N = round(math.exp(log_pa ** (2 / 3)))
-        got = bd.bound_korobov_prime(p, alpha, N)
-        expected = 3 * N * math.exp(
-            -bd.PRIME_POWER_GAMMA * math.log(N) ** 3 / log_pa**2
-        )
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_trivial_for_small_n(self):
-        assert bd.bound_korobov_prime(3, 100, 50) > 50
-
-    def test_two_path_evaluation(self):
-        p, alpha, N = 3, 100, 10**6
-        got = bd.bound_korobov_prime(p, alpha, N)
-        r = (alpha * math.log(p)) / math.log(N)
-        assert got == pytest.approx(3 * N ** (1 - bd.PRIME_POWER_GAMMA / r**2), rel=1e-9)
-
-    def test_rejects_even_p(self):
-        with pytest.raises(OutOfRange):
-            bd.bound_korobov_prime(2, 10, 100)
-
-
 class TestIntervals:
     def test_table(self):
         expected = {
@@ -459,12 +433,7 @@ def _ref_row(m, a, N, P, b, k_lo, k_hi):
     rec, k_star = min(recs)
     main = _ref_level(m, N, k_star, P, b, "main")[2]
     short = _ref_short(m, 1)[1] if N <= nt.mult_order(b, m) else None
-    fac = nt.factorize(m)
-    prime = None
-    if len(fac) == 1 and m % 2 and N >= 2:
-        (p, e), = fac.items()
-        prime = bd.bound_korobov_prime(p, e, N)
-    return (m, a, N, k_star, s_abs, s_abs / N, rec, main, _ref_long(m, N, P, b)[2], short, prime,
+    return (m, a, N, k_star, s_abs, s_abs / N, rec, main, _ref_long(m, N, P, b)[2], short,
             rec < N, main < N)
 
 
@@ -525,11 +494,10 @@ class TestAgainstPerCallReference:
                          for a in units for N in cli._n_values_for(m, n_policy)]
         assert got == want
         # the cases reach N = 1, k* = k_lo > 0, both sides of N <= ord(b, m)
-        # (bound_short set or None), prime-power rows and m = 2^j with b = 3
+        # (bound_short set or None) and m = 2^j with b = 3
         assert any(r[2] == 1 for r in got)
         assert any(r[3] == 2 for r in got if r[0] in (81, 3**9))
         assert any(r[9] is None for r in got) and any(r[9] is not None for r in got)
-        assert any(r[10] is not None for r in got)
         assert any(r[0] == 2**10 for r in got)
         # eval_sum_reduced took only the long windows (3^10 at N = 3^11 has
         # T = 39366) and m above _INT64_SAFE_M; the short windows beside them

@@ -22,7 +22,7 @@ from korosum import digits as dg
 from korosum import normalnum as nn
 from korosum import numtheory as nt
 from korosum import sumeval as se
-from korosum.errors import BoundViolation, ConfigError
+from korosum.errors import BoundViolation, ConfigError, KorosumError
 import oracles
 
 
@@ -305,7 +305,7 @@ class TestRenderReport:
         for i, v in enumerate(special):
             rows.append(cli.ScanRow(
                 3**i, -i, 2**70 + i, i, -0.0 if v is None else v, math.nan, math.inf, -math.inf,
-                v or 1.0, v, special[-1 - i], i % 2 == 0, i % 3 == 0))
+                v or 1.0, v, i % 2 == 0, i % 3 == 0))
         data = cli.render_report(rows)
         assert data == oracles.csv_report(rows)
         assert {b"true", b"false", b"", b"inf", b"-inf", b"nan", b"-0"} <= set(data.replace(b"\n", b",").split(b","))
@@ -606,6 +606,26 @@ class TestFlagRanges:
         assert cli.main(argv + extra) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,call,message", [
+        ("sum --a 1 --b 0 --m 9 --n 20 --reduced", lambda: se.eval_sum_reduced(1, 0, 9, 20),
+         "b must be at least 2"),
+        ("sum --a 1 --b 3 --m 9 --n 0 --reduced", lambda: se.eval_sum_reduced(1, 3, 9, 0),
+         "N must be positive"),
+        ("verify --a 1 --b 2 --m 9 --m-prime 0 --n 20", lambda: se.verify_differencing(1, 2, 9, 0, 20),
+         "m_prime must be positive"),
+        ("verify --a 1 --b 2 --m 9 --m-prime -3 --n 20", lambda: se.verify_differencing(1, 2, 9, -3, 20),
+         "m_prime must be positive"),
+        ("verify --a 1 --b 6 --m 9 --m-prime 4 --n 20", lambda: se.verify_differencing(1, 6, 9, 4, 20),
+         "gcd(6, 9) != 1"),
+    ], ids=["sum_reduced_b0", "sum_reduced_n0", "verify_m_prime0", "verify_m_prime-3", "verify_gcd_m_first"])
+    def test_sum_and_verify_name_the_library_fault(self, capsys, argv, call, message):
+        # the argument check runs before the work limits' mult_order
+        with pytest.raises(KorosumError) as info:
+            call()
+        assert str(info.value) == message
+        assert cli.main(argv.split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("primes", [[], ["--primes", "7"]])
     def test_digits_past_limit(self, monkeypatch, capsys, primes):
         monkeypatch.setattr(dg, "count_occurrences", self._tripwire("count_occurrences"))
@@ -764,7 +784,7 @@ class TestPinnedCommandLine:
         "verify --a 1 --b 2 --m 531441 --m-prime 3 --n 5000 --json":
             "450c2e9a217cf46b66e862c24e1ab64992558429b3ea2be141acbea7f64ffca9",
         "scan --config scan.json --out rows.csv":
-            "ec35334e381bfa46a8a1b565aa197d10e5389a33cc1d92d68437f65b16f4d9f4",
+            "669ec4f895a24f8f527030aed17eaf07b95ae3c3c4acaaff9fafc2b44e2ce86f",
     }
 
     @pytest.mark.parametrize("argv", README_OUTPUTS)

@@ -34,15 +34,28 @@ def oracle_sum(a, b, m, N):
     return complex(fsum(res), fsum(ims))
 
 
+def period_vanishes(a, b, m):
+    """S_T(a/m) = 0 exactly, T = ord(b, m): some prime p with p^2 | m and p
+    not dividing a has T = p ord(b, m/p), so <b> holds the kernel
+    {1 + (m/p) t} and every coset of it in the orbit sums to 0."""
+    T = nt.mult_order(b, m)
+    return any(m % p**2 == 0 and a % p and T == p * nt.mult_order(b, m // p) for p in nt.factorize(m))
+
+
 def folded(a, b, m, N, eval_sum=se.eval_sum):
     """q * S_T + S_r folded here from eval_sum windows in _fold's order of
-    operations: eval_sum_reduced's value, without its coset walk."""
+    operations: eval_sum_reduced's value, without its coset walk.  Where
+    S_T vanishes it is exactly 0, and at T >= _SCALAR_CUTOFF a remainder
+    r > T/2 is minus the T - r terms after it."""
     T = nt.mult_order(b, m)
     q, r = divmod(N, T)
+    zero = q and period_vanishes(a, b, m)
     value = 0j
-    if q:
+    if q and not zero:
         value += q * eval_sum(a, b, m, T).value
-    if r:
+    if r and zero and T >= se._SCALAR_CUTOFF and 2 * r > T:
+        value += -eval_sum(a * pow(b, r, m), b, m, T - r).value
+    elif r:
         value += eval_sum(a, b, m, r).value
     return value
 
@@ -261,6 +274,82 @@ class TestBatchedFold:
             (v.real.hex(), v.imag.hex()) for v in want]
 
 
+class TestVanishingPeriods:
+    """S_T(x/m) = 0 exactly when <b> holds the kernel of reduction mod m/p,
+    p^2 | m, and p does not divide x (_vanishing_primes)."""
+
+    # prime sets with and without 2; b = 7 and b = 3 are 3 mod 4, where
+    # mu = 1 and 4 || m double the order through p = 2
+    ENVIRONMENTS = [((3, 5), 2), ((2, 3), 5), ((2, 3), 7), ((2, 5), 3), ((2,), 3), ((5, 7), 2)]
+
+    @staticmethod
+    def float_error(N):
+        """A-priori bound on |computed S_N - exact S_N|: _E_Z per phase
+        factor, and the reduction's (block sums of at most _BLOCK terms per
+        component, then fsum) within sqrt(2) gamma_B per unit of magnitude."""
+        return N * (se._E_Z + math.sqrt(2.0) * se._gamma(se._BLOCK))
+
+    def test_the_rule_is_the_kernel_condition_and_the_float_sums_agree(self):
+        fired, mu_cases = 0, 0
+        for primes, b in self.ENVIRONMENTS:
+            P = nt.PrimeSet(primes)
+            for m in nt.smooth_numbers(P, 3000, lo=2):
+                if gcd(b, m) != 1:
+                    continue
+                T = nt.mult_order(b, m)
+                zero = se._vanishing_primes(b % m, m, T)
+                units = [a for a in (1, 2, m - 1, 7 * m // 11 + 1) if gcd(a, m) == 1]
+                assert bool(zero) == period_vanishes(units[0], b, m), (b, m)
+                if math.prod(nt.factorize(m)) == m:  # squarefree: no kernel to hold
+                    assert zero == ()
+                if not zero:
+                    continue
+                fired += 1
+                assert T < se._SCALAR_CUTOFF  # so no window below is complemented
+                st = nt.factor_smooth(m, P).order_structure(b)
+                mu_cases += st.mu == 1 and m % 8 == 4 and 2 in zero
+                r = T // 2 + 1
+                for a in units:
+                    assert abs(se.eval_sum(a, b, m, T).value) <= self.float_error(T)
+                    for N in (T, 3 * T, 3 * T + T // 3, 3 * T + r):
+                        got = se.eval_sum_reduced(a, b, m, N).value
+                        assert got == se.eval_sum(a, b, m, N % T).value if N % T else got == 0j
+                        assert abs(got - se.eval_sum(a, b, m, N).value) <= self.float_error(N) + self.float_error(T)
+        assert fired > 100 and mu_cases >= 7
+
+    def test_numerators_sharing_the_prime_keep_the_period(self):
+        # m = 45, b = 2: T = 12 = 3 ord(2, 15), so S_T(x/45) = 0 for 3 not
+        # dividing x; x = 3 walks 3 (2^n mod 15), and S_T(3/45) = 3 S_4(1/15)
+        m, b, T = 45, 2, 12
+        assert nt.mult_order(b, m) == T and se._vanishing_primes(b, m, T) == (3,)
+        period = se.eval_sum(3, b, m, T).value
+        assert abs(period - 3 * se.eval_sum(1, b, 15, 4).value) < 1e-12 and abs(period) > 1
+        for x in (3, 6, 30):
+            for N in (T, 5 * T + 1, 7 * T + 9):
+                got = se.eval_sum_reduced(x, b, m, N).value
+                assert got == folded(x, b, m, N)
+                assert abs(got - oracle_sum(x, b, m, N)) <= self.float_error(N) + self.float_error(T)
+        assert abs(se.eval_sum_reduced(3, b, m, 5 * T).value - 5 * period) == 0
+
+    @pytest.mark.parametrize("m,b", [(3**8, 2), (3**6 * 5**2, 2), (2**15 * 3, 7)],
+                             ids=["3^8", "3^6*5^2", "2^15*3"])
+    def test_complemented_windows_equal_eval_sum(self, m, b):
+        # T >= _SCALAR_CUTOFF: a remainder r > T/2 is minus the T - r terms
+        # after it, eval_sum's bits negated; r = T/2 keeps its own side
+        T = nt.mult_order(b, m)
+        assert T >= se._SCALAR_CUTOFF and se._vanishing_primes(b % m, m, T)
+        units = (1, 5, 11, 13)
+        for r in (T // 2 - 1, T // 2, T // 2 + 1, T - se._SCALAR_CUTOFF, T - 1):
+            got = se.eval_sum_reduced(units, b, m, 2 * T + r)
+            for a, res in zip(units, got):
+                if 2 * r > T:
+                    want = -se.eval_sum(a * pow(b, r, m), b, m, T - r).value
+                else:
+                    want = se.eval_sum(a, b, m, r).value
+                assert (res.value.real.hex(), res.value.imag.hex()) == (want.real.hex(), want.imag.hex())
+                assert abs(res.value - oracle_sum(a, b, m, r)) <= self.float_error(T)
+
+
 class TestStarts:
     """_starts (baby-step giant-step) against a walk of each coset."""
 
@@ -420,7 +509,9 @@ class TestScanSums:
 
     def test_batches_of_mixed_widths(self, monkeypatch):
         b = 2
-        # (m, T, units, Ns) -> walk widths 1000 (x2), 1020, 1029, 1100 (x3), 2047 (x2)
+        # (m, T, units, Ns) -> walk widths 1000 (x2), 1018, 1020, 1100 (x3), 2047 (x2):
+        # S_T vanishes at 7^4 (T = 7 ord(2, 7^3)), so its walk stops at the
+        # longest remainder, 2047 - 1029
         cells = [(3**8, 4374, (1, 2), [1000]), (5**5, 2500, (1,), [1020, 7]),
                  (7**4, 1029, (1,), [2047, 3000]), (3**7 * 5, 2916, (1, 2, 4), [1100, 5000]),
                  (3**9, 13122, (1, 2), [2047])]
@@ -429,10 +520,85 @@ class TestScanSums:
         monkeypatch.setattr(se, "_prefix_fsums", lambda x: shapes.append(x.shape) or prefix_fsums(x))
         got = se.eval_scan_sums(b, cells)
         # at most 4096 residues per batch, a batch as wide as its widest walk
-        assert shapes == [(3, 2, 1020), (3, 2, 1100), (2, 2, 2047), (1, 2, 2047)]
+        assert shapes == [(4, 2, 1020), (3, 2, 1100), (2, 2, 2047)]
         want = [[[folded(a, b, m, N) for N in Ns] for a in units] for m, T, units, Ns in cells]
         assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
             [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
+
+
+    def test_vanishing_periods_equal_eval_sum_reduced(self):
+        # S_T = 0 at T = 324 (batched windows), T = 2500 and T = 4374 (the
+        # coset walk), on both sides of r = T/2; 3 and m keep their periods
+        b = 2
+        cells = []
+        for m in (3**5 * 5, 5**5, 3**8):
+            T = nt.mult_order(b, m)
+            assert se._vanishing_primes(b, m, T)
+            h = T // 2
+            Ns = sorted({h, T, T + 1, T + h - 1, T + h, T + h + 1, 3 * T - 1, 4 * T})
+            cells.append((m, T, (1, 2, 7, 3, m), Ns))
+        got = se.eval_scan_sums(b, cells)
+        want = [[[se.eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units] for m, T, units, Ns in cells]
+        assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
+            [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
+        assert got[0][0][-1] == 0j and got[0][3][-1] != 0j
+
+
+class TestWalkTrigCount:
+    """The coset walk takes cos/sin only of the _BLOCK-term blocks that some
+    window covers, not of whole periods."""
+
+    def test_walk_takes_only_the_covered_blocks(self, monkeypatch):
+        counted, inside = [0], [False]
+        phases, walk = se._phases, se._coset_window_sums
+
+        def counting_phases(residues, m, out=None):
+            counted[0] += residues.size if inside[0] else 0
+            return phases(residues, m, out)
+
+        def flagged_walk(*args):
+            inside[0] = True
+            try:
+                return walk(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(se, "_phases", counting_phases)
+        monkeypatch.setattr(se, "_coset_window_sums", flagged_walk)
+        # the README scan's shape (b = 2, {3, 5}-smooth m, five units,
+        # N = ceil(m^x)) over the moduli whose long windows are walked
+        b, B = 2, se._BLOCK
+        cells = []
+        for m in nt.smooth_numbers(P35, 10**6, lo=10**5):
+            units = tuple(sorted(random.Random(m).sample([a for a in range(1, 400) if gcd(a, m) == 1], 5)))
+            cells.append((m, nt.mult_order(b, m), units, sorted({math.ceil(m**x) for x in (0.15, 0.4, 1.0)})))
+        se.eval_scan_sums(b, cells)
+        # the union of blocks the windows cover, per coset and per walk (one
+        # walk per (m, N) with N >= T >= _SCALAR_CUTOFF), against whole periods
+        covered = whole = 0
+        for m, T, units, Ns in cells:
+            for N in Ns:
+                q, r = divmod(N, T)
+                if not q or T < se._SCALAR_CUTOFF:
+                    continue
+                starts = se._starts([a * b % m for a in units], b, m, T)
+                blocks = {}
+                for a in units:
+                    c, s = starts[a * b % m]
+                    if not period_vanishes(a, b, m):
+                        windows = [(0, T), (0, r)]
+                    else:
+                        windows = [(r, T - r)] if 2 * r > T else [(0, r)]
+                    for k, L in windows:
+                        if L:
+                            first = (s + k) % T
+                            last = first + L - 1
+                            spans = [(first, min(last, T - 1))] + ([(T, last)] if last >= T else [])
+                            blocks.setdefault(c, set()).update(
+                                i for lo, hi in spans for i in range((lo % T) // B, (hi % T) // B + 1))
+                covered += sum(min(B, T - i * B) for held in blocks.values() for i in held)
+                whole += T * len(blocks)
+        assert counted[0] <= covered < 0.8 * whole
 
 
 class TestChooseMPrime:
