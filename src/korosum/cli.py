@@ -418,9 +418,10 @@ def _parse_primes(text: str) -> Tuple[int, ...]:
 #: every k up to it (on the Stoneham schedule, on a 2-vCPU Xeon guest: 0.17 s
 #: at 1000, 1.3 s at 2000, unfinished after 15 s at 100000).
 MAX_K_CHECK = 1000
-#: Most terms of `sum`, N or with --reduced min(N, T) + (N mod T if N >= T)
-#: for T = ord(b, m): 6 s on the blocked path on that guest, about 30 s above
-#: 3.04e9 (Python-int residues; 2.8 s at 10^7), in memory of a few blocks.
+#: Most terms of `sum`: N, or with --reduced the summed lengths of the
+#: windows its fold takes (sumeval._fold_windows): 6 s on the blocked path
+#: on that guest, about 30 s above 3.04e9 (Python-int residues; 2.8 s at
+#: 10^7), in memory of a few blocks.
 MAX_SUM_TERMS = 10**8
 #: Largest `digits --n`: 1 s on that guest while b m stays in int64, 35 s
 #: past it (Python-int digits).
@@ -463,10 +464,13 @@ def _cmd_order(args) -> int:
 
 def _cmd_sum(args) -> int:
     sumeval._check_args(args.b, args.m, args.n)
-    T = numtheory.mult_order(args.b, args.m) if args.reduced else math.inf
-    if min(args.n, T) + (args.n % T if args.n >= T else 0) > MAX_SUM_TERMS:
+    terms = args.n
+    if args.reduced:
+        T = numtheory.mult_order(args.b, args.m)
+        terms = sum(L for _, L, _ in sumeval._fold_windows(args.a, args.b, args.m, T, args.n))
+    if terms > MAX_SUM_TERMS:
         raise OutOfRange(f"--n must be at most {MAX_SUM_TERMS} terms, got {args.n}; " + (
-            f"--reduced evaluates min(N, T) + (N mod T if N >= T) terms, T = ord(b, m) = {T}" if args.reduced
+            f"--reduced evaluates {terms} terms, the windows of its fold over T = ord(b, m) = {T}" if args.reduced
             else "--reduced evaluates one period ord(b, m) and folds"))
     fn = sumeval.eval_sum_reduced if args.reduced else sumeval.eval_sum
     res = fn(args.a, args.b, args.m, args.n)

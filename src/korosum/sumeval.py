@@ -234,14 +234,12 @@ def eval_sum_reduced(
     if m > 1 and gcd(b, m) != 1:
         raise NotCoprime(b, m)
     T = mult_order(b, m)
-    q, r = divmod(N, T)
     numerators = a if isinstance(a, tuple) else (a,)
-    zero = _vanishing_primes(b % m, m, T) if q else ()
-    vanishes = {x: any(x % p for p in zero) for x in numerators}
+    vanishes = {x: _vanishes(x, b, m, T, N) for x in numerators}
     walked = {}
-    if q and T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M:
-        walked = _coset_window_sums([(x, *_side(L, T, vanishes[x])[:2]) for x in numerators
-                                     for L in _windows(N, T, vanishes[x])], b % m, m, T)
+    if N >= T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M:
+        walked = _coset_window_sums([(x, k, L) for x in numerators for k, L, _ in _fold_windows(x, b, m, T, N)],
+                                    b % m, m, T)
     results = []
     for x in numerators:
         def window(L, x=x):
@@ -266,6 +264,12 @@ def _vanishing_primes(b0: int, m: int, T: int) -> Tuple[int, ...]:
     return tuple(p for p in factorize(gcd(T, m)) if m % (p * p) == 0 and pow(b0, T // p, m // p) == 1)
 
 
+def _vanishes(a: int, b: int, m: int, T: int, N: int) -> bool:
+    """Whether the fold of S_N(a/m) takes S_T as exactly 0: N >= T and some
+    prime of _vanishing_primes does not divide a."""
+    return N >= T and any(a % p for p in _vanishing_primes(b % m, m, T))
+
+
 def _windows(N: int, T: int, vanishes: bool) -> List[int]:
     """The window lengths _fold(N, T, window, vanishes) asks for."""
     q, r = divmod(N, T)
@@ -279,6 +283,13 @@ def _side(L: int, T: int, vanishes: bool) -> Tuple[int, int, int]:
     if vanishes and T >= _SCALAR_CUTOFF and 2 * L > T:
         return L, T - L, -1
     return 0, L, 1
+
+
+def _fold_windows(a: int, b: int, m: int, T: int, N: int) -> List[Tuple[int, int, int]]:
+    """_side's (k, length, sign) for each window the fold of S_N(a/m) takes,
+    T = ord(b, m): what eval_sum_reduced walks."""
+    vanishes = _vanishes(a, b, m, T, N)
+    return [_side(L, T, vanishes) for L in _windows(N, T, vanishes)]
 
 
 def _fold(N: int, T: int, window, vanishes: bool = False) -> complex:

@@ -576,16 +576,33 @@ class TestFlagRanges:
                                      (3**18, cli.MAX_SUM_TERMS + 1),  # T = 258280326 > N
                                      (3**40, 10**22)])  # T = 2 3^39 ~ 8.1e18
     def test_sum_reduced_past_folded_limit(self, monkeypatch, capsys, m, n):
+        # 3 divides a = 3, so no period S_T(a/m) vanishes
         monkeypatch.setattr(se, "eval_sum_reduced", self._tripwire("eval_sum_reduced"))
-        argv = ["sum", "--a", "1", "--b", "2", "--m", str(m), "--n", str(n), "--reduced"]
+        argv = ["sum", "--a", "3", "--b", "2", "--m", str(m), "--n", str(n), "--reduced"]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"--n must be at most {cli.MAX_SUM_TERMS}" in err
         assert f"T = ord(b, m) = {nt.mult_order(2, m)}" in err
-        if n == cli.MAX_SUM_TERMS + 1:  # min(N, T) + (N mod T if N >= T) is at the limit
+        if n == cli.MAX_SUM_TERMS + 1:  # the windows' lengths are at the limit
             argv[-2] = str(n - 1)
             with pytest.raises(AssertionError, match="called past the limit"):
                 cli.main(argv)
+
+    def test_sum_reduced_counts_the_windows_it_takes(self, monkeypatch, capsys):
+        # m = 3^8, T = 4374: S_T(1/m) vanishes, so N = T + r takes r terms, or
+        # the T - r after them where r > T/2; S_T(3/m) does not, so T + r
+        m, T = 3**8, 4374
+        monkeypatch.setattr(cli, "MAX_SUM_TERMS", 1000)
+        for a, n, code in [(1, T + 1000, 0), (1, T + 4000, 0), (1, 2 * T, 0), (1, T + 1001, 2), (1, 1001, 2),
+                           (3, T + 1000, 2), (3, T + 4000, 2), (3, 1000, 0)]:
+            argv = ["sum", "--a", str(a), "--b", "2", "--m", str(m), "--n", str(n), "--reduced", "--json"]
+            assert cli.main(argv) == code, (a, n)
+            out, err = capsys.readouterr()
+            if code == 0:
+                value = se.eval_sum_reduced(a, 2, m, n).value
+                assert json.loads(out)["value"] == {"re": value.real, "im": value.imag}
+            else:
+                assert f"--n must be at most 1000 terms, got {n}; --reduced evaluates" in err
 
     @pytest.mark.parametrize("reduced", [[], ["--reduced"]])
     @pytest.mark.parametrize("n", ["0", "-3"])
@@ -897,6 +914,28 @@ _SCAN_DOCS = _perturbed(
 #: Integer arguments in [-10^40, 10^40], small ones drawn often enough that
 #: sums and verifications run as well as get rejected.
 _INT_ARG = st.one_of(st.integers(-3, 100), st.integers(-(10**40), 10**40))
+#: What a flag may be given in place of its value: integers up to 10^40,
+#: lists of primes (2^89 - 1 past the primality test's range) and other
+#: integers up to 10^30, and short text
+_JUNK_ARG = st.one_of(
+    _INT_ARG,
+    st.lists(st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13, 10**9 + 7, 2**61 - 1, 2**89 - 1]),
+                       st.integers(-3, 10**30)), max_size=4).map(lambda ps: ",".join(map(str, ps))),
+    st.text("0123456789az-,", max_size=4))
+
+
+def _flags(**valid):
+    """argv flags --name=value, each value drawn from its list (None leaves
+    the flag out), with up to two of them replaced by a _JUNK_ARG."""
+    def argv(chosen, junk):
+        chosen.update(junk)
+        return [f"--{name.replace('_', '-')}={value}" for name, value in chosen.items() if value is not None]
+
+    flags = st.fixed_dictionaries({name: st.sampled_from(values) for name, values in valid.items()})
+    return st.builds(argv, flags, st.dictionaries(st.sampled_from(sorted(valid)), _JUNK_ARG, max_size=2))
+
+
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestInputBoundaryFuzz:
@@ -906,7 +945,10 @@ class TestInputBoundaryFuzz:
     def _run(argv):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejected a flag's value
+                code = exc.code
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
 
@@ -942,3 +984,30 @@ class TestInputBoundaryFuzz:
         path.write_text(json.dumps(doc))
         self._run(["scan", "--config", str(path), "--workers", "1",
                    "--out", str(base / "fuzz_rows.out")])
+
+    @_FUZZ
+    @given(flags=_flags(b=[2, 7], m=[9, 45, 3**20, 2**10 * 3**5], primes=[None, "3", "2,3"]))
+    def test_order_arguments(self, flags):
+        self._run(["order", *flags, "--json"])
+
+    @_FUZZ
+    @given(flags=_flags(m=[9, 45, 3**20, 3**7 * 5**3], n=[10, 1000, 10**6], k=[0, 1, 2], primes=["3", "3,5"],
+                        b=[2, 7], form=["recursive", "main", "short", "long", "best"], d=[1, 3, 9], k_max=[4, 8]))
+    def test_bound_arguments(self, flags):
+        self._run(["bound", *flags, "--json"])
+
+    @_FUZZ
+    @given(flags=_flags(primes=["3", "3,5", "5,7"], b=[2, 7], k_max=[3, 6]))
+    def test_constants_arguments(self, flags):
+        self._run(["constants", *flags, "--json"])
+
+    @_FUZZ
+    @given(flags=_flags(a=[1, 7], m=[9, 49, 3**20], base=[2, 10], pattern=["1", "01", "7"], n=[1, 100, 300],
+                        primes=[None, "3", "7"]))
+    def test_digits_arguments(self, flags):
+        self._run(["digits", *flags, "--json"])
+
+    @_FUZZ
+    @given(flags=_flags(k_max=[0, 8, 50]))
+    def test_intervals_arguments(self, flags):
+        self._run(["intervals", *flags, "--json"])

@@ -12,7 +12,7 @@ SRC = pathlib.Path(korosum.__file__).parent
 #: Public names with no src/ reference, each kept for a stated reason.
 KEEP = {
     "choose_m_prime": "the reduced modulus m' of the differencing step",
-    "m_bar": "the modulus m / gcd(m, m'^tau) of the differencing step",
+    "m_bar": "the modulus gcd(b^tau - 1, m), tau = ord(b, m'), of the differencing step",
     "corollary_constants": "the uniform-decay corollary's constants C, delta",
     "alpha_digits": "the digits of the normal-number candidate alpha",
     "erdos_turan_estimate": "the discrepancy majorant from exponential sums",
