@@ -256,6 +256,17 @@ def _n_values_for(m: int, policy: Dict) -> List[int]:
     return sorted({max(1, math.ceil(m**x)) for x in policy["exponents"]})
 
 
+#: Most rows of one scan: units (as many as its a_policy names: len(values),
+#: min(count, m - 1), or m - 1 for all) times N values, over its moduli.  A
+#: row keeps about 500 bytes until the report is written: on a 2-vCPU Xeon
+#: guest, the 1,062,882 rows of every unit of 3^12 took 17 s and 539 MB.
+MAX_SCAN_ROWS = 10**6
+#: Most sum terms of one scan, bounded by 2 units min(N, m) per N value and
+#: modulus: on that guest 16 s at the cap for m = 3^19 (5 units, N = 10^8),
+#: and 9 s at a tenth of it for m = 3^21 (Python-int residues).  Folds take
+#: most scans far below it: the README scan's bound is 3.2e8, its run 0.5 s.
+MAX_SCAN_TERMS = 10**9
+
 #: Most sum terms (over a modulus's N values, min(N, m) each) that one scan
 #: task of consecutive moduli takes on: many moduli with short sums, which
 #: batch, or few with long ones, so that the workers stay balanced.
@@ -320,13 +331,26 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
     if not moduli:
         raise ConfigError("m_range", "contains no smooth modulus")
     chunks, terms = [], _CHUNK_TERMS
+    rows = work = 0
     for m in moduli:
-        n = sum(min(N, m) for N in _n_values_for(m, config.n_policy))
+        Ns = _n_values_for(m, config.n_policy)
+        n = sum(min(N, m) for N in Ns)
+        units = m - 1  # at most the units _units_for takes, from the policy alone
+        if config.a_policy["kind"] == "fixed":
+            units = len(config.a_policy["values"])
+        elif config.a_policy["kind"] == "sample":
+            units = min(config.a_policy["count"], m - 1)
+        rows += units * len(Ns)
+        work += 2 * units * n  # a fold takes fewer than 2 min(N, T) terms
         if terms + n > _CHUNK_TERMS:
             chunks.append([])
             terms = 0
         chunks[-1].append(m)
         terms += n
+    if rows > MAX_SCAN_ROWS:
+        raise ConfigError("a_policy", f"the scan takes up to {rows} rows, more than {MAX_SCAN_ROWS}")
+    if work > MAX_SCAN_TERMS:
+        raise ConfigError("N_policy", f"the scan's sums take up to {work} terms, more than {MAX_SCAN_TERMS}")
     cell = partial(_scan_chunk, config=config)
     nworkers = workers if workers is not None else config.workers
     if nworkers > 1:
@@ -467,7 +491,7 @@ def _cmd_sum(args) -> int:
     terms = args.n
     if args.reduced:
         T = numtheory.mult_order(args.b, args.m)
-        terms = sum(L for _, L, _ in sumeval._fold_windows(args.a, args.b, args.m, T, args.n))
+        terms = sum(L for _, _, L in sumeval._fold_windows(args.a, args.b, args.m, T, args.n))
     if terms > MAX_SUM_TERMS:
         raise OutOfRange(f"--n must be at most {MAX_SUM_TERMS} terms, got {args.n}; " + (
             f"--reduced evaluates {terms} terms, the windows of its fold over T = ord(b, m) = {T}" if args.reduced

@@ -1,18 +1,15 @@
 """Exact-phase evaluation of S_N = sum_{n=1}^{N} e(a * b^n / m).
 
-Every phase angle comes from the exact integer residue a*b^n mod m, kept
-by iterated modular multiplication, so the only floating-point steps are
-the final sin/cos and a compensated accumulation (plus, in the
-differencing verifier's fast path, dot products with a certified error
-bound).  Every window of terms is built from three primitives, so its
-bits do not depend on who asks for it: _powers doubles residues in int64,
-_phases takes cos/sin, and _phase_sum reduces.  eval_sum adds all N
-terms; eval_sum_reduced and eval_scan_sums fold full periods by one rule,
-taking a period that vanishes (_vanishing_primes) as exactly 0, and give
-the same bits as each other.  The scan's short windows are exact prefix
-sums of batched walks (eval_scan_sums), and windows of periods of at
-least _SCALAR_CUTOFF terms share one streamed walk per coset of <b>
-(_coset_window_sums).
+Every phase angle comes from the exact integer residue a*b^n mod m, so the
+only floating-point steps are the final sin/cos and a compensated
+accumulation (plus, in the differencing verifier's fast path, dot products
+with a certified error bound).  Every window of terms is built from three
+primitives, so its bits do not depend on who asks for it: _powers doubles
+residues, _phases takes cos/sin, and _phase_sum reduces.  eval_sum adds all
+N terms; eval_sum_reduced and eval_scan_sums add the windows of one fold
+rule (_fold_windows) and give the same bits.  The scan's windows below
+_SCALAR_CUTOFF terms are exact prefix sums of batched walks, and windows of
+periods at least that long share one streamed walk per coset of <b>.
 """
 
 from __future__ import annotations
@@ -96,10 +93,13 @@ class DifferencingReport:
 
 def _powers(first, step, m, width: int) -> np.ndarray:
     """first * step^j mod m for j < width, one row per entry of the (rows, 1)
-    int64 column `first`; step and m are ints or such columns, m <=
-    _INT64_SAFE_M.  Doubling, x step^(j+k) = (x step^j) step^k, keeps every
-    product below m^2, inside int64."""
-    out = np.empty((len(first), width), dtype=np.int64)
+    column `first`; step and m are ints or such columns.  Doubling,
+    x step^(j+k) = (x step^j) step^k, keeps every product below m^2: in
+    int64 while the largest m is at most _INT64_SAFE_M, else in Python ints
+    (object arrays).  first, step and m are all taken to that kind."""
+    kind = np.int64 if np.asarray(m, dtype=object).max() <= _INT64_SAFE_M else object
+    first, step, m = (np.asarray(v, dtype=kind) for v in (first, step, m))
+    out = np.empty((len(first), width), dtype=kind)
     out[:, :1] = first
     k = 1
     while k < width:
@@ -149,12 +149,12 @@ def _orbit_blocks(r0: int, b0: int, m: int, N: int, keep=None):
 
 def _phases(residues: np.ndarray, m, out=None) -> np.ndarray:
     """cos and sin of the angles r (2 pi / m) of exact residues r, stacked on
-    a new first axis (into `out` when given); m is an int or broadcasts
-    against the residues.  An object block's Python ints are rounded once to
-    double, so the angle is Python's float product (2 pi / m) * r."""
+    a new first axis (into `out` when given); m is an int or a column.
+    Python ints (object arrays) are rounded once to double, so the angle is
+    Python's float product (2 pi / m) * r."""
     if residues.dtype == object:
         residues = residues.astype(np.float64)
-    theta = residues * (TWO_PI / m)
+    theta = residues * np.asarray(TWO_PI / m, dtype=np.float64)
     if out is None:
         out = np.empty((2,) + theta.shape)
     np.cos(theta, out=out[0])
@@ -218,36 +218,27 @@ def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
 def eval_sum_reduced(
     a: Union[int, Tuple[int, ...]], b: int, m: int, N: int
 ) -> Union[SumResult, Tuple[SumResult, ...]]:
-    """eval_sum's S_N, folded as q * S_T + S_r with T = ord(b, m).
+    """eval_sum's S_N as the sum of times * S_L(x b^k / m) over the windows
+    (times, k, L) of its fold over T = ord(b, m) (_fold_windows).
 
-    The full period is evaluated once, or not at all where it vanishes
-    (_vanishing_primes: then S_T = 0 exactly, and a remainder r > T/2 with
-    T >= _SCALAR_CUTOFF is minus its complement, T - r terms from x b^r).
     `a` is one numerator, or a tuple of numerators with one SumResult each,
     in order.  When N >= T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M, the
     windows of every numerator come from one streamed walk per coset of <b>
     (_coset_window_sums); otherwise each window is one eval_sum (a shorter
-    period does not repay the walk's set-up).  Both give the same bits: each
-    window is eval_sum's sum of its terms.
+    period does not repay the walk's set-up).  Both give the same bits.
     """
     _check_args(b, m, N)
     if m > 1 and gcd(b, m) != 1:
         raise NotCoprime(b, m)
     T = mult_order(b, m)
-    numerators = a if isinstance(a, tuple) else (a,)
-    vanishes = {x: _vanishes(x, b, m, T, N) for x in numerators}
+    folds = [(x, _fold_windows(x, b, m, T, N)) for x in (a if isinstance(a, tuple) else (a,))]
     walked = {}
     if N >= T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M:
-        walked = _coset_window_sums([(x, k, L) for x in numerators for k, L, _ in _fold_windows(x, b, m, T, N)],
-                                    b % m, m, T)
+        walked = _coset_window_sums([(x, k, L) for x, windows in folds for _, k, L in windows], b % m, m, T)
     results = []
-    for x in numerators:
-        def window(L, x=x):
-            k, L, sign = _side(L, T, vanishes[x])
-            value = walked[x, k, L] if (x, k, L) in walked else eval_sum(x * pow(b, k, m), b, m, L).value
-            return -value if sign < 0 else value
-
-        value = _fold(N, T, window, vanishes[x])
+    for x, windows in folds:
+        value = _fold(windows, {(k, L): walked[x, k, L] if (x, k, L) in walked
+                                else eval_sum(x * pow(b, k, m), b, m, L).value for _, k, L in windows})
         results.append(SumResult(value, abs(value), N, m, x, b))
     return tuple(results) if isinstance(a, tuple) else results[0]
 
@@ -264,44 +255,29 @@ def _vanishing_primes(b0: int, m: int, T: int) -> Tuple[int, ...]:
     return tuple(p for p in factorize(gcd(T, m)) if m % (p * p) == 0 and pow(b0, T // p, m // p) == 1)
 
 
-def _vanishes(a: int, b: int, m: int, T: int, N: int) -> bool:
-    """Whether the fold of S_N(a/m) takes S_T as exactly 0: N >= T and some
-    prime of _vanishing_primes does not divide a."""
-    return N >= T and any(a % p for p in _vanishing_primes(b % m, m, T))
-
-
-def _windows(N: int, T: int, vanishes: bool) -> List[int]:
-    """The window lengths _fold(N, T, window, vanishes) asks for."""
-    q, r = divmod(N, T)
-    return [L for L in (T if q and not vanishes else 0, r) if L]
-
-
-def _side(L: int, T: int, vanishes: bool) -> Tuple[int, int, int]:
-    """(k, length, sign) with S_L(x/m) = sign * S_length(x b^k / m), L <= T:
-    where S_T(x/m) = 0 and T >= _SCALAR_CUTOFF, a window of more than half
-    the period is minus its complement, the T - L terms after it."""
-    if vanishes and T >= _SCALAR_CUTOFF and 2 * L > T:
-        return L, T - L, -1
-    return 0, L, 1
-
-
 def _fold_windows(a: int, b: int, m: int, T: int, N: int) -> List[Tuple[int, int, int]]:
-    """_side's (k, length, sign) for each window the fold of S_N(a/m) takes,
-    T = ord(b, m): what eval_sum_reduced walks."""
-    vanishes = _vanishes(a, b, m, T, N)
-    return [_side(L, T, vanishes) for L in _windows(N, T, vanishes)]
+    """The windows (times, k, L) of the fold of S_N(a/m) over T = ord(b, m),
+    in the order _fold adds them: S_N(a/m) = sum times * S_L(a b^k / m).
 
-
-def _fold(N: int, T: int, window, vanishes: bool = False) -> complex:
-    """q * S_T + S_r with q, r = divmod(N, T), given window(L) = S_L, and
-    S_T = 0 exactly when `vanishes`: the value of eval_sum_reduced, in its
-    order of operations."""
+    With q, r = divmod(N, T): the full period (q, 0, T), unless it vanishes
+    (S_T = 0 exactly where q > 0 and a prime of _vanishing_primes does not
+    divide a); then the remainder (1, 0, r), or where the period vanishes,
+    T >= _SCALAR_CUTOFF and r > T/2, minus its complement (-1, r, T - r)."""
     q, r = divmod(N, T)
+    vanishes = q > 0 and any(a % p for p in _vanishing_primes(b % m, m, T))
+    windows = [(q, 0, T)] if q and not vanishes else []
+    if r and vanishes and T >= _SCALAR_CUTOFF and 2 * r > T:
+        windows.append((-1, r, T - r))
+    elif r:
+        windows.append((1, 0, r))
+    return windows
+
+
+def _fold(windows, sums) -> complex:
+    """sum times * sums[k, L] over _fold_windows' list, in its order."""
     value = 0j
-    if q and not vanishes:
-        value += q * window(T)
-    if r:
-        value += window(r)
+    for times, k, L in windows:
+        value += times * sums[k, L]
     return value
 
 
@@ -327,48 +303,47 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     """[[[eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units]
     for m, T, units, Ns in cells], given T = ord(b, m), bit for bit.
 
-    A sum is short when m <= _INT64_SAFE_M and its windows (T if N >= T and
-    S_T does not vanish, N mod T if non-zero) are below _SCALAR_CUTOFF: each
-    is a prefix of the walk a b^n mod m, n = 1..min(T, N), which stops at
-    the longest window.  The walks go in batches of at most _BLOCK residues,
-    and a window is the fsum of its terms, by _prefix_fsums or by fsum where
-    a walk cannot be split exactly.  Other sums take one eval_sum_reduced
-    call per (m, N).
+    A sum is short when min(N, T) < _SCALAR_CUTOFF, whatever m is: every
+    window of its fold (_fold_windows) is then a prefix of the walk
+    a b^n mod m, n = 1..min(T, N), which stops at the longest window.  The
+    walks go in batches of at most _BLOCK residues (_powers), and a window
+    is the fsum of its terms, by _prefix_fsums or by fsum where a walk
+    cannot be split exactly.  Other sums take one eval_sum_reduced call per
+    (m, N).
     """
     out, walks = [], []
     for m, T, units, Ns in cells:
         out.append([[0j] * len(Ns) for _ in units])
-        short = [j for j, N in enumerate(Ns) if m <= _INT64_SAFE_M and min(N, T) < _SCALAR_CUTOFF]
+        short = [j for j, N in enumerate(Ns) if min(N, T) < _SCALAR_CUTOFF]
         for j, N in enumerate(Ns):
             if j not in short:
                 for row, res in zip(out[-1], eval_sum_reduced(units, b, m, N)):
                     row[j] = res.value
-        zero = _vanishing_primes(b % m, m, T) if any(Ns[j] >= T for j in short) else ()
         for a, row in zip(units, out[-1]):
-            vanishes = any(a % p for p in zero)
-            lengths = sorted({L for j in short for L in _windows(Ns[j], T, vanishes)})
+            folds = [(j, _fold_windows(a, b, m, T, Ns[j])) for j in short]
+            lengths = sorted({L for _, windows in folds for _, _, L in windows})
             if lengths:  # else every short sum is 0j: whole periods that vanish
-                walks.append((lengths[-1], a, m, T, vanishes, [(Ns[j], j) for j in short], lengths, row))
+                walks.append((lengths[-1], a, m, folds, lengths, row))
     walks.sort(key=lambda w: w[0])
     while walks:
         n = 1
         while n < len(walks) and (n + 1) * walks[n][0] <= _BLOCK:
             n += 1
         batch, walks = walks[:n], walks[n:]
-        m = np.array([[w[2]] for w in batch], dtype=np.int64)
-        first = np.array([[a % mw * (b % mw) % mw] for _, a, mw, *_ in batch], dtype=np.int64)
+        m = np.array([[w[2]] for w in batch], dtype=object)
+        first = [[a % mw * (b % mw) % mw] for _, a, mw, *_ in batch]
         # z[i, :, j] = (cos, sin) of a b^(j+1) mod m for walk i
         z = _phases(_powers(first, b % m, m, batch[-1][0]), m).swapaxes(0, 1)
         prefix, exact = _prefix_fsums(z)
         for i in np.flatnonzero(~exact.all(axis=1)):
-            for L in batch[i][6]:
+            for L in batch[i][4]:
                 prefix[i, :, L - 1] = [fsum(x) for x in z[i, :, :L].tolist()]
-        at, ends = zip(*[(i, L - 1) for i, w in enumerate(batch) for L in w[6]])
+        at, ends = zip(*[(i, L - 1) for i, w in enumerate(batch) for L in w[4]])
         got = iter(prefix[at, :, ends].tolist())
-        for _, _, _, T, vanishes, Nj, lengths, row in batch:
-            sums = {L: complex(*next(got)) for L in lengths}
-            for N, j in Nj:
-                row[j] = _fold(N, T, sums.__getitem__, vanishes)
+        for _, _, _, folds, lengths, row in batch:  # every short window has k = 0
+            sums = {(0, L): complex(*next(got)) for L in lengths}
+            for j, windows in folds:
+                row[j] = _fold(windows, sums)
     return out
 
 

@@ -500,12 +500,12 @@ class TestAgainstPerCallReference:
         assert any(r[9] is None for r in got) and any(r[9] is not None for r in got)
         assert any(r[0] == 2**10 for r in got)
         # eval_sum_reduced took only the long windows (3^10 at N = 3^11 has
-        # T = 39366) and m above _INT64_SAFE_M; the short windows beside them
-        # and every period fold with T < _SCALAR_CUTOFF (27 at N = 100) went
-        # to the batched walk
-        assert all(m > se._INT64_SAFE_M or min(N, nt.mult_order(b, m)) >= se._SCALAR_CUTOFF
-                   for b, m, N in reduced)
-        assert {(2, 3**10, 3**11), (2, 3**20, 1), (2, 3**20, 100)} <= set(reduced)
+        # T = 39366); the short windows beside them, every period fold with
+        # T < _SCALAR_CUTOFF (27 at N = 100) and the short windows of m above
+        # _INT64_SAFE_M (3^20 at N <= 100) went to the batched walk
+        assert all(min(N, nt.mult_order(b, m)) >= se._SCALAR_CUTOFF for b, m, N in reduced)
+        assert (2, 3**10, 3**11) in reduced
+        assert not {(2, 3**20, 1), (2, 3**20, 100)} & set(reduced)
         assert any(r[0] == 3**10 and r[2] == 100 for r in got)
         assert any(r[0] == 27 and r[2] == 100 for r in got) and nt.mult_order(2, 27) == 18
         # rows past the float range: the least level after levels that read

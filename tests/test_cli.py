@@ -572,6 +572,34 @@ class TestFlagRanges:
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["N"] == 10**40
 
+    # N = m at m = 3^25, above 3.04e9 so with no coset walk: 5 units of
+    # 2.8e11-term windows, a term bound of 2 x 5 x sum min(N, m); and every
+    # unit of 3^19, m - 1 rows at one N
+    @pytest.mark.parametrize("overrides,field,count,limit", [
+        ({"primes": [3, 5], "m_range": [3**25, 3**25], "a_policy": {"kind": "sample", "count": 5},
+          "N_policy": {"kind": "powers", "exponents": [0.15, 0.25, 0.4, 0.6, 1.0]}},
+         "N_policy", 8473030184220, cli.MAX_SCAN_TERMS),
+        ({"m_range": [3**19, 3**19], "a_policy": {"kind": "all"}}, "a_policy", 3**19 - 1, cli.MAX_SCAN_ROWS),
+    ], ids=["long_sums", "every_unit"])
+    def test_scan_past_work_limit(self, tmp_path, monkeypatch, capsys, overrides, field, count, limit):
+        for name in ("eval_scan_sums", "eval_sum", "eval_sum_reduced"):  # refused before any sum
+            monkeypatch.setattr(se, name, self._tripwire(name))
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(make_config(**overrides)))
+        assert cli.main(["scan", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and f"up to {count} " in err and f"more than {limit}" in err
+        with pytest.raises(ConfigError, match=f"'{field}'"):  # the library refuses it alike
+            cli.run_scan(cli.load_scan_config(make_config(**overrides)))
+
+    def test_readme_scan_is_within_the_work_limits(self):
+        # its bounds: 6,104 rows and 3.2e8 terms; it takes 6,062 rows
+        doc = make_config(primes=[3, 5], m_range=[3, 10**6], a_policy={"kind": "sample", "count": 20},
+                          N_policy={"kind": "powers", "exponents": [0.15, 0.25, 0.4, 0.6, 1.0]}, k_range=[0, 4])
+        data = cli.render_report(cli.run_scan(cli.load_scan_config(doc)))
+        assert data.count(b"\n") == 6063
+        assert hashlib.sha256(data).hexdigest() == "20245f589b6ff2403605ecd12fa11c268a33ae4dfbb587d45fbe6342a31cabed"
+
     @pytest.mark.parametrize("m,n", [(3**17, cli.MAX_SUM_TERMS + 1),  # T = 86093442: T + (N - T)
                                      (3**18, cli.MAX_SUM_TERMS + 1),  # T = 258280326 > N
                                      (3**40, 10**22)])  # T = 2 3^39 ~ 8.1e18

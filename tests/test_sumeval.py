@@ -433,10 +433,10 @@ class TestScanSums:
         assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
             [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
         # short windows (5^3 at N = 3000 is 30 periods of T = 100) batch
-        # with no eval_sum_reduced call, beside long windows (3^8: T = 4374)
-        # and a modulus above _INT64_SAFE_M; 5^3 fills more than one batch
-        assert sorted(calls) == [
-            (3**8, 2048), (3**8, 4374), (3**8, 9000), (3**20, 1), (3**20, 64)]
+        # with no eval_sum_reduced call, beside long windows (3^8: T = 4374),
+        # whatever the modulus (3^20 is above _INT64_SAFE_M); 5^3 fills more
+        # than one batch
+        assert sorted(calls) == [(3**8, 2048), (3**8, 4374), (3**8, 9000)]
 
     @staticmethod
     def _hex_prefix_fsums(rows):
@@ -542,6 +542,25 @@ class TestScanSums:
         assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
             [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
         assert got[0][0][-1] == 0j and got[0][3][-1] != 0j
+
+    def test_short_windows_batch_past_the_int64_range(self, monkeypatch):
+        # at m = 5^17 a residue fits int64 but step^2 does not (m^2 ~ 5.8e23),
+        # and 3^41 is above 2^63: their walks double Python ints, m and step
+        # too, in batches of two 2047-term walks, one of them shared with 3^8;
+        # the last batch, 3^8 alone, stays in int64
+        b = 2
+        cells = [(5**17, (1, 2, 3, 4, 5**17 - 1), [1, 2, 100, 1000, 2047]),
+                 (3**41, (1, 2, 5, 3**40 + 1), [1, 64, 2047]), (3**8, (1, 2), [2047])]
+        cells = [(m, nt.mult_order(b, m), units, Ns) for m, units, Ns in cells]
+        want = [[[se.eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units] for m, T, units, Ns in cells]
+        monkeypatch.setattr(se, "eval_sum_reduced", lambda *args: pytest.fail(f"eval_sum_reduced{args}"))
+        kinds = []
+        powers = se._powers
+        monkeypatch.setattr(se, "_powers", lambda *args: kinds.append(powers(*args).dtype) or powers(*args))
+        got = se.eval_scan_sums(b, cells)
+        assert kinds == [object] * 5 + [np.int64]
+        assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
+            [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
 
 
 class TestWalkTrigCount:

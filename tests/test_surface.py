@@ -63,21 +63,28 @@ def test_keep_list_names_exist_and_are_unreferenced():
     assert not set(KEEP) & _referenced(trees), "a kept name is now used by src/: drop it from KEEP"
 
 
-def _trig_sites(node, where):
-    """The function (module.name...) around every reference to cos or sin."""
+def _sites(node, where, wanted):
+    """The function (module.name...) around every reference to a name in `wanted`."""
     for child in ast.iter_child_nodes(node):
         inner = f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
         names = ([child.id] if isinstance(child, ast.Name) else [child.attr] if isinstance(child, ast.Attribute)
                  else [a.asname or a.name for a in child.names] if isinstance(child, ast.ImportFrom) else [])
-        if {"cos", "sin"} & set(names):
+        if wanted & set(names):
             yield inner
-        yield from _trig_sites(child, inner)
+        yield from _sites(child, inner, wanted)
 
 
 def test_cos_and_sin_are_taken_in_phases_alone():
     # every phase factor e(r/m) of every sum comes from one place
-    sites = {site for module, tree in _trees().items() for site in _trig_sites(tree, module[:-3])}
+    sites = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"cos", "sin"})}
     assert sites == {"sumeval._phases"}
+
+
+def test_the_fold_rule_is_decided_in_fold_windows_alone():
+    # whether a full period vanishes, and so which windows a fold takes, is
+    # decided in one place; every evaluator reads its list
+    sites = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"_vanishing_primes"})}
+    assert sites == {"sumeval._fold_windows"}
 
 
 #: Error classes that no src/ handler catches and that carry no data, each
