@@ -262,9 +262,10 @@ def _n_values_for(m: int, policy: Dict) -> List[int]:
 #: guest, the 1,062,882 rows of every unit of 3^12 took 17 s and 539 MB.
 MAX_SCAN_ROWS = 10**6
 #: Most sum terms of one scan, bounded by 2 units min(N, m) per N value and
-#: modulus: on that guest 16 s at the cap for m = 3^19 (5 units, N = 10^8),
-#: and 9 s at a tenth of it for m = 3^21 (Python-int residues).  Folds take
-#: most scans far below it: the README scan's bound is 3.2e8, its run 0.5 s.
+#: modulus, and past the cap recounted by the windows the folds take: on
+#: that guest 16 s at the cap for m = 3^19 (5 units, N = 10^8), and 10 s at
+#: a tenth of it for m = 3^21 (Python-int residues).  The README scan's
+#: bound is 3.2e8, its run 0.5 s.
 MAX_SCAN_TERMS = 10**9
 
 #: Most sum terms (over a modulus's N values, min(N, m) each) that one scan
@@ -330,7 +331,7 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
     moduli = numtheory.smooth_numbers(P, config.m_hi, lo=max(config.m_lo, 2))
     if not moduli:
         raise ConfigError("m_range", "contains no smooth modulus")
-    chunks, terms = [], _CHUNK_TERMS
+    chunks, terms, per_modulus = [], _CHUNK_TERMS, []
     rows = work = 0
     for m in moduli:
         Ns = _n_values_for(m, config.n_policy)
@@ -340,6 +341,7 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
             units = len(config.a_policy["values"])
         elif config.a_policy["kind"] == "sample":
             units = min(config.a_policy["count"], m - 1)
+        per_modulus.append((m, units, Ns))
         rows += units * len(Ns)
         work += 2 * units * n  # a fold takes fewer than 2 min(N, T) terms
         if terms + n > _CHUNK_TERMS:
@@ -349,6 +351,11 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
         terms += n
     if rows > MAX_SCAN_ROWS:
         raise ConfigError("a_policy", f"the scan takes up to {rows} rows, more than {MAX_SCAN_ROWS}")
+    if work > MAX_SCAN_TERMS:  # recount the windows the folds take; every unit folds alike
+        work = 0
+        for m, units, Ns in per_modulus:
+            T = numtheory.factor_smooth(m, P).order_structure(config.b).order
+            work += units * sum(L for N in Ns for _, _, L in sumeval._fold_windows(1, config.b, m, T, N))
     if work > MAX_SCAN_TERMS:
         raise ConfigError("N_policy", f"the scan's sums take up to {work} terms, more than {MAX_SCAN_TERMS}")
     cell = partial(_scan_chunk, config=config)
@@ -364,7 +371,6 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
         if violation is not None:
             raise BoundViolation(violation)
         rows.extend(cell_rows)
-    rows.sort(key=lambda r: (r.m, r.a, r.N))
     return rows
 
 
@@ -444,8 +450,8 @@ def _parse_primes(text: str) -> Tuple[int, ...]:
 MAX_K_CHECK = 1000
 #: Most terms of `sum`: N, or with --reduced the summed lengths of the
 #: windows its fold takes (sumeval._fold_windows): 6 s on the blocked path
-#: on that guest, about 30 s above 3.04e9 (Python-int residues; 2.8 s at
-#: 10^7), in memory of a few blocks.
+#: on that guest, 20-23 s above 3.04e9 (Python-int residues, at 3^30 and
+#: 3^41), in memory of a few blocks.
 MAX_SUM_TERMS = 10**8
 #: Largest `digits --n`: 1 s on that guest while b m stays in int64, 35 s
 #: past it (Python-int digits).
@@ -454,8 +460,9 @@ MAX_DIGITS = 10**8
 #: the Stoneham schedule on that guest, 542 MB peak RSS and 19 s.
 MAX_N_MAX = 2**26
 #: Largest `verify --n`, and most N^2/tau with tau = ord(b, m'): the fast path
-#: keeps about 48 N bytes, and both paths take N^2/(2 tau) inner-sum terms
-#: (on that guest 0.04 s on the fast path, 3 s on the exact, 45 s above 3.04e9).
+#: keeps about 32 N bytes, and both paths take N^2/(2 tau) inner-sum terms
+#: (on that guest 0.04 s on the fast path at any modulus; 3 s on the exact
+#: fallback, 45 s above 3.04e9, taken only where the fast path cannot certify).
 MAX_VERIFY_N, MAX_VERIFY_WORK = 10**6, 10**8
 
 

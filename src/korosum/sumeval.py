@@ -15,6 +15,7 @@ periods at least that long share one streamed walk per coset of <b>.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,9 +58,12 @@ def _gamma(k):
     return k * _U / (1.0 - k * _U)
 
 
-#: Bound on |z_hat - e(r/m)| for one computed phase factor: three roundings
-#: in theta = r * (2 pi / m) with theta < 2 pi, then cos and sin.
-_E_Z = TWO_PI * _gamma(3) + _TRIG_ULPS * math.sqrt(2.0) * _U
+def _phase_error(m: int) -> float:
+    """Bound on |z_hat - e(r/m)| for one computed phase factor, 0 <= r < m:
+    three roundings in theta = r * (2 pi / m) < 2 pi (2 pi, 2 pi / m and the
+    product), a fourth where m > 2^53 (r itself, rounded to double), then
+    cos and sin."""
+    return TWO_PI * _gamma(3 if m <= 2**53 else 4) + _TRIG_ULPS * math.sqrt(2.0) * _U
 
 
 @dataclass
@@ -96,7 +100,8 @@ def _powers(first, step, m, width: int) -> np.ndarray:
     column `first`; step and m are ints or such columns.  Doubling,
     x step^(j+k) = (x step^j) step^k, keeps every product below m^2: in
     int64 while the largest m is at most _INT64_SAFE_M, else in Python ints
-    (object arrays).  first, step and m are all taken to that kind."""
+    (object arrays).  first, step and m are all taken to that kind; no other
+    code chooses it, so every residue path serves every modulus."""
     kind = np.int64 if np.asarray(m, dtype=object).max() <= _INT64_SAFE_M else object
     first, step, m = (np.asarray(v, dtype=kind) for v in (first, step, m))
     out = np.empty((len(first), width), dtype=kind)
@@ -121,29 +126,14 @@ def _power_table(b_red: int, m: int):
 
 def _orbit_blocks(r0: int, b0: int, m: int, N: int, keep=None):
     """Exact residues r0 * b0^n mod m for n = 0..N-1, 0 <= r0 < m, in blocks of
-    up to _BLOCK entries: the one orbit kernel of sums, digits and
-    normal-number points.  While m <= _INT64_SAFE_M every product fits int64
-    and the blocks are int64, from the power table; above it they are object
-    arrays of Python ints, one multiplication each.  Given a set `keep`, the
-    i-th block is formed only if i is in it, and None stands for the others;
-    the lead residue of every block is still advanced exactly."""
-    if m > _INT64_SAFE_M:
-        pows, step = None, pow(b0, _BLOCK, m)
-    else:
-        pows, step = _power_table(b0, m)
+    up to _BLOCK entries, each lead residue times the power table: the one
+    orbit kernel of sums, digits and normal-number points.  Given a set
+    `keep`, the i-th block is formed only if i is in it, and None stands for
+    the others; the lead residue of every block is still advanced exactly."""
+    pows, step = _power_table(b0, m)
     lead = r0
     for i, done in enumerate(range(0, N, _BLOCK)):
-        size = min(_BLOCK, N - done)
-        if keep is not None and i not in keep:
-            yield None
-        elif pows is None:
-            block, r = [], lead
-            for _ in range(size):
-                block.append(r)
-                r = r * b0 % m
-            yield np.array(block, dtype=object)
-        else:
-            yield lead * pows[:size] % m
+        yield lead * pows[: N - done] % m if keep is None or i in keep else None
         lead = lead * step % m
 
 
@@ -178,21 +168,28 @@ def _phase_sum(blocks, N: int) -> complex:
 
 def _check_args(b: int, m: int, N: int) -> None:
     """The arguments every sum S_N = sum e(a b^n / m) takes: m >= 1, N >= 1
-    and b >= 2 (a is any integer)."""
+    and b >= 2 (a is any integer), with m and N at most the largest float,
+    as the angles take 2 pi / m and the folds multiply by N / T."""
     if m < 1:
         raise OutOfRange("modulus must be positive")
     if N < 1:
         raise OutOfRange("N must be positive")
     if b < 2:
         raise OutOfRange("b must be at least 2")
+    for name, value in (("modulus", m), ("N", N)):
+        if value > sys.float_info.max:
+            raise OutOfRange(f"{name} must be at most 1.8e308, got {value}")
 
 
 def _check_differencing_args(b: int, m: int, m_prime: int, N: int) -> None:
-    """verify_differencing's arguments: those of _check_args, m' >= 1, and b
-    coprime to m and to m'."""
+    """verify_differencing's arguments: those of _check_args, m' >= 1 with
+    m' N at most the largest float (the right-hand side m' N + ... is one),
+    and b coprime to m and to m'."""
     _check_args(b, m, N)
     if m_prime < 1:
         raise OutOfRange("m_prime must be positive")
+    if m_prime * N > sys.float_info.max:
+        raise OutOfRange(f"m_prime * N must be at most 1.8e308, got m_prime = {m_prime}")
     for n in (m, m_prime):
         if gcd(b, n) != 1:
             raise NotCoprime(b, n)
@@ -222,23 +219,25 @@ def eval_sum_reduced(
     (times, k, L) of its fold over T = ord(b, m) (_fold_windows).
 
     `a` is one numerator, or a tuple of numerators with one SumResult each,
-    in order.  When N >= T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M, the
-    windows of every numerator come from one streamed walk per coset of <b>
-    (_coset_window_sums); otherwise each window is one eval_sum (a shorter
-    period does not repay the walk's set-up).  Both give the same bits.
+    in order.  When N >= T >= _SCALAR_CUTOFF and the windows take at least
+    T / 64 terms, they come from one streamed walk per coset of <b>
+    (_coset_window_sums); otherwise each window is one eval_sum (the walk's
+    set-up, and its 2 T / _BLOCK steps of some 10-30 terms' cost each, would
+    not repay).  Both give the same bits.
     """
     _check_args(b, m, N)
     if m > 1 and gcd(b, m) != 1:
         raise NotCoprime(b, m)
     T = mult_order(b, m)
     folds = [(x, _fold_windows(x, b, m, T, N)) for x in (a if isinstance(a, tuple) else (a,))]
+    windows = [(x, k, L) for x, fold in folds for _, k, L in fold]
     walked = {}
-    if N >= T >= _SCALAR_CUTOFF and m <= _INT64_SAFE_M:
-        walked = _coset_window_sums([(x, k, L) for x, windows in folds for _, k, L in windows], b % m, m, T)
+    if N >= T >= _SCALAR_CUTOFF and 64 * sum(L for _, _, L in windows) >= T:
+        walked = _coset_window_sums(windows, b % m, m, T)
     results = []
-    for x, windows in folds:
-        value = _fold(windows, {(k, L): walked[x, k, L] if (x, k, L) in walked
-                                else eval_sum(x * pow(b, k, m), b, m, L).value for _, k, L in windows})
+    for x, fold in folds:
+        value = _fold(fold, {(k, L): walked[x, k, L] if (x, k, L) in walked
+                             else eval_sum(x * pow(b, k, m), b, m, L).value for _, k, L in fold})
         results.append(SumResult(value, abs(value), N, m, x, b))
     return tuple(results) if isinstance(a, tuple) else results[0]
 
@@ -358,7 +357,7 @@ def _starts(targets, b0: int, m: int, T: int) -> Dict[int, Tuple[int, int]]:
     starts: Dict[int, Tuple[int, int]] = {}
     while pending:
         c = pending[0]
-        baby = _powers(np.array(pending, dtype=np.int64)[:, None], b0, m, B)
+        baby = _powers([[t] for t in pending], b0, m, B)
         for i0, giant in zip(range(0, G, _BLOCK), _orbit_blocks(c, pow(b0, B, m), m, G)):
             order = np.argsort(giant)
             idx = order[np.searchsorted(giant, baby, sorter=order).clip(max=giant.size - 1)]
@@ -374,9 +373,8 @@ def _coset_window_sums(
     windows, b0: int, m: int, T: int
 ) -> Dict[Tuple[int, int, int], complex]:
     """{(x, k, L): eval_sum(x b0^k, b0, m, L).value} for every window (x, k, L)
-    with x % m != 0, 0 <= k < T and 0 < L <= T = ord(b0, m), m <=
-    _INT64_SAFE_M, from at most T phase factors per coset of <b0> in memory
-    independent of T.
+    with x % m != 0, 0 <= k < T and 0 < L <= T = ord(b0, m), from at most T
+    phase factors per coset of <b0> in memory independent of T.
 
     The terms x b0^(k+n), n = 1..L, are w_{s+k}, ..., w_{s+k+L-1} (indices
     mod T) of the walk w_j = c b0^j of the coset's first target c, with
@@ -490,12 +488,12 @@ def m_bar(b: int, m: int, m_prime: int) -> int:
     return gcd((pow(b, tau, m) - 1) % m, m)
 
 
-def _dot_error_bound(n):
+def _dot_error_bound(n, m: int):
     """A-priori bound E_L on | |computed inner sum| - |exact inner sum| | for
     an inner sum of n terms taken as a dot product of computed phase factors
-    (elementwise when n is an array).
+    mod m (elementwise when n is an array).
 
-    With e_z = _E_Z bounding |z_hat - z| and |z_hat| <= 1 + e_z:
+    With e_z = _phase_error(m) bounding |z_hat - z| and |z_hat| <= 1 + e_z:
       * phase error: |z_hat' conj(z_hat) - z' conj(z)| <= 2 e_z + e_z^2 per term;
       * the complex dot product in floating point (Higham, Accuracy and
         Stability of Numerical Algorithms, ch. 3, complex inner product) is
@@ -504,25 +502,28 @@ def _dot_error_bound(n):
       * the final abs() rounds once more, within 2u of a value at most
         n (1 + e_z)^2 (1 + sqrt(2) gamma_{n+2}).
     """
-    g = math.sqrt(2.0) * _gamma(n + 2)
-    return n * (2.0 * _E_Z + _E_Z**2 + (1.0 + _E_Z) ** 2 * (g + 2.0 * _U * (1.0 + g)))
+    e_z, g = _phase_error(m), math.sqrt(2.0) * _gamma(n + 2)
+    return n * (2.0 * e_z + e_z**2 + (1.0 + e_z) ** 2 * (g + 2.0 * _U * (1.0 + g)))
 
 
 def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
     """(|S_N|^2, [|inner_L|], array of E_L) for the lags L = tau, 2 tau, ... < N
-    of the differencing inequality, with E_L = _dot_error_bound(N - L).
+    of the differencing inequality, with E_L = _dot_error_bound(N - L, m).
 
     a (b^L - 1) b^n = r_{n+L} - r_n (mod m) for the residues r_n = a b^n mod m,
     so inner_L = sum_{n <= N-L} z_{n+L} conj(z_n) with z_n = e(r_n / m): one
-    exact residue vector serves every lag.  S_N reduces the same cos/sin as
-    eval_sum does, so |S_N|^2 is eval_sum's magnitude**2 bit for bit.
+    phase vector, taken block by block from the exact residues, serves every
+    lag.  S_N reduces the same cos/sin as eval_sum does, so |S_N|^2 is
+    eval_sum's magnitude**2 bit for bit.
     """
-    cs = _phases(np.concatenate(list(_orbit_blocks(a0 * b0 % m, b0, m, N))), m)
+    cs = np.empty((2, N))
+    for k, block in zip(range(0, N, _BLOCK), _orbit_blocks(a0 * b0 % m, b0, m, N)):
+        _phases(block, m, out=cs[:, k : k + _BLOCK])
     s_n = _phase_sum((cs[:, k : k + _BLOCK] for k in range(0, N, _BLOCK)), N)
     z = np.empty(N, dtype=np.complex128)
     z.real, z.imag = cs
     inner = [float(abs(np.vdot(z[: N - lag], z[lag:]))) for lag in range(tau, N, tau)]
-    return abs(s_n) ** 2, inner, _dot_error_bound(N - np.arange(tau, N, tau))
+    return abs(s_n) ** 2, inner, _dot_error_bound(N - np.arange(tau, N, tau), m)
 
 
 def _margin(rhs: float, lhs_sq: float) -> float:
@@ -535,41 +536,28 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
         |S_N|^2 <= m'*N + 2m' * sum_{1 <= i < N/tau} |sum_{n<=N-i*tau} e(a(b^{i*tau}-1) b^n / m)|
 
     with tau = ord(b, m').  lhs_squared is eval_sum(a, b, m, N).magnitude**2,
-    taken from the fast path's phase vector when there is one.
+    taken from the fast path's phase vector.
 
-    Fast path (m <= _INT64_SAFE_M): every inner sum is a dot product of
-    the phase vector z_n = e(r_n / m) built once from the exact residues
-    r_n = a b^n mod m (see _inner_sums).  Each |inner| is within E_L of its
-    exact value (_dot_error_bound), so the certified right-hand side is
+    Fast path: every inner sum is a dot product of the phase vector
+    z_n = e(r_n / m) built once from the exact residues r_n = a b^n mod m
+    (see _inner_sums).  Each |inner| is within E_L of its exact value
+    (_dot_error_bound), so the certified right-hand side is
     m'*N + 2m' * max(0, sum |inner| - sum E_L), and `holds` is decided on
-    that.  If the certified side cannot confirm the inequality, or the
-    modulus is too large for int64 residues, the exact path decides: every
-    inner numerator a*(b^{i*tau}-1) is reduced exactly mod m and evaluated by
-    eval_sum.  `path` says which path decided; `rhs` is that path's
-    uncorrected right-hand side.  `holds` allows HOLDS_SLACK of relative noise.
+    that.  If the certified side cannot confirm the inequality, the exact
+    path decides: every inner numerator a*(b^{i*tau}-1) is reduced exactly
+    mod m and evaluated by eval_sum.  `path` says which path decided; `rhs`
+    is that path's uncorrected right-hand side.  `holds` allows HOLDS_SLACK
+    of relative noise.
     """
     _check_differencing_args(b, m, m_prime, N)
     tau = mult_order(b, m_prime)
-    if m <= _INT64_SAFE_M:
-        lhs_sq, inner, errors = _inner_sums(a % m, b % m, m, N, tau)
-        total = fsum(inner)
-        rhs = m_prime * N + 2.0 * m_prime * total
-        certified = m_prime * N + 2.0 * m_prime * max(0.0, total - fsum(errors))
-        if lhs_sq <= certified * (1.0 + HOLDS_SLACK):
-            return DifferencingReport(
-                lhs_sq, rhs, m_prime, tau, True, "fast", _margin(certified, lhs_sq)
-            )
-    else:
-        lhs_sq = eval_sum(a, b, m, N).magnitude ** 2
-    step = pow(b, tau, m)
-    r = 1
-    inner = []
-    i = 1
-    while i * tau < N:
-        r = r * step % m
-        a_i = a * (r - 1) % m
-        inner.append(eval_sum(a_i, b, m, N - i * tau).magnitude)
-        i += 1
+    lhs_sq, inner, errors = _inner_sums(a % m, b % m, m, N, tau)
+    total = fsum(inner)
+    rhs = m_prime * N + 2.0 * m_prime * total
+    certified = m_prime * N + 2.0 * m_prime * max(0.0, total - fsum(errors))
+    if lhs_sq <= certified * (1.0 + HOLDS_SLACK):
+        return DifferencingReport(lhs_sq, rhs, m_prime, tau, True, "fast", _margin(certified, lhs_sq))
+    inner = [eval_sum(a * (pow(b, lag, m) - 1), b, m, N - lag).magnitude for lag in range(tau, N, tau)]
     rhs = m_prime * N + 2.0 * m_prime * fsum(inner)
     holds = lhs_sq <= rhs * (1.0 + HOLDS_SLACK)
     return DifferencingReport(lhs_sq, rhs, m_prime, tau, holds, "exact", _margin(rhs, lhs_sq))

@@ -548,6 +548,19 @@ class TestFlagRanges:
         err = capsys.readouterr().err
         assert "--k-max" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,value", [
+        ("sum --a 1 --b 3 --m {} --n 3".format(2**1030), 2**1030),
+        ("verify --a 1 --b 2 --m 9 --m-prime {} --n 5".format(3**700), 3**700),
+        ("sum --a 1 --b 2 --m 9 --n {} --reduced".format(10**400), 10**400),
+    ], ids=["sum_m", "verify_m_prime", "sum_reduced_n"])
+    def test_past_the_float_range(self, capsys, argv, value):
+        # angles take 2 pi / m, the fold multiplies by N / T and the right-hand
+        # side m' N is a float: each ended in an OverflowError traceback (exit 1)
+        assert cli.main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert f"must be at most 1.8e308, got {'m_prime = ' if 'verify' in argv else ''}{value}" in err
+        assert "Traceback" not in err
+
     def test_intervals_k_max_at_max_level(self, capsys):
         assert cli.main(["intervals", "--k-max", "50", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["intervals"]) == 51
@@ -572,13 +585,13 @@ class TestFlagRanges:
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["N"] == 10**40
 
-    # N = m at m = 3^25, above 3.04e9 so with no coset walk: 5 units of
-    # 2.8e11-term windows, a term bound of 2 x 5 x sum min(N, m); and every
-    # unit of 3^19, m - 1 rows at one N
+    # N = m at m = 3^25, past the bound 2 x 5 x sum min(N, m): recounted by
+    # the folds' windows, 5 units of the 2.8e11-term remainder (S_T vanishes)
+    # and the shorter N; and every unit of 3^19, m - 1 rows at one N
     @pytest.mark.parametrize("overrides,field,count,limit", [
         ({"primes": [3, 5], "m_range": [3**25, 3**25], "a_policy": {"kind": "sample", "count": 5},
           "N_policy": {"kind": "powers", "exponents": [0.15, 0.25, 0.4, 0.6, 1.0]}},
-         "N_policy", 8473030184220, cli.MAX_SCAN_TERMS),
+         "N_policy", 1412219727300, cli.MAX_SCAN_TERMS),
         ({"m_range": [3**19, 3**19], "a_policy": {"kind": "all"}}, "a_policy", 3**19 - 1, cli.MAX_SCAN_ROWS),
     ], ids=["long_sums", "every_unit"])
     def test_scan_past_work_limit(self, tmp_path, monkeypatch, capsys, overrides, field, count, limit):
@@ -591,6 +604,19 @@ class TestFlagRanges:
         assert f"config field '{field}'" in err and f"up to {count} " in err and f"more than {limit}" in err
         with pytest.raises(ConfigError, match=f"'{field}'"):  # the library refuses it alike
             cli.run_scan(cli.load_scan_config(make_config(**overrides)))
+
+    def test_scan_recounts_the_folds_past_the_cheap_bound(self, monkeypatch):
+        # every unit of m = 3^k, k <= 9, at N = m folds to the remainder m/3
+        # (S_T vanishes): the folds take 30,520 terms where the bound
+        # 2 units min(N, m) counts 179,120
+        doc = make_config(m_range=[3, 3**9], a_policy={"kind": "sample", "count": 3},
+                          N_policy={"kind": "powers", "exponents": [0.5, 1.0]})
+        want = cli.run_scan(cli.load_scan_config(doc))
+        monkeypatch.setattr(cli, "MAX_SCAN_TERMS", 30520)
+        assert cli.run_scan(cli.load_scan_config(doc)) == want
+        monkeypatch.setattr(cli, "MAX_SCAN_TERMS", 30519)
+        with pytest.raises(ConfigError, match="up to 30520 terms, more than 30519"):
+            cli.run_scan(cli.load_scan_config(doc))
 
     def test_readme_scan_is_within_the_work_limits(self):
         # its bounds: 6,104 rows and 3.2e8 terms; it takes 6,062 rows

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import fsum, gcd
@@ -83,11 +84,14 @@ class TestEvalSum:
         for a, b, m, N in ((1, 2, 3**9, 5000), (11, 7, 5**7, 9001), (5, 2, 59049, 4096)):
             assert abs(se.eval_sum(a, b, m, N).value - oracle_sum(a, b, m, N)) < 1e-9
 
-    @pytest.mark.parametrize("m", [9, 3**9, 5**7, 3**20, 3**21, 3**41, 2**89 - 1],
-                             ids=["9", "3^9", "5^7", "3^20", "3^21", "3^41", "2^89-1"])
+    @pytest.mark.parametrize("m", [9, 3**9, 5**7, 3**20, 3**21, 3**41, 2**89 - 1, 3_037_000_499, 3_037_000_501,
+                                   3_037_000_503, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1],
+                             ids=["9", "3^9", "5^7", "3^20", "3^21", "3^41", "2^89-1", "int64_safe", "int64_safe+2",
+                                  "int64_safe+4", "2^53-1", "2^53+1", "2^63-1", "2^63+1"])
     def test_bits_equal_the_reference_loops(self, m):
         # the scalar loop below _SCALAR_CUTOFF terms, blocks of _BLOCK
-        # otherwise, whatever m is; a zero, a unit, and a numerator sharing
+        # otherwise, whatever m is (on both sides of the int64 power table's
+        # limit, of 2^53 and of 2^63); a zero, a unit, and a numerator sharing
         # a factor with m (all of the prime 2^89 - 1)
         shared = next((7 * p for p in (3, 5) if m % p == 0), 3 * m)
         for a in (0, 7, shared):
@@ -163,6 +167,19 @@ class TestEvalSumReduced:
             with pytest.raises(OutOfRange, match=message):
                 call(1, b, m, N)
 
+    def test_rejects_what_floats_cannot_hold(self):
+        # 2 pi / m and the fold's N / T multiplier are floats, and so is verify's m' N
+        big = int(sys.float_info.max) + 1
+        for call, message in ((lambda: se.eval_sum(1, 3, big, 3), f"modulus must be at most 1.8e308, got {big}"),
+                              (lambda: se.eval_sum_reduced(1, 2, 9, big), f"N must be at most 1.8e308, got {big}"),
+                              (lambda: se.verify_differencing(1, 2, 9, 3**646, 5),
+                               f"m_prime \\* N must be at most 1.8e308, got m_prime = {3**646}")):
+            with pytest.raises(OutOfRange, match=message):
+                call()
+        # the largest float itself is a modulus: every angle is finite
+        m = int(sys.float_info.max)
+        assert abs(se.eval_sum(1, 3, m, 3).value - oracle_sum(1, 3, m, 3)) < 1e-12
+
     def test_agreement_with_direct(self):
         rng = random.Random(101)
         for _ in range(40):
@@ -182,14 +199,16 @@ class TestBatchedFold:
 
     # (m, b): index 2 with T in [_SCALAR_CUTOFF, _BLOCK) and T > 2 _BLOCK,
     # index 4 with T = _BLOCK + 20, index 6, index 2 with T = _BLOCK, m
-    # above _INT64_SAFE_M with T = ord(1 + 3^14, 3^21) = 3^7, and index 2
-    # with T = 972 < _SCALAR_CUTOFF, which folds eval_sum windows
+    # above _INT64_SAFE_M with T = ord(1 + 3^14, 3^21) = 3^7, above 2^63 with
+    # T = ord(1 + 3^34, 3^41) = 3^7, and index 2 with T = 972 <
+    # _SCALAR_CUTOFF, which folds eval_sum windows
     CASES = [(3**7 * 5, 2), (3**6 * 5**3, 2), (3 * 5 * 7**4, 2), (3**8 * 7, 2), (2**14, 3),
-             (3**21, 1 + 3**14), (3**6 * 5, 2)]
+             (3**21, 1 + 3**14), (3**41, 1 + 3**34), (3**6 * 5, 2)]
     REMAINDERS = (1, 2, 100, 2047, 2048, 2049, 4095, 4096, 4097, 8191, 8192, 8193)
 
     @pytest.mark.parametrize("m,b", CASES,
-                             ids=["T<block", "T>2block", "index4", "index6", "T=block", "huge_m", "T<cutoff"])
+                             ids=["T<block", "T>2block", "index4", "index6", "T=block", "huge_m", "past_2^63",
+                                  "T<cutoff"])
     def test_every_float_equals_the_per_numerator_fold(self, monkeypatch, m, b):
         walks, evals = [], []
 
@@ -214,7 +233,7 @@ class TestBatchedFold:
         # the full-period window of every unit but its coset's first wraps past T
         numerators = tuple(units + [units[0], units[1] + m, 3 * b, 2 * m])
         lengths = [T - 1, T, T + 1] + [2 * T + r for r in self.REMAINDERS if r < T]
-        walked = m <= se._INT64_SAFE_M and T >= se._SCALAR_CUTOFF
+        walked = T >= se._SCALAR_CUTOFF  # at every modulus
         for N in lengths:
             del evals[:]
             got = se.eval_sum_reduced(numerators, b, m, N)
@@ -243,6 +262,14 @@ class TestBatchedFold:
         for a in (1, (1,), (1, 2, 4)):
             se.eval_sum_reduced(a, 2, 3**8, 10000)
         assert walks == [3**8] * 3
+
+    def test_few_terms_of_a_long_period_take_no_walk(self, monkeypatch):
+        # m = 3^30: S_T vanishes at T = 2 3^29 ~ 1.4e14, so N = T + 1000 takes
+        # 1000 terms per numerator, where a walk would take T / _BLOCK steps
+        monkeypatch.setattr(se, "_coset_window_sums", lambda *args: pytest.fail("walked"))
+        m, T = 3**30, 2 * 3**29
+        got = se.eval_sum_reduced((1, 2), 2, m, T + 1000)
+        assert [r.value for r in got] == [se.eval_sum(a, 2, m, 1000).value for a in (1, 2)]
 
     def test_no_unit_numerator_walks_nothing(self):
         # every numerator is 0 mod m: the walk has no target, every window is N terms of 1
@@ -284,10 +311,11 @@ class TestVanishingPeriods:
 
     @staticmethod
     def float_error(N):
-        """A-priori bound on |computed S_N - exact S_N|: _E_Z per phase
-        factor, and the reduction's (block sums of at most _BLOCK terms per
-        component, then fsum) within sqrt(2) gamma_B per unit of magnitude."""
-        return N * (se._E_Z + math.sqrt(2.0) * se._gamma(se._BLOCK))
+        """A-priori bound on |computed S_N - exact S_N| for m <= 2^53:
+        _phase_error per phase factor, and the reduction's (block sums of at
+        most _BLOCK terms per component, then fsum) within sqrt(2) gamma_B per
+        unit of magnitude."""
+        return N * (se._phase_error(2**53) + math.sqrt(2.0) * se._gamma(se._BLOCK))
 
     def test_the_rule_is_the_kernel_condition_and_the_float_sums_agree(self):
         fired, mu_cases = 0, 0
@@ -771,12 +799,16 @@ class TestVerifyDifferencing:
 
     def test_fast_inner_sums_match_exact_loop(self):
         # (a, b, m, m', N): tau = 1 (ord(4, 3)), tau = 2 with a(b^L - 1) = 0 mod m
-        # at L = 54, 108 (ord(2, 81) = 54), every numerator 0 (m' = m), and a
-        # blocked-length instance; then a seeded sweep
+        # at L = 54, 108 (ord(2, 81) = 54), every numerator 0 (m' = m), a
+        # blocked-length instance, moduli past 3.04e9, 2^53 (where the phase
+        # bound takes a fourth rounding: r is rounded to double) and 2^63;
+        # then a seeded sweep
         cases = [(5, 4, 27, 3, 400), (7, 2, 81, 3, 300), (1, 2, 45, 45, 500),
-                 (2, 2, 3**9, 3**5, 4500)]
+                 (2, 2, 3**9, 3**5, 4500), (5, 2, 3**21, 3**3, 1500), (7, 2, 3**34, 9, 1200),
+                 (11, 2, 3**41, 3, 1000)]
+        assert se._phase_error(3**21) < se._phase_error(3**34) == se._phase_error(3**41)
         rng = random.Random(91)
-        while len(cases) < 16:
+        while len(cases) < 19:
             m = rng.choice(nt.smooth_numbers(P35, 10**6, lo=15))
             fac = nt.factor_smooth(m, P35).exponents
             cases.append((rng.randrange(1, m), 2, m, rng.choice(valid_reduced_moduli(m, fac)),
@@ -806,17 +838,20 @@ class TestVerifyDifferencing:
             rep = se.verify_differencing(a, b, m, m_prime, N)
             assert rep.lhs_squared == se.eval_sum(a, b, m, N).magnitude ** 2
 
-    def test_exact_path_decides_above_int64_range(self):
-        m = 3**21
-        assert m > se._INT64_SAFE_M
-        rep = se.verify_differencing(1, 2, m, 3**2, 60)
-        assert rep.path == "exact" and rep.holds
-        assert rep.margin == rep.rhs / rep.lhs_squared
+    def test_fast_path_decides_above_int64_range(self):
+        # one residue path at every modulus: past 3.04e9, 2^53 and 2^63 too,
+        # the fast path certifies, and its lhs is eval_sum's
+        for m in (3**21, 3**34, 3**41):
+            assert m > se._INT64_SAFE_M
+            rep = se.verify_differencing(1, 2, m, 3**2, 60)
+            assert rep.path == "fast" and rep.holds
+            assert rep.margin <= rep.rhs / rep.lhs_squared
+            assert rep.lhs_squared == se.eval_sum(1, 2, m, 60).magnitude ** 2
 
     def test_exact_path_decides_when_fast_cannot_certify(self, monkeypatch):
         # a = 0 makes the inequality tight (lhs^2 = rhs = N^2 with m' = 1);
         # with the trivial error bound E_L = n the fast path certifies only m'N
-        monkeypatch.setattr(se, "_dot_error_bound", lambda n: 1.0 * n)
+        monkeypatch.setattr(se, "_dot_error_bound", lambda n, m: 1.0 * n)
         rep = se.verify_differencing(0, 2, 9, 1, 40)
         assert rep.tau == 1
         assert rep.path == "exact" and rep.holds

@@ -80,6 +80,14 @@ def test_cos_and_sin_are_taken_in_phases_alone():
     assert sites == {"sumeval._phases"}
 
 
+def test_the_residue_kind_is_chosen_in_powers_alone():
+    # int64 or Python ints: one place reads the modulus limit of int64
+    # residue products (beside its definition), so every walk, the coset
+    # walk and verify's fast path included, serves every modulus
+    sites = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"_INT64_SAFE_M"})}
+    assert sites == {"sumeval", "sumeval._powers"}
+
+
 def test_the_fold_rule_is_decided_in_fold_windows_alone():
     # whether a full period vanishes, and so which windows a fold takes, is
     # decided in one place; every evaluator reads its list
