@@ -453,8 +453,8 @@ MAX_K_CHECK = 1000
 #: on that guest, 20-23 s above 3.04e9 (Python-int residues, at 3^30 and
 #: 3^41), in memory of a few blocks.
 MAX_SUM_TERMS = 10**8
-#: Largest `digits --n`: 1 s on that guest while b m stays in int64, 35 s
-#: past it (Python-int digits).
+#: Largest `digits --n`: about 1 s on that guest for m <= 3.04e9 (int64
+#: residues), 25 s above it (Python-int residues, at 3^38).
 MAX_DIGITS = 10**8
 #: Largest `normal --n-max`: the trace holds 8 bytes per point; at the cap, on
 #: the Stoneham schedule on that guest, 542 MB peak RSS and 19 s.

@@ -1,11 +1,12 @@
 """Base-b digit statistics of rationals a/m with purely periodic expansions.
 
-Digits come from exact integer arithmetic on the residue orbit of a mod m:
-digit n is floor(b * (a b^(n-1) mod m) / m).  The orbit is read in blocks
-from the shared kernel (sumeval._orbit_blocks), so memory stays
-O(block + k) for a length-k pattern; a pattern matches where k shifted
-comparisons of the block, with the previous block's last k - 1 digits in
-front, all agree.
+Everything is read from the exact residue orbit r_n = a b^(n-1) mod m,
+taken in blocks from the shared kernel (sumeval._orbit_blocks), in memory
+of one block.  Digit n is b r_n // m.  The k digits from position n are
+the first k digits of r_n / m, so they read a pattern P (its base-b value)
+exactly when P <= b^k r_n / m < P + 1, that is when r_n lies in the
+integer interval [ceil(P m / b^k), ceil((P + 1) m / b^k)): a pattern count
+compares each residue with two edges and forms no digit.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import NotCoprime, OutOfRange
 from .numtheory import PrimeSet, factor_smooth
 from .sumeval import _orbit_blocks
 
-#: Largest value an int64 holds; the digit b * r // m of a residue r < m is
-#: formed in int64 only while b * m stays below it.
+#: Largest value an int64 holds; digit_frequencies forms the digit b * r // m
+#: of a residue r < m in int64 only while b * m stays below it.
 _INT64_MAX = 2**63 - 1
 
 
@@ -97,38 +98,22 @@ def digit_at(a: int, m: int, b: int, n: int) -> int:
     return b * (a * pow(b, n - 1, m) % m) // m
 
 
-def _digit_blocks(a: int, m: int, b: int, count: int):
-    """Digits 1..count of a/m in base b, digit n = b r_n // m of the residue
-    r_n = a b^(n-1) mod m, in blocks from the orbit kernel; the products
-    b * r are taken in Python ints when b * m leaves int64."""
-    wide = b * m > _INT64_MAX
-    for block in _orbit_blocks(a, b % m, m, count):
-        yield b * (block.astype(object) if wide else block) // m
-
-
 def count_occurrences(a: int, m: int, pattern: DigitPattern, N: int) -> OccurrenceReport:
-    """Number of n in [1, N] at which the pattern starts.
-
-    Matches may extend past position N: the first N + k - 1 digits are read.
-    """
+    """Number of n in [1, N] at which the pattern starts: of the first N
+    orbit residues, those in the pattern's interval.  A residue holds every
+    later digit, so matches that extend past position N count too."""
     _check_expansion_args(a, m, pattern.base)
     if N < 1:
         raise OutOfRange("N must be positive")
     b = pattern.base
     k = len(pattern)
+    P = 0
+    for d in pattern.digits:
+        P = P * b + d
+    lo, hi = -(-P * m // b**k), -(-(P + 1) * m // b**k)
     count = 0
-    tail = np.empty(0, dtype=np.int64)  # the last k - 1 digits read so far
-    for block in _digit_blocks(a, m, b, N + k - 1):
-        window = np.concatenate((tail, block))
-        starts = window.size - k + 1
-        if starts > 0:
-            hit = window[:starts] == pattern.digits[0]
-            for j in range(1, k):
-                if not hit.any():
-                    break
-                hit &= window[j : j + starts] == pattern.digits[j]
-            count += int(np.count_nonzero(hit))
-        tail = window[max(0, starts) :]
+    for r in _orbit_blocks(a, b % m, m, N):
+        count += int(np.count_nonzero((r >= lo) & (r < hi)))
     expected = N / b**k
     return OccurrenceReport(count, expected, count - expected, N, pattern)
 
@@ -148,8 +133,10 @@ def digit_frequencies(a: int, m: int, b: int, N: int) -> Sequence[int]:
     _check_expansion_args(a, m, b)
     if N < 1:
         raise OutOfRange("N must be positive")
+    wide = b * m > _INT64_MAX
     totals = np.zeros(b, dtype=np.int64)
-    for block in _digit_blocks(a, m, b, N):
-        seen = np.bincount(block.astype(np.int64, copy=False))
+    for r in _orbit_blocks(a, b % m, m, N):
+        ds = b * (r.astype(object) if wide else r) // m
+        seen = np.bincount(ds.astype(np.int64, copy=False))
         totals[: seen.size] += seen
     return totals.tolist()

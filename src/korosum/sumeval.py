@@ -350,7 +350,8 @@ def _starts(targets, b0: int, m: int, T: int) -> Dict[int, Tuple[int, int]]:
     """{t: (c, s)} with c b0^s = t mod m, T = ord(b0, m) and c the first target
     of t's coset of <b0>, by baby-step giant-step (Shanks 1971): baby steps
     t b0^j, j < B ~ sqrt(T / targets) <= _BLOCK, against giant steps
-    c b0^(iB), i < ceil(T / B), so s = iB - j mod T."""
+    c b0^(iB), i < ceil(T / B), so s = iB - j mod T; the giant steps stop
+    at the block where the last pending target is found."""
     pending = list(dict.fromkeys(targets))
     B = min(_BLOCK, math.isqrt(T // len(pending)) + 1)
     G = -(-T // B)
@@ -365,6 +366,8 @@ def _starts(targets, b0: int, m: int, T: int) -> Dict[int, Tuple[int, int]]:
             for row in np.flatnonzero(hit.any(axis=1)):
                 j = int(hit[row].argmax())
                 starts.setdefault(pending[row], (c, ((i0 + int(idx[row, j])) * B - j) % T))
+            if all(t in starts for t in pending):
+                break
         pending = [t for t in pending if t not in starts]
     return starts
 

@@ -4,7 +4,6 @@ import math
 import random
 from itertools import product
 
-import numpy as np
 import pytest
 
 from korosum import digits as dg
@@ -136,6 +135,40 @@ class TestCountOccurrences:
         )
         assert total == N
 
+    @pytest.mark.parametrize("m,b", [(3**13, 2), (7**9, 10), (3**39, 10), (3**41, 2), (2**89 - 1, 16)],
+                             ids=["3^13", "7^9", "3^39_b_m_past_2^63", "3^41", "2^89-1"])
+    def test_a_pattern_is_a_residue_interval(self, m, b):
+        # digits n..n+k-1 of a/m read P exactly when the residue
+        # r = a b^(n-1) mod m lies in [ceil(P m / b^k), ceil((P + 1) m / b^k));
+        # the pattern at n, its neighbours P - 1 and P + 1, and residues at
+        # the edges, each checked against digit_at
+        rng = random.Random(m)
+        for _ in range(30):
+            a, n, k = rng.randrange(1, m), rng.randrange(1, 10**6), rng.randrange(1, 6)
+            r = a * pow(b, n - 1, m) % m
+            read = sum(dg.digit_at(a, m, b, n + j) * b ** (k - 1 - j) for j in range(k))
+            for P in {max(read - 1, 0), read, min(read + 1, b**k - 1)}:
+                pattern = dg.DigitPattern(b, tuple(P // b ** (k - 1 - j) % b for j in range(k)))
+                lo, hi = -(-P * m // b**k), -(-(P + 1) * m // b**k)
+                assert (lo <= r < hi) == (P == read)
+                for x in {v for v in (r, lo - 1, lo, hi - 1, hi) if 1 <= v < m}:
+                    hit = all(dg.digit_at(x, m, b, 1 + j) == d for j, d in enumerate(pattern.digits))
+                    assert (lo <= x < hi) == hit
+                    assert dg.count_occurrences(x, m, pattern, 1).count == hit
+
+    @pytest.mark.parametrize("k", [1, 3, se._BLOCK + 7])
+    def test_reads_exactly_n_residues(self, k, monkeypatch):
+        # however long the pattern, the first N residues are all it needs
+        asked, orbit_blocks = [], dg._orbit_blocks
+
+        def spy(r0, b0, m, N):
+            asked.append(N)
+            return orbit_blocks(r0, b0, m, N)
+
+        monkeypatch.setattr(dg, "_orbit_blocks", spy)
+        dg.count_occurrences(3, 5**9, dg.DigitPattern(2, (1,) * k), 1000)
+        assert asked == [1000]
+
 
 class TestBlockedAgainstStream:
     """Blocked digits against long division, at block boundaries and past
@@ -154,12 +187,11 @@ class TestBlockedAgainstStream:
     )
     @pytest.mark.parametrize("length", [B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1])
     def test_read_length_around_block_multiples(self, a, m, pattern, length):
-        # N + k - 1 digits are read: just below, at and above a block
-        # boundary; the second pattern straddles the first boundary (or is
-        # the last window, when the stream ends before it)
+        # N + k - 1 digits hold the N starts: just below, at and above a
+        # block boundary; the second pattern straddles the first boundary (or
+        # is the last window, when the stream ends before it)
         k = len(pattern)
         N = length - k + 1
-        assert next(dg._digit_blocks(a, m, pattern.base, N)).dtype == np.int64
         ds = long_division_digits(a, m, pattern.base, length)
         at = min(self.B - 1, N - 1)
         straddling = dg.DigitPattern(pattern.base, tuple(ds[at : at + k]))
@@ -171,8 +203,8 @@ class TestBlockedAgainstStream:
 
     @pytest.mark.parametrize("N,start", [(3, 2), (B + 10, B + 5)])
     def test_pattern_longer_than_the_stream(self, N, start):
-        # k > _BLOCK, so the carried tail spans blocks; the pattern is read
-        # from the stream at `start`, and a copy with its last digit flipped
+        # k > _BLOCK, a pattern longer than a block; the pattern is read from
+        # the stream at `start`, and a copy with its last digit flipped
         a, m, b = 3, 5**9, 2
         k = self.B + 7
         ds = long_division_digits(a, m, b, N + k - 1)
@@ -185,7 +217,7 @@ class TestBlockedAgainstStream:
     def test_fallback_above_int64_residues(self):
         # Python-int residues, over a block boundary
         a, m, b, N = 1234567, 3**21, 2, self.B + 300
-        assert m > se._INT64_SAFE_M and next(dg._digit_blocks(a, m, b, N)).dtype == object
+        assert m > se._INT64_SAFE_M
         pattern = dg.DigitPattern(b, (1, 1, 0))
         assert dg.count_occurrences(a, m, pattern, N).count == naive_count(a, m, pattern, N)
         ds = long_division_digits(a, m, b, N)
@@ -193,17 +225,25 @@ class TestBlockedAgainstStream:
 
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_base_times_modulus_at_the_int64_guard(self, side):
-        # the largest base below the guard (block path) and the smallest
-        # above it (fallback), both coprime to m
-        m, N = 3**19, 300
-        b = dg._INT64_MAX // m
-        if side == "above":
-            b += 1
-        while b % 3 == 0:
-            b += -1 if side == "below" else 1
-        assert (b * m <= dg._INT64_MAX) == (side == "below")
-        assert (next(dg._digit_blocks(1, m, b, N)).dtype == object) == (side == "above")
-        a = 987654321
+        # the largest base below the guard (int64 digits b r // m) and the
+        # smallest above it (Python-int digits), both coprime to m, against
+        # long division: digit_frequencies at m = 3^38 (bases 5 and 7), and
+        # at m = 3^19, whose bases near 7.9e9 are too many counters for
+        # frequencies, the pattern count, which compares residues alone
+        def base(m):
+            b = dg._INT64_MAX // m + (side == "above")
+            while b % 3 == 0:
+                b += -1 if side == "below" else 1
+            assert (b * m <= dg._INT64_MAX) == (side == "below")
+            return b
+
+        a, N = 987654321, 300
+        m = 3**38
+        b = base(m)
+        ds = long_division_digits(a, m, b, N)
+        assert dg.digit_frequencies(a, m, b, N) == [ds.count(d) for d in range(b)]
+        m = 3**19
+        b = base(m)
         ds = long_division_digits(a, m, b, N + 1)
         pattern = dg.DigitPattern(b, tuple(ds[10:12]))
         assert dg.count_occurrences(a, m, pattern, N).count == naive_count(a, m, pattern, N) >= 1
@@ -225,7 +265,9 @@ class TestDeviationReport:
         assert zeros.occurrence.count + ones.occurrence.count == N
 
     def test_frequencies_match_counts(self):
-        m, b, N = 5**4, 2, 500
-        freq = dg.digit_frequencies(1, m, b, N)
-        for d in range(b):
-            assert freq[d] == dg.count_occurrences(1, m, dg.DigitPattern(b, (d,)), N).count
+        # b m past 2^63 at 3^39 in base 10, and m past 2^63 at 3^41
+        N = 500
+        for m, b in ((5**4, 2), (3**39, 10), (3**41, 2)):
+            freq = dg.digit_frequencies(1, m, b, N)
+            for d in range(b):
+                assert freq[d] == dg.count_occurrences(1, m, dg.DigitPattern(b, (d,)), N).count

@@ -413,6 +413,24 @@ class TestStarts:
             assert c == want[t][0] and 0 <= s < T and s in want[t][1]
         assert len({got[a * b % m][0] for a in units}) == (1 if m == 3**12 else 2)
 
+    def test_giant_steps_stop_at_the_last_start(self, monkeypatch):
+        # 2, 4 and 8 sit at positions 0-2 of the walk from 2, so the first of
+        # the period's three giant blocks at m = 3^16 holds every start
+        m, b = 3**16, 2
+        T = nt.mult_order(b, m)
+        G = -(-T // min(se._BLOCK, math.isqrt(T // 3) + 1))  # giant steps in a period
+        assert -(-G // se._BLOCK) == 3
+        drawn, orbit_blocks = [], se._orbit_blocks
+
+        def spy(*args):
+            for block in orbit_blocks(*args):
+                drawn.append(block.size)
+                yield block
+
+        monkeypatch.setattr(se, "_orbit_blocks", spy)
+        assert se._starts([2, 4, 8], b, m, T) == {2: (2, 0), 4: (2, 1), 8: (2, 2)}
+        assert len(drawn) == 1
+
 
 class TestScanSums:
     """eval_scan_sums against eval_sum_reduced's fold of eval_sum windows,

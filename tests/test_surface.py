@@ -88,6 +88,14 @@ def test_the_residue_kind_is_chosen_in_powers_alone():
     assert sites == {"sumeval", "sumeval._powers"}
 
 
+def test_only_digit_frequencies_forms_digits_past_int64():
+    # a pattern count compares residues with two integer edges and forms no
+    # digit; only the frequencies form b r // m, so only they read the int64
+    # limit of b m (beside its definition)
+    sites = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"_INT64_MAX"})}
+    assert sites == {"digits", "digits.digit_frequencies"}
+
+
 def test_the_fold_rule_is_decided_in_fold_windows_alone():
     # whether a full period vanishes, and so which windows a fold takes, is
     # decided in one place; every evaluator reads its list
