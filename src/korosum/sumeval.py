@@ -1,13 +1,17 @@
 """Exact-phase evaluation of S_N = sum_{n=1}^{N} e(a * b^n / m).
 
 Every phase angle comes from the exact integer residue a*b^n mod m, so the
-only floating-point steps are the final sin/cos and a compensated
+only floating-point steps are the phase factors and a compensated
 accumulation (plus, in the differencing verifier's fast path, dot products
-with a certified error bound).  Every window of terms is built from three
-primitives, so its bits do not depend on who asks for it: _powers doubles
-residues, _phases takes cos/sin, and _phase_sum reduces.  eval_sum adds all
-N terms; eval_sum_reduced and eval_scan_sums add the windows of one fold
-rule (_fold_windows) and give the same bits.  The scan's windows below
+with a certified error bound).  A phase factor is cos/sin of r (2 pi / m),
+or, in a window long enough to repay two tables of about 2 sqrt(m) such
+factors (_tabled), the product of two table entries,
+e(r/m) = e((r >> s) 2^s / m) e((r & (2^s - 1)) / m).  Every window of terms
+is built from three primitives, so its bits do not depend on who asks for
+it: _powers doubles residues, _phases takes the phase factors by the
+window's rule, and _phase_sum reduces.  eval_sum adds all N terms;
+eval_sum_reduced and eval_scan_sums add the windows of one fold rule
+(_fold_windows) and give the same bits.  The scan's windows below
 _SCALAR_CUTOFF terms are exact prefix sums of batched walks, and windows of
 periods at least that long share one streamed walk per coset of <b>.
 """
@@ -38,6 +42,13 @@ _SCALAR_CUTOFF = 2048
 #: Block length of the orbit and phase blocks (also the power-table length).
 _BLOCK = 4096
 
+#: A window of L >= _SCALAR_CUTOFF terms mod m takes table phases when
+#: L >= _TABLE_RATIO sqrt(m): its terms then repay the tables' ~2 sqrt(m)
+#: cos/sin even if no other window shares them (one window at 4 sqrt(m)
+#: with cold tables took 0.88-1.03 times its cos/sin time for m from 2.7e6
+#: to 3.04e9; at 2 sqrt(m), 1.4-1.6 times).
+_TABLE_RATIO = 4
+
 #: Largest modulus for which residue*residue stays inside int64.
 _INT64_SAFE_M = 3_037_000_499
 
@@ -58,12 +69,24 @@ def _gamma(k):
     return k * _U / (1.0 - k * _U)
 
 
-def _phase_error(m: int) -> float:
-    """Bound on |z_hat - e(r/m)| for one computed phase factor, 0 <= r < m:
-    three roundings in theta = r * (2 pi / m) < 2 pi (2 pi, 2 pi / m and the
-    product), a fourth where m > 2^53 (r itself, rounded to double), then
-    cos and sin."""
-    return TWO_PI * _gamma(3 if m <= 2**53 else 4) + _TRIG_ULPS * math.sqrt(2.0) * _U
+def _phase_error(m: int, tabled: bool = False) -> float:
+    """Bound on |z_hat - e(r/m)| for one computed phase factor, 0 <= r < m.
+
+    By cos/sin, e: three roundings in theta = r * (2 pi / m) < 2 pi (2 pi,
+    2 pi / m and the product), a fourth where m > 2^53 (r itself, rounded
+    to double), then cos and sin.  From the tables, the product h l of two
+    such factors, each of exact residue below m (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3, complex multiplication):
+    |h_hat l_hat - h l| <= e_H + e_L + e_H e_L, and the rounded product is
+    within sqrt(2) gamma_2 |h_hat| |l_hat| <= sqrt(2) gamma_2 (1 + e)^2 of it."""
+    e = TWO_PI * _gamma(3 if m <= 2**53 else 4) + _TRIG_ULPS * math.sqrt(2.0) * _U
+    return 2.0 * e + e * e + math.sqrt(2.0) * _gamma(2) * (1.0 + e) ** 2 if tabled else e
+
+
+def _tabled(L: int, m: int) -> bool:
+    """The window rule: whether a window of L terms mod m takes its phase
+    factors from the tables (where its residues are int64, see _phases)."""
+    return L >= _SCALAR_CUTOFF and L * L >= _TABLE_RATIO**2 * m
 
 
 @dataclass
@@ -137,16 +160,47 @@ def _orbit_blocks(r0: int, b0: int, m: int, N: int, keep=None):
         lead = lead * step % m
 
 
-def _phases(residues: np.ndarray, m, out=None) -> np.ndarray:
-    """cos and sin of the angles r (2 pi / m) of exact residues r, stacked on
+@lru_cache(maxsize=2)
+def _phase_table(m: int):
+    """(s, H, L) with H[i] = e(i 2^s / m), i <= (m - 1) >> s, and
+    L[j] = e(j / m), j < 2^s, s = ceil(bits(m) / 2): complex arrays of
+    _phases' own factors, so e(r/m) = H[r >> s] L[r & (2^s - 1)] for
+    0 <= r < m.  Cached per modulus and read-only, like _power_table."""
+    s = (m.bit_length() + 1) // 2
+    tables = []
+    for residues in (np.arange(((m - 1) >> s) + 1) << s, np.arange(1 << s)):
+        table = np.empty(residues.size, dtype=np.complex128)
+        table.real, table.imag = _phases(residues, m)
+        table.flags.writeable = False
+        tables.append(table)
+    return (s, *tables)
+
+
+def _phases(residues: np.ndarray, m, out=None, table: bool = False) -> np.ndarray:
+    """The phase factors e(r/m) of exact residues r as cos and sin stacked on
     a new first axis (into `out` when given); m is an int or a column.
-    Python ints (object arrays) are rounded once to double, so the angle is
-    Python's float product (2 pi / m) * r."""
+
+    Given `table` (the window rule, _tabled) and int64 residues, each factor
+    is the product of two entries of _phase_table(m), formed in real
+    arithmetic as Python's complex product forms it, so its bits do not
+    depend on the CPU's fused multiply-adds.  Otherwise it is cos and sin of
+    the angle r (2 pi / m); Python ints (object arrays) are rounded once to
+    double, so the angle is Python's float product (2 pi / m) * r."""
+    if out is None:
+        out = np.empty((2,) + residues.shape)
+    if table and residues.dtype == np.int64:
+        s, high, low = _phase_table(m)
+        index = residues >> s
+        h = high.take(index)
+        l = low.take(np.bitwise_and(residues, (1 << s) - 1, out=index))
+        np.multiply(h.real, l.real, out=out[0])
+        out[0] -= h.imag * l.imag
+        np.multiply(h.real, l.imag, out=out[1])
+        out[1] += h.imag * l.real
+        return out
     if residues.dtype == object:
         residues = residues.astype(np.float64)
     theta = residues * np.asarray(TWO_PI / m, dtype=np.float64)
-    if out is None:
-        out = np.empty((2,) + theta.shape)
     np.cos(theta, out=out[0])
     np.sin(theta, out=out[1])
     return out
@@ -206,8 +260,8 @@ def eval_sum(a: int, b: int, m: int, N: int) -> SumResult:
     if m == 1 or a0 == 0:
         value = complex(N, 0.0)
     else:
-        b0 = b % m
-        blocks = (_phases(r, m) for r in _orbit_blocks(a0 * b0 % m, b0, m, N))
+        b0, table = b % m, _tabled(N, m)
+        blocks = (_phases(r, m, table=table) for r in _orbit_blocks(a0 * b0 % m, b0, m, N))
         value = _phase_sum(blocks, N)
     return SumResult(value, abs(value), N, m, a, b)
 
@@ -382,14 +436,16 @@ def _coset_window_sums(
     The terms x b0^(k+n), n = 1..L, are w_{s+k}, ..., w_{s+k+L-1} (indices
     mod T) of the walk w_j = c b0^j of the coset's first target c, with
     w_s = x b0 (_starts).  Each window is cut into pieces, eval_sum's blocks
-    of it.  One pass takes _phases of the _BLOCK-term blocks of w_j, j < T,
-    that some piece covers, skips the others, and keeps the first block for
-    the pieces past T (w_{T+j} = w_j).  Each piece is reduced by _phase_sum
-    once the terms held cover it, and a window is the fsum of its pieces.
+    of it, each tagged with the window's phase rule (_tabled).  One pass
+    takes _phases of the _BLOCK-term blocks of w_j, j < T, that some piece
+    covers, by each rule some piece covering it has (into one buffer per
+    rule), skips the others, and keeps the first block for the pieces past
+    T (w_{T+j} = w_j).  Each piece is reduced by _phase_sum once the terms
+    held cover it, and a window is the fsum of its pieces.
     """
-    def pieces(s, L):  # (start, size, length for _phase_sum's rule) of w_s .. w_{s+L-1}
-        rule = min(L, _SCALAR_CUTOFF)
-        return [((s + k) % T, min(_BLOCK, L - k), rule) for k in range(0, L, _BLOCK)]
+    def pieces(s, L):  # (start, size, length for _phase_sum's rule, table rule) of w_s .. w_{s+L-1}
+        rule, table = min(L, _SCALAR_CUTOFF), _tabled(L, m)
+        return [((s + k) % T, min(_BLOCK, L - k), rule, table) for k in range(0, L, _BLOCK)]
 
     def chunk(j):  # the chunk holding w_j, j < T + _BLOCK
         return j // _BLOCK if j < T else blocks
@@ -402,30 +458,39 @@ def _coset_window_sums(
     for c in dict.fromkeys(c for c, _ in starts.values()):
         requests = sorted({p for x, k, L in windows if starts[targets[x]][0] == c
                            for p in pieces(starts[targets[x]][1] + k, L)}, key=lambda p: p[0] + p[1])
-        needed = {i for start, size, _ in requests for i in range(chunk(start), chunk(start + size - 1) + 1)}
-        if blocks in needed:
-            needed.add(0)
-        zs = np.empty((2, 2 * _BLOCK))  # cos, sin of w_{done - _BLOCK} .. w_{done + _BLOCK - 1}
-        first = None
+        needed = {}  # table rule -> the chunks its pieces span
+        for start, size, _, table in requests:
+            needed.setdefault(table, set()).update(range(chunk(start), chunk(start + size - 1) + 1))
+        for held in needed.values():
+            if blocks in held:
+                held.add(0)
+        # per rule: cos, sin of w_{done - _BLOCK} .. w_{done + _BLOCK - 1}, and of the first block;
+        # the rules share one buffer unless some chunk is read by both
+        shared = len(needed) == 2 and needed[False] & needed[True]
+        one = np.empty((2, 2 * _BLOCK))
+        zs = {table: np.empty((2, 2 * _BLOCK)) if shared and table else one for table in needed}
+        first = {}
         done = i = 0
-        for index, block in enumerate(chain(_orbit_blocks(c, b0, m, T, needed), [None])):
+        for index, block in enumerate(chain(_orbit_blocks(c, b0, m, T, set().union(*needed.values())), [None])):
             width = min(_BLOCK, T - done if index < blocks else T)
             base, done = done - _BLOCK, done + width
-            if index not in needed:  # no piece reads these terms
-                continue
-            new = zs[:, _BLOCK : _BLOCK + width]
-            if index == blocks:
-                new[...] = first
-            else:
-                _phases(block, m, out=new)
-                first = new.copy() if index == 0 else first
+            taken = [table for table, held in needed.items() if index in held]
+            for table in taken:
+                new = zs[table][:, _BLOCK : _BLOCK + width]
+                if index == blocks:
+                    new[...] = first[table]
+                else:
+                    _phases(block, m, out=new, table=table)
+                    if index == 0:
+                        first[table] = new.copy()
             # a piece ending in this chunk is at most _BLOCK long, so it starts inside zs,
-            # and every chunk it spans was taken
+            # and every chunk it spans was taken by its rule
             while i < len(requests) and sum(requests[i][:2]) <= done:
-                start, size, L = requests[i]
-                sums[c, requests[i]] = _phase_sum([zs[:, start - base : start - base + size]], L)
+                start, size, L, table = requests[i]
+                sums[c, requests[i]] = _phase_sum([zs[table][:, start - base : start - base + size]], L)
                 i += 1
-            zs[:, :_BLOCK] = zs[:, width : width + _BLOCK]
+            for table in taken:
+                zs[table][:, :_BLOCK] = zs[table][:, width : width + _BLOCK]
 
     out = {}
     for x, k, L in windows:  # fsum of one fsum is that fsum
@@ -491,12 +556,12 @@ def m_bar(b: int, m: int, m_prime: int) -> int:
     return gcd((pow(b, tau, m) - 1) % m, m)
 
 
-def _dot_error_bound(n, m: int):
+def _dot_error_bound(n, m: int, tabled: bool = False):
     """A-priori bound E_L on | |computed inner sum| - |exact inner sum| | for
     an inner sum of n terms taken as a dot product of computed phase factors
-    mod m (elementwise when n is an array).
+    mod m (elementwise when n is an array), from the tables where `tabled`.
 
-    With e_z = _phase_error(m) bounding |z_hat - z| and |z_hat| <= 1 + e_z:
+    With e_z = _phase_error(m, tabled) bounding |z_hat - z| and |z_hat| <= 1 + e_z:
       * phase error: |z_hat' conj(z_hat) - z' conj(z)| <= 2 e_z + e_z^2 per term;
       * the complex dot product in floating point (Higham, Accuracy and
         Stability of Numerical Algorithms, ch. 3, complex inner product) is
@@ -505,28 +570,32 @@ def _dot_error_bound(n, m: int):
       * the final abs() rounds once more, within 2u of a value at most
         n (1 + e_z)^2 (1 + sqrt(2) gamma_{n+2}).
     """
-    e_z, g = _phase_error(m), math.sqrt(2.0) * _gamma(n + 2)
+    e_z, g = _phase_error(m, tabled), math.sqrt(2.0) * _gamma(n + 2)
     return n * (2.0 * e_z + e_z**2 + (1.0 + e_z) ** 2 * (g + 2.0 * _U * (1.0 + g)))
 
 
 def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
     """(|S_N|^2, [|inner_L|], array of E_L) for the lags L = tau, 2 tau, ... < N
-    of the differencing inequality, with E_L = _dot_error_bound(N - L, m).
+    of the differencing inequality, with E_L = _dot_error_bound(N - L, m, tabled)
+    for the phase vector's rule.
 
     a (b^L - 1) b^n = r_{n+L} - r_n (mod m) for the residues r_n = a b^n mod m,
     so inner_L = sum_{n <= N-L} z_{n+L} conj(z_n) with z_n = e(r_n / m): one
     phase vector, taken block by block from the exact residues, serves every
-    lag.  S_N reduces the same cos/sin as eval_sum does, so |S_N|^2 is
+    lag.  The vector takes eval_sum's window rule (_tabled) for all N terms,
+    so S_N reduces the same factors as eval_sum does and |S_N|^2 is
     eval_sum's magnitude**2 bit for bit.
     """
     cs = np.empty((2, N))
+    table = _tabled(N, m)
     for k, block in zip(range(0, N, _BLOCK), _orbit_blocks(a0 * b0 % m, b0, m, N)):
-        _phases(block, m, out=cs[:, k : k + _BLOCK])
+        _phases(block, m, out=cs[:, k : k + _BLOCK], table=table)
     s_n = _phase_sum((cs[:, k : k + _BLOCK] for k in range(0, N, _BLOCK)), N)
     z = np.empty(N, dtype=np.complex128)
     z.real, z.imag = cs
     inner = [float(abs(np.vdot(z[: N - lag], z[lag:]))) for lag in range(tau, N, tau)]
-    return abs(s_n) ** 2, inner, _dot_error_bound(N - np.arange(tau, N, tau), m)
+    tabled = table and block.dtype == np.int64  # as _phases decides
+    return abs(s_n) ** 2, inner, _dot_error_bound(N - np.arange(tau, N, tau), m, tabled)
 
 
 def _margin(rhs: float, lhs_sq: float) -> float:

@@ -5,7 +5,7 @@ lambda(m), divisor-power sums and the totient from a trial-division
 factorization, primality and factorization by trial division, restricted totients by
 counting, interval relations by endpoint comparison, the CSV report by
 csv.writer one field at a time, exponential sums by the scalar and blocked
-loops the library once had.  Most take time that grows with their input,
+loops the library once had and by a plain-Python table of phase factors.  Most take time that grows with their input,
 and no library code uses any of them, so they live with the tests.
 """
 
@@ -201,4 +201,24 @@ def eval_sum_blocked(a0: int, b0: int, m: int, N: int, block: int = 4096) -> com
         theta = np.array(rs, dtype=np.float64) * scale
         re_parts.append(float(np.sum(np.cos(theta))))
         im_parts.append(float(np.sum(np.sin(theta))))
+    return complex(math.fsum(re_parts), math.fsum(im_parts))
+
+
+def eval_sum_tabled(a0: int, b0: int, m: int, N: int, block: int = 4096) -> complex:
+    """S_N as eval_sum_blocked reduces it, each term e(r/m) the Python complex
+    product H[r >> s] * L[r & (2^s - 1)] of two tables of math.cos and
+    math.sin: H[i] = e(i 2^s / m), L[j] = e(j / m), s = ceil(bits(m) / 2)."""
+    scale = 2.0 * math.pi / m
+    s = (m.bit_length() + 1) // 2
+    high = [complex(math.cos(scale * (i << s)), math.sin(scale * (i << s))) for i in range(((m - 1) >> s) + 1)]
+    low = [complex(math.cos(scale * j), math.sin(scale * j)) for j in range(1 << s)]
+    re_parts, im_parts = [], []
+    r = a0 * b0 % m
+    for done in range(0, N, block):
+        zs = []
+        for _ in range(min(block, N - done)):
+            zs.append(high[r >> s] * low[r & ((1 << s) - 1)])
+            r = r * b0 % m
+        re_parts.append(float(np.sum(np.array([z.real for z in zs]))))
+        im_parts.append(float(np.sum(np.array([z.imag for z in zs]))))
     return complex(math.fsum(re_parts), math.fsum(im_parts))

@@ -624,7 +624,7 @@ class TestFlagRanges:
                           N_policy={"kind": "powers", "exponents": [0.15, 0.25, 0.4, 0.6, 1.0]}, k_range=[0, 4])
         data = cli.render_report(cli.run_scan(cli.load_scan_config(doc)))
         assert data.count(b"\n") == 6063
-        assert hashlib.sha256(data).hexdigest() == "20245f589b6ff2403605ecd12fa11c268a33ae4dfbb587d45fbe6342a31cabed"
+        assert hashlib.sha256(data).hexdigest() == "f5418c0b50259eec141f1e96f22dc00b23b0bd25a85edead992efef8a34f8f1c"
 
     @pytest.mark.parametrize("m,n", [(3**17, cli.MAX_SUM_TERMS + 1),  # T = 86093442: T + (N - T)
                                      (3**18, cli.MAX_SUM_TERMS + 1),  # T = 258280326 > N
@@ -853,7 +853,7 @@ class TestPinnedCommandLine:
             "lhs^2 = 9621.97  rhs = 643345  (m'=3, tau=2)\n"
             "holds: True  (decided by the fast path, certified margin rhs/lhs^2 = 66.8621)\n",
         "verify --a 1 --b 2 --m 531441 --m-prime 3 --n 5000 --json":
-            "450c2e9a217cf46b66e862c24e1ab64992558429b3ea2be141acbea7f64ffca9",
+            "846f60426b46a9493b2224e45f65f395d80200972a2dc1a8610f42bad065b294",
         "scan --config scan.json --out rows.csv":
             "669ec4f895a24f8f527030aed17eaf07b95ae3c3c4acaaff9fafc2b44e2ce86f",
     }

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from korosum import numtheory as nt
 from korosum import sumeval as se
 from korosum.errors import DegenerateRange, NotCoprime, OutOfRange
-from oracles import eval_sum_blocked, eval_sum_scalar, mult_order_naive
+from oracles import eval_sum_blocked, eval_sum_scalar, eval_sum_tabled, mult_order_naive
 
 P3 = nt.PrimeSet.of(3)
 P35 = nt.PrimeSet.of(3, 5)
@@ -33,6 +33,17 @@ def oracle_sum(a, b, m, N):
         res.append(z.real)
         ims.append(z.imag)
     return complex(fsum(res), fsum(ims))
+
+
+def tabled(L, m):
+    """A window of L terms mod m takes table phases: L >= _SCALAR_CUTOFF,
+    L >= _TABLE_RATIO sqrt(m) and residues in int64 (m <= _INT64_SAFE_M)."""
+    return L >= se._SCALAR_CUTOFF and L >= se._TABLE_RATIO * math.sqrt(m) and m <= se._INT64_SAFE_M
+
+
+def table_threshold(m):
+    """The shortest window mod m that takes table phases (m <= _INT64_SAFE_M)."""
+    return max(se._SCALAR_CUTOFF, math.isqrt(se._TABLE_RATIO**2 * m - 1) + 1)
 
 
 def period_vanishes(a, b, m):
@@ -84,19 +95,21 @@ class TestEvalSum:
         for a, b, m, N in ((1, 2, 3**9, 5000), (11, 7, 5**7, 9001), (5, 2, 59049, 4096)):
             assert abs(se.eval_sum(a, b, m, N).value - oracle_sum(a, b, m, N)) < 1e-9
 
-    @pytest.mark.parametrize("m", [9, 3**9, 5**7, 3**20, 3**21, 3**41, 2**89 - 1, 3_037_000_499, 3_037_000_501,
-                                   3_037_000_503, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1],
-                             ids=["9", "3^9", "5^7", "3^20", "3^21", "3^41", "2^89-1", "int64_safe", "int64_safe+2",
-                                  "int64_safe+4", "2^53-1", "2^53+1", "2^63-1", "2^63+1"])
+    @pytest.mark.parametrize("m", [9, 3**9, 5**7, 3**14, 3**20, 3**21, 3**41, 2**89 - 1, 3_037_000_499,
+                                   3_037_000_501, 3_037_000_503, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1],
+                             ids=["9", "3^9", "5^7", "3^14", "3^20", "3^21", "3^41", "2^89-1", "int64_safe",
+                                  "int64_safe+2", "int64_safe+4", "2^53-1", "2^53+1", "2^63-1", "2^63+1"])
     def test_bits_equal_the_reference_loops(self, m):
         # the scalar loop below _SCALAR_CUTOFF terms, blocks of _BLOCK
         # otherwise, whatever m is (on both sides of the int64 power table's
-        # limit, of 2^53 and of 2^63); a zero, a unit, and a numerator sharing
-        # a factor with m (all of the prime 2^89 - 1)
+        # limit, of 2^53 and of 2^63), with table phases where the window
+        # rule reaches (every N >= 2048 up to 5^7; at 3^14 from N = 8748);
+        # a zero, a unit, and a numerator sharing a factor with m (all of the
+        # prime 2^89 - 1)
         shared = next((7 * p for p in (3, 5) if m % p == 0), 3 * m)
         for a in (0, 7, shared):
             for N in (1, 2047, 2048, 4096, 4097, 9000):
-                ref = eval_sum_scalar if N < 2048 else eval_sum_blocked
+                ref = eval_sum_scalar if N < 2048 else eval_sum_tabled if tabled(N, m) else eval_sum_blocked
                 got, want = se.eval_sum(a, 2, m, N).value, ref(a % m, 2, m, N)
                 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (a, N)
 
@@ -610,26 +623,33 @@ class TestScanSums:
 
 
 class TestWalkTrigCount:
-    """The coset walk takes cos/sin only of the _BLOCK-term blocks that some
-    window covers, not of whole periods."""
+    """The coset walk takes phase factors only of the _BLOCK-term blocks that
+    some window covers, not of whole periods, each by the rules of the
+    windows covering it."""
 
     def test_walk_takes_only_the_covered_blocks(self, monkeypatch):
-        counted, inside = [0], [False]
-        phases, walk = se._phases, se._coset_window_sums
+        counted = {"trig": 0, "table": 0, "build": 0}
+        inside, building = [False], [False]
+        phases, walk, phase_table = se._phases, se._coset_window_sums, se._phase_table
 
-        def counting_phases(residues, m, out=None):
-            counted[0] += residues.size if inside[0] else 0
-            return phases(residues, m, out)
+        def counting_phases(residues, m, out=None, table=False):
+            if inside[0]:
+                kind = "build" if building[0] else "table" if table and residues.dtype == np.int64 else "trig"
+                counted[kind] += residues.size
+            return phases(residues, m, out, table)
 
-        def flagged_walk(*args):
-            inside[0] = True
-            try:
-                return walk(*args)
-            finally:
-                inside[0] = False
+        def flagged(flag, fn):
+            def call(*args):
+                flag[0] = True
+                try:
+                    return fn(*args)
+                finally:
+                    flag[0] = False
+            return call
 
         monkeypatch.setattr(se, "_phases", counting_phases)
-        monkeypatch.setattr(se, "_coset_window_sums", flagged_walk)
+        monkeypatch.setattr(se, "_coset_window_sums", flagged(inside, walk))
+        monkeypatch.setattr(se, "_phase_table", flagged(building, phase_table))
         # the README scan's shape (b = 2, {3, 5}-smooth m, five units,
         # N = ceil(m^x)) over the moduli whose long windows are walked
         b, B = 2, se._BLOCK
@@ -638,9 +658,10 @@ class TestWalkTrigCount:
             units = tuple(sorted(random.Random(m).sample([a for a in range(1, 400) if gcd(a, m) == 1], 5)))
             cells.append((m, nt.mult_order(b, m), units, sorted({math.ceil(m**x) for x in (0.15, 0.4, 1.0)})))
         se.eval_scan_sums(b, cells)
-        # the union of blocks the windows cover, per coset and per walk (one
-        # walk per (m, N) with N >= T >= _SCALAR_CUTOFF), against whole periods
-        covered = whole = 0
+        # the union of blocks the windows of each rule cover, per coset and
+        # per walk (one walk per (m, N) with N >= T >= _SCALAR_CUTOFF),
+        # against whole periods; at most 3 sqrt(m) table entries per modulus
+        covered, whole, tables = {False: 0, True: 0}, 0, 0
         for m, T, units, Ns in cells:
             for N in Ns:
                 q, r = divmod(N, T)
@@ -659,11 +680,90 @@ class TestWalkTrigCount:
                             first = (s + k) % T
                             last = first + L - 1
                             spans = [(first, min(last, T - 1))] + ([(T, last)] if last >= T else [])
-                            blocks.setdefault(c, set()).update(
+                            blocks.setdefault((c, tabled(L, m)), set()).update(
                                 i for lo, hi in spans for i in range((lo % T) // B, (hi % T) // B + 1))
-                covered += sum(min(B, T - i * B) for held in blocks.values() for i in held)
-                whole += T * len(blocks)
-        assert counted[0] <= covered < 0.8 * whole
+                for (_, table), held in blocks.items():
+                    covered[table] += sum(min(B, T - i * B) for i in held)
+                whole += T * len({c for c, _ in blocks})
+            tables += 3 * math.isqrt(m)
+        assert counted["trig"] <= covered[False] and counted["table"] <= covered[True]
+        assert counted["trig"] + counted["table"] < 0.8 * whole
+        # each walked modulus builds its tables once
+        assert counted["table"] > 0 and 0 < counted["build"] <= tables
+
+
+class TestTablePhases:
+    """Phase factors from _phase_table's two tables: the window rule, their
+    error against e(r/m) and their bits on every path that takes a window."""
+
+    @pytest.mark.parametrize("m", [3**12 * 5, 3 * 999983, 3**19, 3_037_000_499])
+    def test_every_sampled_phase_is_within_the_bound(self, m):
+        # 512 sampled terms of a window just below and just above the rule's
+        # threshold (cos/sin, then tables), and the tables' extreme residues,
+        # against e(r/m) at 120 bits
+        mp = pytest.importorskip("mpmath")
+        L = table_threshold(m)
+        assert not se._tabled(L - 1, m) and se._tabled(L, m)
+        rng = random.Random(m)
+        s = (m.bit_length() + 1) // 2
+        edges = np.array([0, 1, m - 1, (1 << s) - 1, 1 << s, ((m - 1) >> s) << s, m - 1 - ((m - 1) & ((1 << s) - 1))])
+        worst = {}
+        for window in (L - 1, L):
+            table = se._tabled(window, m)
+            residues = np.concatenate(list(se._orbit_blocks(7, 2, m, window)))
+            picks = np.array(sorted(rng.sample(range(window), 512)))
+            rs = np.concatenate((residues[picks], edges))
+            z = se._phases(rs, m, table=table)
+            with mp.workprec(120):
+                err = max(abs(mp.mpc(re, im) - mp.expjpi(mp.mpf(2 * r) / m))
+                          for r, re, im in zip(rs.tolist(), z[0].tolist(), z[1].tolist()))
+            worst[table] = float(err)
+            assert worst[table] <= se._phase_error(m, table), (window, worst[table] / se._U)
+        # the tables' bound is the product's: about twice cos/sin's
+        assert se._phase_error(m) < se._phase_error(m, True) < 2.2 * se._phase_error(m)
+
+    @pytest.mark.parametrize("m", [999983, 3**12], ids=["prime", "3^12"])
+    def test_one_window_one_set_of_bits_on_every_path(self, m):
+        # windows of L = ceil(4 sqrt(m)) terms and one either side, by
+        # eval_sum, by the coset walk beside a full-period window (tabled) in
+        # the same blocks, by eval_sum_reduced's walk and by the scan;
+        # 999983 is prime, so its period never vanishes; at 3^12 it does
+        b = 2
+        T = nt.mult_order(b, m)
+        L0 = table_threshold(m)
+        assert T > 2 * se._BLOCK and L0 > se._SCALAR_CUTOFF + 1
+        lengths = (L0 - 1, L0, L0 + 1)
+        assert [se._tabled(L, m) for L in lengths] == [False, True, True]
+        units = (1, 5, 7)
+        hexed = lambda v: (v.real.hex(), v.imag.hex())
+        windows = [(a, k, L) for a in units for k in (0, 3) for L in lengths + (T,)]
+        walked = se._coset_window_sums(windows, b, m, T)
+        # one numerator walks from its own start (s = 0), so these windows
+        # read chunks {0, 2, 3} by cos/sin and {1, 4} by the tables: both
+        # rules, neighbouring chunks, no chunk read by both
+        B = se._BLOCK
+        alone = [(11, B - L0 + 1, L0 - 1), (11, B, L0), (11, 3 * B - 100, L0 - 1), (11, 4 * B + 10, L0 + 1)]
+        walked.update(se._coset_window_sums(alone, b, m, T))
+        for a, k, L in windows + alone:
+            assert hexed(walked[a, k, L]) == hexed(se.eval_sum(a * pow(b, k, m), b, m, L).value), (a, k, L)
+        Ns = sorted(lengths + tuple(T + L for L in lengths) + tuple(T - L for L in lengths))
+        reduced = [[hexed(r.value) for r in se.eval_sum_reduced(units, b, m, N)] for N in Ns]
+        assert reduced == [[hexed(folded(a, b, m, N)) for a in units] for N in Ns]
+        scanned = se.eval_scan_sums(b, [(m, T, units, Ns)])[0]
+        assert [[hexed(v) for v in row] for row in scanned] == [list(col) for col in zip(*reduced)]
+
+    def test_scan_rows_are_the_same_at_1_and_8_workers(self):
+        # N = ceil(m^0.6) sits just below 4 sqrt(m) up to m = 4^10, so this
+        # scan's windows fall on both sides of the rule
+        from korosum import cli
+        config = cli.load_scan_config({
+            "primes": [3, 5], "b": 2, "m_range": [2 * 10**5, 10**6],
+            "a_policy": {"kind": "sample", "count": 2},
+            "N_policy": {"kind": "powers", "exponents": [0.6, 1.0, 1.1]},
+            "k_range": [0, 2], "seed": 5, "workers": 1})
+        rows = cli.run_scan(config, workers=1)
+        assert {se._tabled(r.N, r.m) for r in rows} == {False, True}
+        assert cli.run_scan(config, workers=8) == rows
 
 
 class TestChooseMPrime:
@@ -846,6 +946,26 @@ class TestVerifyDifferencing:
                 assert abs(fast - exact) <= bound <= 1e-9 * N
         assert {1, 2} <= taus and zero_lags > 0
 
+    def test_error_bounds_follow_the_window_rule(self, monkeypatch):
+        # the dot products' bounds take the tables' phase error exactly where
+        # the phase vector was tabled: from N = ceil(4 sqrt(m)) on, and never
+        # past the int64 residues, even where the rule on (N, m) alone holds
+        def bounds(m, N, tau=3):
+            lags = np.arange(tau, N, tau)
+            got = se._inner_sums(1, 2, m, N, tau)[2]
+            return got.tolist(), [se._dot_error_bound(N - lags, m, t).tolist() for t in (False, True)]
+
+        m = 3**12 * 5
+        L0 = table_threshold(m)
+        for N, tabled_ in ((L0 - 1, False), (L0, True)):
+            assert se._tabled(N, m) == tabled_
+            got, want = bounds(m, N)
+            assert got == want[tabled_] != want[not tabled_]
+        monkeypatch.setattr(se, "_TABLE_RATIO", 0)
+        assert se._tabled(2048, 3**21)
+        got, want = bounds(3**21, 2048)
+        assert got == want[False]
+
     def test_lhs_is_eval_sum_bit_for_bit(self):
         # one fsum below _SCALAR_CUTOFF, blocks from it on (one partial
         # block at 4097), a = 0 mod m, and the exact path above _INT64_SAFE_M
@@ -869,7 +989,7 @@ class TestVerifyDifferencing:
     def test_exact_path_decides_when_fast_cannot_certify(self, monkeypatch):
         # a = 0 makes the inequality tight (lhs^2 = rhs = N^2 with m' = 1);
         # with the trivial error bound E_L = n the fast path certifies only m'N
-        monkeypatch.setattr(se, "_dot_error_bound", lambda n, m: 1.0 * n)
+        monkeypatch.setattr(se, "_dot_error_bound", lambda n, m, tabled=False: 1.0 * n)
         rep = se.verify_differencing(0, 2, 9, 1, 40)
         assert rep.tau == 1
         assert rep.path == "exact" and rep.holds

@@ -78,12 +78,16 @@ def test_cos_and_sin_are_taken_in_phases_alone():
     # every phase factor e(r/m) of every sum comes from one place
     sites = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"cos", "sin"})}
     assert sites == {"sumeval._phases"}
+    # the tables of long windows hold _phases' own factors, and only _phases reads them
+    tables = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"_phase_table"})}
+    assert tables == {"sumeval._phases"}
 
 
 def test_the_residue_kind_is_chosen_in_powers_alone():
     # int64 or Python ints: one place reads the modulus limit of int64
     # residue products (beside its definition), so every walk, the coset
-    # walk and verify's fast path included, serves every modulus
+    # walk and verify's fast path included, serves every modulus; table
+    # phases, which need int64 residues, read the residues' dtype instead
     sites = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"_INT64_SAFE_M"})}
     assert sites == {"sumeval", "sumeval._powers"}
 
