@@ -22,9 +22,9 @@ from .errors import NotCoprime, OutOfRange
 from .numtheory import PrimeSet, factor_smooth
 from .sumeval import _orbit_blocks
 
-#: Largest value an int64 holds; digit_frequencies forms the digit b * r // m
-#: of a residue r < m in int64 only while b * m stays below it.
-_INT64_MAX = 2**63 - 1
+#: Most counters of digit_frequencies (an 8 MB list): b r < 2^20 * 3.04e9 < 2^63
+#: for every int64 residue r, so the digit b r // m forms in the residues' kind.
+_MAX_FREQUENCY_BASE = 2**20
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,14 @@ def deviation_report(a: int, m: int, pattern: DigitPattern, N: int, P: PrimeSet)
 
 
 def digit_frequencies(a: int, m: int, b: int, N: int) -> Sequence[int]:
-    """Counts of each digit value among the first N digits of a/m."""
+    """Counts of each digit value among the first N digits of a/m, b <= 2^20."""
     _check_expansion_args(a, m, b)
     if N < 1:
         raise OutOfRange("N must be positive")
-    wide = b * m > _INT64_MAX
+    if b > _MAX_FREQUENCY_BASE:
+        raise OutOfRange(f"base must be at most {_MAX_FREQUENCY_BASE} for digit frequencies, got {b}")
     totals = np.zeros(b, dtype=np.int64)
     for r in _orbit_blocks(a, b % m, m, N):
-        ds = b * (r.astype(object) if wide else r) // m
-        seen = np.bincount(ds.astype(np.int64, copy=False))
+        seen = np.bincount((b * r // m).astype(np.int64, copy=False))
         totals[: seen.size] += seen
     return totals.tolist()

@@ -3,9 +3,9 @@
 Every phase angle comes from the exact integer residue a*b^n mod m, so the
 only floating-point steps are the phase factors and a compensated
 accumulation (plus, in the differencing verifier's fast path, dot products
-with a certified error bound).  A phase factor is cos/sin of r (2 pi / m),
-or, in a window long enough to repay two tables of about 2 sqrt(m) such
-factors (_tabled), the product of two table entries,
+folded over the orbit's period, with a certified error bound).  A phase
+factor is cos/sin of r (2 pi / m), or, in a window long enough to repay two
+tables of about 2 sqrt(m) factors (_tabled), the product of two entries,
 e(r/m) = e((r >> s) 2^s / m) e((r & (2^s - 1)) / m).  Every window of terms
 is built from three primitives, so its bits do not depend on who asks for
 it: _powers doubles residues, _phases takes the phase factors by the
@@ -556,28 +556,31 @@ def m_bar(b: int, m: int, m_prime: int) -> int:
     return gcd((pow(b, tau, m) - 1) % m, m)
 
 
-def _dot_error_bound(n, m: int, tabled: bool = False):
-    """A-priori bound E_L on | |computed inner sum| - |exact inner sum| | for
-    an inner sum of n terms taken as a dot product of computed phase factors
-    mod m (elementwise when n is an array), from the tables where `tabled`.
+def _dot_error_bound(n, m: int, tabled: bool = False, folded=False):
+    """A-priori bound E_n on | |computed inner sum| - |exact inner sum| | for
+    an inner sum of n terms, a dot product of computed phase factors mod m
+    (elementwise over arrays), from the tables where `tabled`, folded where `folded`.
 
     With e_z = _phase_error(m, tabled) bounding |z_hat - z| and |z_hat| <= 1 + e_z:
       * phase error: |z_hat' conj(z_hat) - z' conj(z)| <= 2 e_z + e_z^2 per term;
       * the complex dot product in floating point (Higham, Accuracy and
         Stability of Numerical Algorithms, ch. 3, complex inner product) is
-        off by at most sqrt(2) gamma_{n+2} sum |z_hat'| |z_hat|, and that sum
-        is at most n (1 + e_z)^2, for any order of the additions;
-      * the final abs() rounds once more, within 2u of a value at most
-        n (1 + e_z)^2 (1 + sqrt(2) gamma_{n+2}).
+        off by at most g n (1 + e_z)^2, g = sqrt(2) gamma_{n+2}, for any
+        order of the additions, and its modulus is at most V = n (1 + e_z)^2 (1 + g);
+      * the final abs() rounds once more, within 2u V.
+    A folded sum, n = q T + r, is q F_hat + R_hat, dot products over T and r
+    terms: as gamma is increasing, q times F_hat's errors plus R_hat's are
+    within the first two items for n.  q F_hat and the sum round once each
+    (u V, u (1 + u) V), and abs within 2u (1 + u)^2 V: below 3 times 2u V.
     """
     e_z, g = _phase_error(m, tabled), math.sqrt(2.0) * _gamma(n + 2)
-    return n * (2.0 * e_z + e_z**2 + (1.0 + e_z) ** 2 * (g + 2.0 * _U * (1.0 + g)))
+    return n * (2.0 * e_z + e_z**2 + (1.0 + e_z) ** 2 * (g + 2.0 * _U * (1.0 + g) * np.where(folded, 3, 1)))
 
 
 def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
     """(|S_N|^2, [|inner_L|], array of E_L) for the lags L = tau, 2 tau, ... < N
-    of the differencing inequality, with E_L = _dot_error_bound(N - L, m, tabled)
-    for the phase vector's rule.
+    of the differencing inequality, with E_L = _dot_error_bound(N - L, m,
+    tabled, folded) for the phase vector's rule and the lag's form.
 
     a (b^L - 1) b^n = r_{n+L} - r_n (mod m) for the residues r_n = a b^n mod m,
     so inner_L = sum_{n <= N-L} z_{n+L} conj(z_n) with z_n = e(r_n / m): one
@@ -585,17 +588,38 @@ def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
     lag.  The vector takes eval_sum's window rule (_tabled) for all N terms,
     so S_N reduces the same factors as eval_sum does and |S_N|^2 is
     eval_sum's magnitude**2 bit for bit.
+
+    As r_{n+1} = b r_n mod m and _phases works term by term, z_{n+T} = z_n
+    bit for bit, T the first n >= 1 with r_n = r_0 (else N; no order is
+    taken).  A lag with N - L = q T + r >= T folds: inner_L = q F_c + R_c,
+    c = L mod T <= N - T, F_c and R_c the dot products of z[:T] and z[:r]
+    against z[c:], once per class (lags i tau and (i + T / gcd(tau, T)) tau
+    share it, and r = (N - c) mod T).  Where a class would hold one such lag,
+    only lags with q >= 2 fold, so none costs more than its own dot product,
+    which every other lag takes.
     """
     cs = np.empty((2, N))
-    table = _tabled(N, m)
-    for k, block in zip(range(0, N, _BLOCK), _orbit_blocks(a0 * b0 % m, b0, m, N)):
+    table, r0, T = _tabled(N, m), a0 * b0 % m, N
+    for k, block in zip(range(0, N, _BLOCK), _orbit_blocks(r0, b0, m, N)):
         _phases(block, m, out=cs[:, k : k + _BLOCK], table=table)
+        if T == N:
+            T = next((k + int(n) for n in np.flatnonzero(block == r0) if k + n), N)
     s_n = _phase_sum((cs[:, k : k + _BLOCK] for k in range(0, N, _BLOCK)), N)
+    lags, cycle = np.arange(tau, N, tau), T // gcd(tau, T)
+    K = (N - T) // tau  # the folded lags, L <= K tau, come first
+    if K < 2 * cycle:  # a class may hold one lag: fold only lags that span two periods
+        K = max(0, (N - 2 * T) // tau)
+    # tabled as _phases decides; the bounds' temporaries are freed before z is made
+    errors = _dot_error_bound(N - lags, m, table and block.dtype == np.int64, lags <= K * tau)
     z = np.empty(N, dtype=np.complex128)
     z.real, z.imag = cs
-    inner = [float(abs(np.vdot(z[: N - lag], z[lag:]))) for lag in range(tau, N, tau)]
-    tabled = table and block.dtype == np.int64  # as _phases decides
-    return abs(s_n) ** 2, inner, _dot_error_bound(N - np.arange(tau, N, tau), m, tabled)
+    classes = [(c, (N - c) % T) for c in (lags[: min(K, cycle)] % T).tolist()]
+    F = np.array([np.vdot(z[:T], z[c : c + T]) for c, _ in classes], dtype=np.complex128)
+    R = np.array([np.vdot(z[:r], z[c : c + r]) for c, r in classes], dtype=np.complex128)
+    at, q = np.arange(K) % cycle, np.floor((N - lags[:K]) / T)  # exact while T (q + 1) <= 2N < 2^53
+    inner = np.abs(q * F[at] + R[at]).tolist()
+    inner += [float(abs(np.vdot(z[: N - lag], z[lag:]))) for lag in lags[K:].tolist()]
+    return abs(s_n) ** 2, inner, errors
 
 
 def _margin(rhs: float, lhs_sq: float) -> float:
@@ -611,8 +635,9 @@ def verify_differencing(a: int, b: int, m: int, m_prime: int, N: int) -> Differe
     taken from the fast path's phase vector.
 
     Fast path: every inner sum is a dot product of the phase vector
-    z_n = e(r_n / m) built once from the exact residues r_n = a b^n mod m
-    (see _inner_sums).  Each |inner| is within E_L of its exact value
+    z_n = e(r_n / m) built once from the exact residues r_n = a b^n mod m,
+    folded over the orbit's period where lags share it (see _inner_sums).
+    Each |inner| is within E_L of its exact value
     (_dot_error_bound), so the certified right-hand side is
     m'*N + 2m' * max(0, sum |inner| - sum E_L), and `holds` is decided on
     that.  If the certified side cannot confirm the inequality, the exact

@@ -225,16 +225,18 @@ class TestBlockedAgainstStream:
 
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_base_times_modulus_at_the_int64_guard(self, side):
-        # the largest base below the guard (int64 digits b r // m) and the
-        # smallest above it (Python-int digits), both coprime to m, against
-        # long division: digit_frequencies at m = 3^38 (bases 5 and 7), and
-        # at m = 3^19, whose bases near 7.9e9 are too many counters for
-        # frequencies, the pattern count, which compares residues alone
+        # the largest base with b m within int64 and the smallest past it,
+        # both coprime to m, against long division: digit_frequencies at
+        # m = 3^38 (bases 5 and 7, Python-int residues), and at m = 3^19,
+        # whose bases near 7.9e9 are past the frequencies' cap, the pattern
+        # count, which compares residues alone
+        int64_max = 2**63 - 1
+
         def base(m):
-            b = dg._INT64_MAX // m + (side == "above")
+            b = int64_max // m + (side == "above")
             while b % 3 == 0:
                 b += -1 if side == "below" else 1
-            assert (b * m <= dg._INT64_MAX) == (side == "below")
+            assert (b * m <= int64_max) == (side == "below")
             return b
 
         a, N = 987654321, 300
@@ -247,6 +249,22 @@ class TestBlockedAgainstStream:
         ds = long_division_digits(a, m, b, N + 1)
         pattern = dg.DigitPattern(b, tuple(ds[10:12]))
         assert dg.count_occurrences(a, m, pattern, N).count == naive_count(a, m, pattern, N) >= 1
+        with pytest.raises(OutOfRange, match="base must be at most 1048576"):
+            dg.digit_frequencies(a, m, b, N)
+
+    def test_frequencies_stop_at_the_base_cap(self):
+        # at most 2^20 counters (an 8 MB list), so int64 digits b r // m stay
+        # in int64 (b m < 2^63 while m <= 3.04e9) and a huge base raises
+        # OutOfRange instead of asking for gigabytes of counters
+        a, m, N = 987654321, 3**19, 60
+        b = dg._MAX_FREQUENCY_BASE
+        assert b == 2**20 and b * se._INT64_SAFE_M < 2**63
+        ds = long_division_digits(a, m, b, N)
+        freq = dg.digit_frequencies(a, m, b, N)
+        assert len(freq) == b and {d: freq[d] for d in ds} == {d: ds.count(d) for d in ds} and sum(freq) == N
+        for big in (b + 1, 7935711799):
+            with pytest.raises(OutOfRange, match=f"at most {b} for digit frequencies, got {big}"):
+                dg.digit_frequencies(a, m, big, N)
 
 
 class TestDeviationReport:

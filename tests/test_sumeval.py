@@ -834,6 +834,22 @@ class TestMBar:
             assert bar % m_prime == 0 and 45 % bar == 0
 
 
+def orbit_period(a, b, m, N):
+    """The first n >= 1 with a b^(n+1) = a b mod m, else N: the period of
+    the orbit of a b^n, read from N of its terms."""
+    return next((n for n in range(1, N) if a * pow(b, n + 1, m) % m == a * b % m), N)
+
+
+def phase_vector(a, b, m, N):
+    """The verifier's phase vector e(a b^(n+1) / m), n < N, rebuilt from the
+    residues in one call of _phases, by the window rule of N terms."""
+    kind = np.int64 if m <= se._INT64_SAFE_M else object
+    residues = np.array([a * pow(b, n + 1, m) % m for n in range(N)], dtype=kind)
+    z = np.empty(N, dtype=np.complex128)
+    z.real, z.imag = se._phases(residues, m, table=se._tabled(N, m))
+    return z
+
+
 def valid_reduced_moduli(m, fac):
     """Divisors m' of m with rad(m) | m' and 4 | m => 4 | m'."""
     primes = [p for p, e in fac.items() if e > 0]
@@ -920,10 +936,17 @@ class TestVerifyDifferencing:
         # at L = 54, 108 (ord(2, 81) = 54), every numerator 0 (m' = m), a
         # blocked-length instance, moduli past 3.04e9, 2^53 (where the phase
         # bound takes a fourth rounding: r is rounded to double) and 2^63;
-        # then a seeded sweep
+        # orbits that return within N terms, so lags fold over the period T:
+        # T = 4 at m = 16 and T = 16 at m = 64 (b = 3, N near 2500, tabled
+        # vectors, tau = 2 and tau = 1), a numerator sharing 2 with m (T = 8,
+        # below ord(3, 64)), N = T + 1 and 2T (no lag folds), 2T + 1 (only
+        # L = 1 folds) and 3T, and a = 0 (T = 1, every lag folded with no
+        # remainder); then a seeded sweep
         cases = [(5, 4, 27, 3, 400), (7, 2, 81, 3, 300), (1, 2, 45, 45, 500),
                  (2, 2, 3**9, 3**5, 4500), (5, 2, 3**21, 3**3, 1500), (7, 2, 3**34, 9, 1200),
-                 (11, 2, 3**41, 3, 1000)]
+                 (11, 2, 3**41, 3, 1000), (5, 3, 16, 8, 2500), (7, 3, 64, 1, 2501),
+                 (6, 3, 64, 4, 2400), (5, 3, 16, 1, 5), (5, 3, 16, 1, 8), (5, 3, 16, 1, 9),
+                 (5, 3, 16, 1, 12), (0, 3, 16, 1, 50)]
         assert se._phase_error(3**21) < se._phase_error(3**34) == se._phase_error(3**41)
         rng = random.Random(91)
         while len(cases) < 19:
@@ -931,10 +954,11 @@ class TestVerifyDifferencing:
             fac = nt.factor_smooth(m, P35).exponents
             cases.append((rng.randrange(1, m), 2, m, rng.choice(valid_reduced_moduli(m, fac)),
                           rng.randrange(2, 1500)))
-        taus, zero_lags = set(), 0
+        taus, periods, zero_lags, spanning, no_rest = set(), set(), 0, 0, 0
         for a, b, m, m_prime, N in cases:
-            tau = nt.mult_order(b, m_prime)
+            tau, T = nt.mult_order(b, m_prime), orbit_period(a, b, m, N)
             taus.add(tau)
+            periods.add(T)
             lhs_sq, inner, errors = se._inner_sums(a % m, b % m, m, N, tau)
             assert lhs_sq == se.eval_sum(a, b, m, N).magnitude ** 2
             lags = range(tau, N, tau)
@@ -942,9 +966,80 @@ class TestVerifyDifferencing:
             for lag, fast, bound in zip(lags, inner, errors):
                 a_lag = a * (pow(b, lag, m) - 1) % m
                 zero_lags += a_lag == 0
+                spanning += N - lag >= T
+                no_rest += N - lag >= T and (N - lag) % T == 0
                 exact = se.eval_sum(a_lag, b, m, N - lag).magnitude
                 assert abs(fast - exact) <= bound <= 1e-9 * N
         assert {1, 2} <= taus and zero_lags > 0
+        assert {1, 4, 8, 16} <= periods and spanning > 5000 and no_rest > 0
+
+    def test_unfolded_lags_keep_their_bits(self):
+        # a lag with N - L below the fold's threshold (the orbit's period T,
+        # or 2T where some class mod T would hold one lag that spans T) is one
+        # dot product of the phase vector, rebuilt here term by term, with
+        # the unfolded bound; so is every lag where the orbit does not return
+        # within N terms (T = N).  Folded lags take three times the final
+        # roundings.  Tabled and cos/sin vectors, int64 and Python-int residues
+        for a, b, m, tau, N in ((5, 3, 16, 1, 40), (5, 3, 16, 1, 9), (7, 2, 81, 2, 300),
+                                (6, 3, 64, 1, 2400), (2, 2, 3**9, 162, 4500),
+                                (1, 2, 3**12 * 5, 3, 2500), (5, 2, 3**21, 9, 300)):
+            z, T = phase_vector(a, b, m, N), orbit_period(a, b, m, N)
+            inner, errors = se._inner_sums(a % m, b % m, m, N, tau)[1:]
+            lengths = N - np.arange(tau, N, tau)
+            plain, folded = (se._dot_error_bound(lengths, m, tabled(N, m), f) for f in (False, True))
+            span = 2 * T if (N - T) // tau < 2 * T // gcd(tau, T) else T
+            assert (lengths < span).any() and (T < N or (lengths < span).all())
+            for i, n in enumerate(lengths.tolist()):
+                if n < span:
+                    assert inner[i] == abs(np.vdot(z[:n], z[N - n :])) and errors[i] == plain[i]
+                else:
+                    assert errors[i] == folded[i] > plain[i]
+
+    def test_folded_lags_share_two_products_per_class(self, monkeypatch):
+        # the lags i tau pass through T / gcd(tau, T) classes mod T; where
+        # each class holds two lags with N - L >= T, all such lags fold, each
+        # class takes two dot products (over T and r < T terms) and every
+        # other lag one over its N - L < T terms: T = 4, 16 and 1, and lags
+        # that all share one class (L = 12 i).  At N = 2T + 1 a class would
+        # hold one lag, so only L = 1 (two periods) folds; L = 2 takes 7 terms
+        calls, vdot = [], np.vdot
+        monkeypatch.setattr(np, "vdot", lambda x, y: calls.append(len(x)) or vdot(x, y))
+        for a, b, m, N, tau, classes, folded, longest in ((5, 3, 16, 2500, 1, 4, 2496, 4),
+                                                          (7, 3, 64, 2501, 2, 8, 1242, 16),
+                                                          (0, 3, 16, 50, 1, 1, 49, 1),
+                                                          (1, 2, 45, 500, 12, 1, 40, 12),
+                                                          (5, 3, 16, 9, 1, 1, 1, 7)):
+            calls.clear()
+            se._inner_sums(a, b, m, N, tau)
+            assert len(calls) == 2 * classes + len(range(tau, N, tau)) - folded and max(calls) == longest
+
+    def test_fast_path_takes_no_order_or_factoring(self, monkeypatch):
+        # the period of the phase vector comes from its own residues: at
+        # m = (2^61 - 1)(2^89 - 1), ord(2, m) is out of mult_order's range,
+        # yet the orbit returns after T = 5429 terms and the fast path folds
+        # the lags that span two periods (each class mod T holds one lag)
+        m = (2**61 - 1) * (2**89 - 1)
+        with pytest.raises(OutOfRange):
+            nt.mult_order(2, m)
+
+        def refuse(*args):
+            raise AssertionError(f"the fast path took an order or a factoring of {args}")
+
+        for module in (se, nt):
+            monkeypatch.setattr(module, "factorize", refuse)
+        # verify's own tau = ord(2, 3) = 2 is the only order it may take
+        monkeypatch.setattr(se, "mult_order", lambda b, n: 2 if (b, n) == (2, 3) else refuse(b, n))
+        for a, b, m_, N, tau in ((5, 3, 16, 2500, 1), (6, 3, 64, 2400, 2), (0, 3, 16, 50, 1),
+                                 (2, 2, 3**9, 4500, 162), (5, 2, 3**21, 1500, 27)):
+            se._inner_sums(a, b, m_, N, tau)
+        N = 12000
+        assert orbit_period(1, 2, m, N) == 5429
+        lhs_sq, inner, errors = se._inner_sums(1, 2, m, N, 2)
+        rep = se.verify_differencing(1, 2, m, 3, N)
+        assert rep.path == "fast" and rep.holds and rep.tau == 2 and rep.lhs_squared == lhs_sq
+        for lag in (2, 1142, 1144, 6570, 6572, 11998):  # folded up to N - 2T = 1142
+            exact = se.eval_sum(pow(2, lag, m) - 1, 2, m, N - lag).magnitude
+            assert abs(inner[lag // 2 - 1] - exact) <= errors[lag // 2 - 1]
 
     def test_error_bounds_follow_the_window_rule(self, monkeypatch):
         # the dot products' bounds take the tables' phase error exactly where
@@ -989,7 +1084,7 @@ class TestVerifyDifferencing:
     def test_exact_path_decides_when_fast_cannot_certify(self, monkeypatch):
         # a = 0 makes the inequality tight (lhs^2 = rhs = N^2 with m' = 1);
         # with the trivial error bound E_L = n the fast path certifies only m'N
-        monkeypatch.setattr(se, "_dot_error_bound", lambda n, m, tabled=False: 1.0 * n)
+        monkeypatch.setattr(se, "_dot_error_bound", lambda n, m, tabled=False, folded=False: 1.0 * n)
         rep = se.verify_differencing(0, 2, 9, 1, 40)
         assert rep.tau == 1
         assert rep.path == "exact" and rep.holds

@@ -92,11 +92,12 @@ def test_the_residue_kind_is_chosen_in_powers_alone():
     assert sites == {"sumeval", "sumeval._powers"}
 
 
-def test_only_digit_frequencies_forms_digits_past_int64():
+def test_only_digit_frequencies_reads_the_base_cap():
     # a pattern count compares residues with two integer edges and forms no
-    # digit; only the frequencies form b r // m, so only they read the int64
-    # limit of b m (beside its definition)
-    sites = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"_INT64_MAX"})}
+    # digit; only the frequencies form b r // m, and their base cap (beside
+    # its definition) keeps those digits in the residues' own kind
+    sites = {site for module, tree in _trees().items()
+             for site in _sites(tree, module[:-3], {"_MAX_FREQUENCY_BASE"})}
     assert sites == {"digits", "digits.digit_frequencies"}
 
 
