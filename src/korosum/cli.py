@@ -460,7 +460,7 @@ MAX_DIGITS = 10**8
 #: the Stoneham schedule on that guest, 542 MB peak RSS and 19 s.
 MAX_N_MAX = 2**26
 #: Largest `verify --n`, and most N^2/tau with tau = ord(b, m'): the fast path
-#: keeps about 32 N bytes and takes at most N^2/(2 tau) inner-sum terms, fewer
+#: keeps about 16 N bytes and takes at most N^2/(2 tau) inner-sum terms, fewer
 #: where lags fold over the orbit's period (0.04 s on that guest at any modulus);
 #: the exact fallback, per lag and only where that cannot certify, all (3 s; 45 s past 3.04e9).
 MAX_VERIFY_N, MAX_VERIFY_WORK = 10**6, 10**8

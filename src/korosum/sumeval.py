@@ -12,8 +12,8 @@ it: _powers doubles residues, _phases takes the phase factors by the
 window's rule, and _phase_sum reduces.  eval_sum adds all N terms;
 eval_sum_reduced and eval_scan_sums add the windows of one fold rule
 (_fold_windows) and give the same bits.  The scan's windows below
-_SCALAR_CUTOFF terms are exact prefix sums of batched walks, and windows of
-periods at least that long share one streamed walk per coset of <b>.
+_SCALAR_CUTOFF terms are exact prefix sums of batched walks, and the
+windows of the table rule share one streamed walk per coset of <b>.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .numtheory import PrimeSet, factor_smooth, factorize, mult_order
 
 TWO_PI = 2.0 * math.pi
 
-#: Sums below this length are one fsum over their terms (_phase_sum); full
-#: periods this long are walked per coset (eval_sum_reduced), and where one
-#: vanishes, a remainder past half of it is taken from its complement.
+#: Sums below this length are one fsum over their terms (_phase_sum) and take
+#: no table phases (_tabled); where a full period this long vanishes, a
+#: remainder past half of it is taken from its complement.
 _SCALAR_CUTOFF = 2048
 
 #: Block length of the orbit and phase blocks (also the power-table length).
@@ -273,20 +273,20 @@ def eval_sum_reduced(
     (times, k, L) of its fold over T = ord(b, m) (_fold_windows).
 
     `a` is one numerator, or a tuple of numerators with one SumResult each,
-    in order.  When N >= T >= _SCALAR_CUTOFF and the windows take at least
-    T / 64 terms, they come from one streamed walk per coset of <b>
-    (_coset_window_sums); otherwise each window is one eval_sum (the walk's
-    set-up, and its 2 T / _BLOCK steps of some 10-30 terms' cost each, would
-    not repay).  Both give the same bits.
+    in order.  The windows of the table rule (_tabled), of numerators not 0
+    mod m, come from one streamed walk per coset of <b> (_coset_window_sums)
+    when N >= T and they take at least T / 64 terms; every other window is
+    one eval_sum (the walk's set-up, and its 2 T / _BLOCK steps of some 10-30
+    terms' cost each, would not repay).  Both give the same bits.
     """
     _check_args(b, m, N)
     if m > 1 and gcd(b, m) != 1:
         raise NotCoprime(b, m)
     T = mult_order(b, m)
     folds = [(x, _fold_windows(x, b, m, T, N)) for x in (a if isinstance(a, tuple) else (a,))]
-    windows = [(x, k, L) for x, fold in folds for _, k, L in fold]
+    windows = [(x, k, L) for x, fold in folds for _, k, L in fold if x % m and _tabled(L, m)]
     walked = {}
-    if N >= T >= _SCALAR_CUTOFF and 64 * sum(L for _, _, L in windows) >= T:
+    if N >= T and 64 * sum(L for _, _, L in windows) >= T:
         walked = _coset_window_sums(windows, b % m, m, T)
     results = []
     for x, fold in folds:
@@ -430,67 +430,46 @@ def _coset_window_sums(
     windows, b0: int, m: int, T: int
 ) -> Dict[Tuple[int, int, int], complex]:
     """{(x, k, L): eval_sum(x b0^k, b0, m, L).value} for every window (x, k, L)
-    with x % m != 0, 0 <= k < T and 0 < L <= T = ord(b0, m), from at most T
-    phase factors per coset of <b0> in memory independent of T.
+    with x % m != 0, 0 <= k < T and L <= T = ord(b0, m) that takes table
+    phases (_tabled), from at most T + _BLOCK phase factors per coset of <b0>
+    in memory independent of T.
 
     The terms x b0^(k+n), n = 1..L, are w_{s+k}, ..., w_{s+k+L-1} (indices
     mod T) of the walk w_j = c b0^j of the coset's first target c, with
     w_s = x b0 (_starts).  Each window is cut into pieces, eval_sum's blocks
-    of it, each tagged with the window's phase rule (_tabled).  One pass
-    takes _phases of the _BLOCK-term blocks of w_j, j < T, that some piece
-    covers, by each rule some piece covering it has (into one buffer per
-    rule), skips the others, and keeps the first block for the pieces past
-    T (w_{T+j} = w_j).  Each piece is reduced by _phase_sum once the terms
-    held cover it, and a window is the fsum of its pieces.
+    of it, each starting below T; as w_{T+j} = w_j exactly, every piece lies
+    in w_j, j < T + _BLOCK.  One pass over those terms takes _phases of the
+    _BLOCK-term blocks that some piece covers, skips the others, reduces each
+    piece by _phase_sum once the terms held cover it, and stops after the
+    last piece.  A window is the fsum of its pieces.
     """
-    def pieces(s, L):  # (start, size, length for _phase_sum's rule, table rule) of w_s .. w_{s+L-1}
-        rule, table = min(L, _SCALAR_CUTOFF), _tabled(L, m)
-        return [((s + k) % T, min(_BLOCK, L - k), rule, table) for k in range(0, L, _BLOCK)]
+    def pieces(s, L):  # (start, size) of eval_sum's blocks of w_s .. w_{s+L-1}
+        return [((s + k) % T, min(_BLOCK, L - k)) for k in range(0, L, _BLOCK)]
 
-    def chunk(j):  # the chunk holding w_j, j < T + _BLOCK
-        return j // _BLOCK if j < T else blocks
-
-    windows = [w for w in dict.fromkeys(windows) if w[0] % m]
+    windows = list(dict.fromkeys(windows))
     targets = {x: x % m * b0 % m for x, _, _ in windows}
     starts = _starts(targets.values(), b0, m, T) if targets else {}
-    blocks = -(-T // _BLOCK)  # chunk i < blocks is w_{i _BLOCK} ..., chunk `blocks` the first again
     sums = {}  # (c, piece) -> its _phase_sum
+    z = np.empty((2, 2 * _BLOCK))  # at block i: cos, sin of w_{(i-1) _BLOCK} .. w_{(i+1) _BLOCK - 1}
     for c in dict.fromkeys(c for c, _ in starts.values()):
         requests = sorted({p for x, k, L in windows if starts[targets[x]][0] == c
-                           for p in pieces(starts[targets[x]][1] + k, L)}, key=lambda p: p[0] + p[1])
-        needed = {}  # table rule -> the chunks its pieces span
-        for start, size, _, table in requests:
-            needed.setdefault(table, set()).update(range(chunk(start), chunk(start + size - 1) + 1))
-        for held in needed.values():
-            if blocks in held:
-                held.add(0)
-        # per rule: cos, sin of w_{done - _BLOCK} .. w_{done + _BLOCK - 1}, and of the first block;
-        # the rules share one buffer unless some chunk is read by both
-        shared = len(needed) == 2 and needed[False] & needed[True]
-        one = np.empty((2, 2 * _BLOCK))
-        zs = {table: np.empty((2, 2 * _BLOCK)) if shared and table else one for table in needed}
-        first = {}
-        done = i = 0
-        for index, block in enumerate(chain(_orbit_blocks(c, b0, m, T, set().union(*needed.values())), [None])):
-            width = min(_BLOCK, T - done if index < blocks else T)
-            base, done = done - _BLOCK, done + width
-            taken = [table for table, held in needed.items() if index in held]
-            for table in taken:
-                new = zs[table][:, _BLOCK : _BLOCK + width]
-                if index == blocks:
-                    new[...] = first[table]
-                else:
-                    _phases(block, m, out=new, table=table)
-                    if index == 0:
-                        first[table] = new.copy()
-            # a piece ending in this chunk is at most _BLOCK long, so it starts inside zs,
-            # and every chunk it spans was taken by its rule
-            while i < len(requests) and sum(requests[i][:2]) <= done:
-                start, size, L, table = requests[i]
-                sums[c, requests[i]] = _phase_sum([zs[table][:, start - base : start - base + size]], L)
+                           for p in pieces(starts[targets[x]][1] + k, L)}, key=sum)
+        needed = {i for start, size in requests for i in range(start // _BLOCK, (start + size - 1) // _BLOCK + 1)}
+        i = 0
+        for index, block in enumerate(_orbit_blocks(c, b0, m, T + _BLOCK, needed)):
+            if block is None:
+                continue
+            _phases(block, m, out=z[:, _BLOCK : _BLOCK + block.size], table=True)
+            # a piece ending in this block is at most _BLOCK long, so it starts inside z,
+            # and every block it spans was taken; every window has L >= _SCALAR_CUTOFF
+            base = (index - 1) * _BLOCK
+            while i < len(requests) and sum(requests[i]) <= base + 2 * _BLOCK:
+                start, size = requests[i]
+                sums[c, requests[i]] = _phase_sum([z[:, start - base : start - base + size]], _SCALAR_CUTOFF)
                 i += 1
-            for table in taken:
-                zs[table][:, :_BLOCK] = zs[table][:, width : width + _BLOCK]
+            if i == len(requests):
+                break
+            z[:, :_BLOCK] = z[:, _BLOCK:]
 
     out = {}
     for x, k, L in windows:  # fsum of one fsum is that fsum
@@ -598,21 +577,22 @@ def _inner_sums(a0: int, b0: int, m: int, N: int, tau: int):
     only lags with q >= 2 fold, so none costs more than its own dot product,
     which every other lag takes.
     """
-    cs = np.empty((2, N))
+    z, cs = np.empty(N, dtype=np.complex128), np.empty((2, _BLOCK))
     table, r0, T = _tabled(N, m), a0 * b0 % m, N
+    parts = []  # each block's (cos, sin) is reduced by _phase_sum, then copied into z
     for k, block in zip(range(0, N, _BLOCK), _orbit_blocks(r0, b0, m, N)):
-        _phases(block, m, out=cs[:, k : k + _BLOCK], table=table)
+        new = _phases(block, m, out=cs[:, : block.size], table=table)
+        parts.append(_phase_sum([new], N))
+        z.real[k : k + block.size], z.imag[k : k + block.size] = new
         if T == N:
             T = next((k + int(n) for n in np.flatnonzero(block == r0) if k + n), N)
-    s_n = _phase_sum((cs[:, k : k + _BLOCK] for k in range(0, N, _BLOCK)), N)
+    s_n = complex(fsum(p.real for p in parts), fsum(p.imag for p in parts))  # fsum of one fsum is that fsum
     lags, cycle = np.arange(tau, N, tau), T // gcd(tau, T)
     K = (N - T) // tau  # the folded lags, L <= K tau, come first
     if K < 2 * cycle:  # a class may hold one lag: fold only lags that span two periods
         K = max(0, (N - 2 * T) // tau)
-    # tabled as _phases decides; the bounds' temporaries are freed before z is made
+    # tabled as _phases decides
     errors = _dot_error_bound(N - lags, m, table and block.dtype == np.int64, lags <= K * tau)
-    z = np.empty(N, dtype=np.complex128)
-    z.real, z.imag = cs
     classes = [(c, (N - c) % T) for c in (lags[: min(K, cycle)] % T).tolist()]
     F = np.array([np.vdot(z[:T], z[c : c + T]) for c, _ in classes], dtype=np.complex128)
     R = np.array([np.vdot(z[:r], z[c : c + r]) for c, r in classes], dtype=np.complex128)

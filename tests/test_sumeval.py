@@ -229,9 +229,9 @@ class TestBatchedFold:
             walks.append(args)
             return walk(*args)
 
-        def eval_spy(a, *args):
-            evals.append(a)
-            return evaluate(a, *args)
+        def eval_spy(a, b, m, N):
+            evals.append((a, N))
+            return evaluate(a, b, m, N)
 
         walk, evaluate = se._coset_window_sums, se.eval_sum
         monkeypatch.setattr(se, "_coset_window_sums", spy)
@@ -246,21 +246,30 @@ class TestBatchedFold:
         # the full-period window of every unit but its coset's first wraps past T
         numerators = tuple(units + [units[0], units[1] + m, 3 * b, 2 * m])
         lengths = [T - 1, T, T + 1] + [2 * T + r for r in self.REMAINDERS if r < T]
-        walked = T >= se._SCALAR_CUTOFF  # at every modulus
+        walked = 0
         for N in lengths:
-            del evals[:]
+            del evals[:], walks[:]
             got = se.eval_sum_reduced(numerators, b, m, N)
-            if walked and N >= T:  # both windows of every unit come from the walk
-                assert set(evals) <= {2 * m}
+            # the windows (numerator x b^k, L) of every fold: those of the
+            # walk's rule, of numerators not 0 mod m, come from the walk when
+            # it runs (N >= T, at least T / 64 terms), every other is one eval_sum
+            windows = [(x * pow(b, k, m), L, bool(x % m) and tabled(L, m))
+                       for x in numerators for _, k, L in se._fold_windows(x, b, m, T, N)]
+            walks_here = N >= T and 64 * sum(L for _, L, long in windows if long) >= T
+            assert len(walks) == walks_here
+            assert sorted(evals) == sorted((y, L) for y, L, long in windows if not (walks_here and long))
+            walked += walks_here
             want = [folded(a, b, m, N, evaluate) for a in numerators]
             assert [(r.a, r.N, r.value.real, r.value.imag, r.magnitude) for r in got] == [
                 (a, N, v.real, v.imag, abs(v)) for a, v in zip(numerators, want)]
-        # one walk per N >= T: every length but T - 1
-        assert len(walks) == (len(lengths) - 1 if walked else 0)
+        # past int64 and below _SCALAR_CUTOFF no window of these periods is that long
+        assert bool(walked) == (se._SCALAR_CUTOFF <= T and m <= se._INT64_SAFE_M)
 
     def test_one_numerator_walks_like_many(self, monkeypatch):
-        # T = 4374 >= _SCALAR_CUTOFF: N >= T takes no eval_sum; T = 6 and
-        # T = 1458 fold eval_sum windows, which cost less than the walk's set-up
+        # T = 4374 >= _SCALAR_CUTOFF: S_T vanishes at m = 3^8, so N = 2T + 2100
+        # takes one window of 2100 terms, past the table rule, from the walk and
+        # no eval_sum; T = 6 and T = 1458 fold eval_sum windows, which cost
+        # less than the walk's set-up
         def tripwire(*args):
             raise AssertionError(f"eval_sum{args}")
 
@@ -273,8 +282,23 @@ class TestBatchedFold:
         assert walks == []
         monkeypatch.setattr(se, "eval_sum", tripwire)
         for a in (1, (1,), (1, 2, 4)):
-            se.eval_sum_reduced(a, 2, 3**8, 10000)
+            se.eval_sum_reduced(a, 2, 3**8, 2 * 4374 + 2100)
         assert walks == [3**8] * 3
+
+    def test_the_walk_serves_moduli_past_int64(self, monkeypatch):
+        # m = 3^21 > _INT64_SAFE_M and T = ord(1 + 3^9, m) = 3^12 >= 4 sqrt(m):
+        # the full period of a = 3 (3 | a, so it does not vanish) takes the
+        # table rule and is walked over Python-int residues, by cos/sin; the
+        # 5-term remainders and a = 1's period (it vanishes) are eval_sum calls
+        walks = []
+        walk = se._coset_window_sums
+        monkeypatch.setattr(se, "_coset_window_sums", lambda *args: walks.append(args[0]) or walk(*args))
+        m, b, T = 3**21, 1 + 3**9, 3**12
+        assert nt.mult_order(b, m) == T and se._tabled(T, m) and m > se._INT64_SAFE_M
+        got = se.eval_sum_reduced((3, 1), b, m, T + 5)
+        assert walks == [[(3, 0, T)]]
+        assert [(r.value.real.hex(), r.value.imag.hex()) for r in got] == [
+            (v.real.hex(), v.imag.hex()) for v in (folded(a, b, m, T + 5) for a in (3, 1))]
 
     def test_few_terms_of_a_long_period_take_no_walk(self, monkeypatch):
         # m = 3^30: S_T vanishes at T = 2 3^29 ~ 1.4e14, so N = T + 1000 takes
@@ -623,9 +647,9 @@ class TestScanSums:
 
 
 class TestWalkTrigCount:
-    """The coset walk takes phase factors only of the _BLOCK-term blocks that
-    some window covers, not of whole periods, each by the rules of the
-    windows covering it."""
+    """The coset walk takes table phases of the _BLOCK-term blocks of
+    w_j, j < T + _BLOCK, that some window covers, not of whole periods, and
+    no cos/sin where residues are int64."""
 
     def test_walk_takes_only_the_covered_blocks(self, monkeypatch):
         counted = {"trig": 0, "table": 0, "build": 0}
@@ -658,36 +682,35 @@ class TestWalkTrigCount:
             units = tuple(sorted(random.Random(m).sample([a for a in range(1, 400) if gcd(a, m) == 1], 5)))
             cells.append((m, nt.mult_order(b, m), units, sorted({math.ceil(m**x) for x in (0.15, 0.4, 1.0)})))
         se.eval_scan_sums(b, cells)
-        # the union of blocks the windows of each rule cover, per coset and
-        # per walk (one walk per (m, N) with N >= T >= _SCALAR_CUTOFF),
-        # against whole periods; at most 3 sqrt(m) table entries per modulus
-        covered, whole, tables = {False: 0, True: 0}, 0, 0
+        # the union of blocks the tabled windows cover, per coset and per walk
+        # (one walk per (m, N) with N >= T whose tabled windows take at least
+        # T / 64 terms), each piece starting below T, against whole periods;
+        # at most 3 sqrt(m) table entries per modulus
+        covered, whole, tables = 0, 0, 0
         for m, T, units, Ns in cells:
             for N in Ns:
                 q, r = divmod(N, T)
-                if not q or T < se._SCALAR_CUTOFF:
-                    continue
-                starts = se._starts([a * b % m for a in units], b, m, T)
-                blocks = {}
+                windows = []
                 for a in units:
-                    c, s = starts[a * b % m]
                     if not period_vanishes(a, b, m):
-                        windows = [(0, T), (0, r)]
+                        spans = [(0, T), (0, r)]
                     else:
-                        windows = [(r, T - r)] if 2 * r > T else [(0, r)]
-                    for k, L in windows:
-                        if L:
-                            first = (s + k) % T
-                            last = first + L - 1
-                            spans = [(first, min(last, T - 1))] + ([(T, last)] if last >= T else [])
-                            blocks.setdefault((c, tabled(L, m)), set()).update(
-                                i for lo, hi in spans for i in range((lo % T) // B, (hi % T) // B + 1))
-                for (_, table), held in blocks.items():
-                    covered[table] += sum(min(B, T - i * B) for i in held)
-                whole += T * len({c for c, _ in blocks})
+                        spans = [(r, T - r)] if 2 * r > T else [(0, r)]
+                    windows += [(a, k, L) for k, L in spans if tabled(L, m)]
+                if not q or 64 * sum(L for _, _, L in windows) < T:
+                    continue
+                starts = se._starts([a * b % m for a, _, _ in windows], b, m, T)
+                held = {}
+                for a, k, L in windows:
+                    c, s = starts[a * b % m]
+                    for j in range(0, L, B):
+                        first = (s + k + j) % T
+                        held.setdefault(c, set()).update(range(first // B, (first + min(B, L - j) - 1) // B + 1))
+                covered += sum(min(B, T + B - i * B) for blocks in held.values() for i in blocks)
+                whole += T * len(held)
             tables += 3 * math.isqrt(m)
-        assert counted["trig"] <= covered[False] and counted["table"] <= covered[True]
-        assert counted["trig"] + counted["table"] < 0.8 * whole
+        assert counted["trig"] == 0 and counted["table"] == covered
+        assert counted["table"] < 0.8 * whole
         # each walked modulus builds its tables once
         assert counted["table"] > 0 and 0 < counted["build"] <= tables
 
@@ -725,8 +748,8 @@ class TestTablePhases:
     @pytest.mark.parametrize("m", [999983, 3**12], ids=["prime", "3^12"])
     def test_one_window_one_set_of_bits_on_every_path(self, m):
         # windows of L = ceil(4 sqrt(m)) terms and one either side, by
-        # eval_sum, by the coset walk beside a full-period window (tabled) in
-        # the same blocks, by eval_sum_reduced's walk and by the scan;
+        # eval_sum, by eval_sum_reduced and by the scan, and those of the
+        # table rule by the coset walk beside a full-period window;
         # 999983 is prime, so its period never vanishes; at 3^12 it does
         b = 2
         T = nt.mult_order(b, m)
@@ -736,13 +759,13 @@ class TestTablePhases:
         assert [se._tabled(L, m) for L in lengths] == [False, True, True]
         units = (1, 5, 7)
         hexed = lambda v: (v.real.hex(), v.imag.hex())
-        windows = [(a, k, L) for a in units for k in (0, 3) for L in lengths + (T,)]
+        windows = [(a, k, L) for a in units for k in (0, 3) for L in lengths[1:] + (T,)]
         walked = se._coset_window_sums(windows, b, m, T)
         # one numerator walks from its own start (s = 0), so these windows
-        # read chunks {0, 2, 3} by cos/sin and {1, 4} by the tables: both
-        # rules, neighbouring chunks, no chunk read by both
+        # start one block in, end at T - 1, end at T, start a block before T
+        # and one term before T: pieces that end at, cross and pass the wrap
         B = se._BLOCK
-        alone = [(11, B - L0 + 1, L0 - 1), (11, B, L0), (11, 3 * B - 100, L0 - 1), (11, 4 * B + 10, L0 + 1)]
+        alone = [(11, B, L0), (11, T - L0, L0), (11, T - L0, L0 + 1), (11, T - B, L0), (11, T - 1, T)]
         walked.update(se._coset_window_sums(alone, b, m, T))
         for a, k, L in windows + alone:
             assert hexed(walked[a, k, L]) == hexed(se.eval_sum(a * pow(b, k, m), b, m, L).value), (a, k, L)

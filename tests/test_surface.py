@@ -92,6 +92,13 @@ def test_the_residue_kind_is_chosen_in_powers_alone():
     assert sites == {"sumeval", "sumeval._powers"}
 
 
+def test_the_window_rule_is_read_outside_the_coset_walk():
+    # eval_sum_reduced hands the walk only windows of the table rule, so the
+    # walk takes one rule; the sums and the verifier's phase vector read it
+    sites = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"_tabled"})}
+    assert sites == {"sumeval.eval_sum", "sumeval.eval_sum_reduced", "sumeval._inner_sums"}
+
+
 def test_only_digit_frequencies_reads_the_base_cap():
     # a pattern count compares residues with two integer edges and forms no
     # digit; only the frequencies form b r // m, and their base cap (beside
