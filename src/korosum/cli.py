@@ -328,7 +328,10 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
     violation beyond slack aborts with the counterexample of the smallest m.
     """
     P = PrimeSet(config.primes)
-    moduli = numtheory.smooth_numbers(P, config.m_hi, lo=max(config.m_lo, 2))
+    try:
+        moduli = numtheory.smooth_numbers(P, config.m_hi, lo=max(config.m_lo, 2))
+    except OutOfRange as exc:
+        raise ConfigError("m_range", str(exc)) from None
     if not moduli:
         raise ConfigError("m_range", "contains no smooth modulus")
     chunks, terms, per_modulus = [], _CHUNK_TERMS, []
@@ -431,15 +434,10 @@ def _dumps(payload, indent: int) -> str:
     return json.dumps(_to_jsonable(payload), indent=indent, allow_nan=False)
 
 
-def _emit(args, payload, text_lines: Sequence[str]) -> int:
-    """Print the payload as JSON (--json) or the text lines; exit status 0."""
-    print(_dumps(payload, indent=2) if args.json else "\n".join(text_lines))
-    return 0
-
-
-def _parse_primes(text: str) -> Tuple[int, ...]:
+def _parse_primes(text: str) -> PrimeSet:
+    """argparse type of --primes; main reports the OutOfRange of a non-prime set."""
     try:
-        return tuple(sorted(int(tok) for tok in text.split(",") if tok))
+        return PrimeSet(tuple(sorted(int(tok) for tok in text.split(",") if tok)))
     except ValueError:
         raise argparse.ArgumentTypeError("primes must be a comma-separated integer list")
 
@@ -482,18 +480,18 @@ def _int_in(lo: int, hi: Optional[int] = None):
     return parse
 
 
-def _cmd_order(args) -> int:
-    if args.primes:
-        st = numtheory.factor_smooth(args.m, PrimeSet(args.primes)).order_structure(args.b)
-        return _emit(args, st, [
+def _cmd_order(args):
+    if args.primes is not None:
+        st = numtheory.factor_smooth(args.m, args.primes).order_structure(args.b)
+        return st, [
             f"ord({args.b}, {args.m}) = {st.order}",
             f"  tau1={st.tau1} mu={st.mu} tau'={st.tau_prime} m1={st.m1} beta={st.beta}",
-        ])
+        ]
     order = numtheory.mult_order(args.b, args.m)
-    return _emit(args, {"order": order}, [f"ord({args.b}, {args.m}) = {order}"])
+    return {"order": order}, [f"ord({args.b}, {args.m}) = {order}"]
 
 
-def _cmd_sum(args) -> int:
+def _cmd_sum(args):
     sumeval._check_args(args.b, args.m, args.n)
     terms = args.n
     if args.reduced:
@@ -505,33 +503,32 @@ def _cmd_sum(args) -> int:
             else "--reduced evaluates one period ord(b, m) and folds"))
     fn = sumeval.eval_sum_reduced if args.reduced else sumeval.eval_sum
     res = fn(args.a, args.b, args.m, args.n)
-    return _emit(args, res, [
+    return res, [
         f"S_{args.n}({args.a}/{args.m}, b={args.b}) = {res.value:.12g}",
         f"|S| = {res.magnitude:.12g}   |S|/N = {res.magnitude / args.n:.6g}",
-    ])
+    ]
 
 
-def _cmd_bound(args) -> int:
-    P = PrimeSet(args.primes)
+def _cmd_bound(args):
     if args.form == "best":
-        best = bounds.best_k(args.m, args.n, P, args.b, args.k_max)
+        best = bounds.best_k(args.m, args.n, args.primes, args.b, args.k_max)
         rep = best.report
-        return _emit(args, {**dataclasses.asdict(rep), "k_hat": best.k_hat}, [
+        return {**dataclasses.asdict(rep), "k_hat": best.k_hat}, [
             f"best level k*={best.k_star} (interval prediction k_hat={best.k_hat})",
             f"bound = {rep.bound_value:.6g}  nontrivial={rep.nontrivial}",
-        ])
+        ]
     if args.form in ("short", "long"):
-        rep = bounds.bound_baseline(args.m, args.n, args.d, P, args.b, args.form)
+        rep = bounds.bound_baseline(args.m, args.n, args.d, args.primes, args.b, args.form)
     else:
-        rep = bounds.bound_eval(args.m, args.n, args.k, P, args.b, args.form)
-    return _emit(args, rep, [
+        rep = bounds.bound_eval(args.m, args.n, args.k, args.primes, args.b, args.form)
+    return rep, [
         f"{rep.source} bound at k={rep.k}: {rep.bound_value:.6g} "
         f"(terms {rep.term_main:.6g} + {rep.term_secondary:.6g}), "
         f"nontrivial={rep.nontrivial}",
-    ])
+    ]
 
 
-def _cmd_intervals(args) -> int:
+def _cmd_intervals(args):
     rows = []
     lines = []
     for k in range(args.k_max + 1):
@@ -548,30 +545,29 @@ def _cmd_intervals(args) -> int:
         if tk is not None:
             line += f"   optimal ~ [{float(tk.lo):.6f}, {float(tk.hi):.6f}]"
         lines.append(line)
-    return _emit(args, {"intervals": rows}, lines)
+    return {"intervals": rows}, lines
 
 
-def _cmd_constants(args) -> int:
-    P = PrimeSet(args.primes)
-    kc = bounds.k_constants(P, args.b)
+def _cmd_constants(args):
+    kc = bounds.k_constants(args.primes, args.b)
     lc = bounds.epsilon_prime_and_c(120)
     mant, exp10 = kc.k1_mantissa_exponent()
-    table = [bounds.constants(k, P, args.b) for k in range(args.k_max + 1)]
+    table = [bounds.constants(k, args.primes, args.b) for k in range(args.k_max + 1)]
     payload = {
-        "M": numtheory.capital_m(P, args.b),
-        "Q": P.Q,
+        "M": numtheory.capital_m(args.primes, args.b),
+        "Q": args.primes.Q,
         "K1": kc.k1, "K1_mantissa": mant, "K1_exp10": exp10,
         "K2": kc.k2, "K3": kc.k3,
         "c": lc.c, "c_tail": lc.tail_bound,
         "levels": [{"k": cs.k, "A_k": cs.a_k, "B_k": cs.b_k} for cs in table],
     }
     lines = [
-        f"M = {payload['M']}, Q = {P.Q}",
+        f"M = {payload['M']}, Q = {payload['Q']}",
         f"K1 = {mant:.6f}e{exp10}, K2 = {kc.k2:g}, K3 = {kc.k3:.6g}",
         f"c = {lc.c:.18f} +/- {lc.tail_bound:.3g}",
     ]
     lines += [f"  k={cs.k}: A_k = {cs.a_k:.6g}, B_k = {cs.b_k:.6g}" for cs in table]
-    return _emit(args, payload, lines)
+    return payload, lines
 
 
 def _load_json(path: str):
@@ -582,7 +578,7 @@ def _load_json(path: str):
             raise ConfigError("", f"{path} is not a JSON document: {exc}") from None
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> None:
     config = load_scan_config(_load_json(args.config))
     rows = run_scan(config, workers=args.workers)
     fmt = args.format or config.out_format
@@ -594,16 +590,14 @@ def _cmd_scan(args) -> int:
         print(f"wrote {len(rows)} rows to {out_path}", file=sys.stderr)
     else:
         sys.stdout.buffer.write(data)
-    return 0
 
 
-def _cmd_digits(args) -> int:
+def _cmd_digits(args):
     if args.n > MAX_DIGITS:
         raise OutOfRange(f"--n must be at most {MAX_DIGITS} digits, got {args.n}")
     pattern = digits.DigitPattern.from_string(args.pattern, args.base)
-    if args.primes:
-        P = PrimeSet(args.primes)
-        rep = digits.deviation_report(args.a, args.m, pattern, args.n, P)
+    if args.primes is not None:
+        rep = digits.deviation_report(args.a, args.m, pattern, args.n, args.primes)
         occ = rep.occurrence
     else:
         rep = occ = digits.count_occurrences(args.a, args.m, pattern, args.n)
@@ -611,12 +605,12 @@ def _cmd_digits(args) -> int:
         f"pattern {args.pattern} occurs {occ.count} times in the first {args.n} digits",
         f"expected {occ.expected:.6g}, deviation {occ.deviation:+.6g}",
     ]
-    if args.primes:
+    if args.primes is not None:
         lines.append(f"envelope {rep.envelope:.6g}, ratio {rep.ratio:.6g} (advisory)")
-    return _emit(args, rep, lines)
+    return rep, lines
 
 
-def _cmd_normal(args) -> int:
+def _cmd_normal(args):
     if args.n_max > MAX_N_MAX:
         raise OutOfRange(f"n_max={args.n_max} is too large: --n-max must be at most {MAX_N_MAX}")
     schedule = load_schedule(_load_json(args.schedule))
@@ -633,22 +627,21 @@ def _cmd_normal(args) -> int:
     lines += [f"  N={n:>9}  D* = {d:.6f}  (D <= {2 * d:.6f})" for n, d in trace.rows]
     lines.append(f"final D* = {trace.final_d_star:.6f}, trend decreasing: "
                  f"{trace.overall_decreasing}")
-    return _emit(args, payload, lines)
+    return payload, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     sumeval._check_differencing_args(args.b, args.m, args.m_prime, args.n)
     if args.n > MAX_VERIFY_N or args.n**2 > MAX_VERIFY_WORK * numtheory.mult_order(args.b, args.m_prime):
         raise OutOfRange(f"--n must be at most {MAX_VERIFY_N}, with N^2/tau at most "
                          f"{MAX_VERIFY_WORK} (tau = ord(b, m')), got {args.n}")
     rep = sumeval.verify_differencing(args.a, args.b, args.m, args.m_prime, args.n)
-    _emit(args, rep, [
+    return rep, [
         f"lhs^2 = {rep.lhs_squared:.6g}  rhs = {rep.rhs:.6g}  "
         f"(m'={rep.m_prime}, tau={rep.tau})",
         f"holds: {rep.holds}  (decided by the {rep.path} path, "
         f"certified margin rhs/lhs^2 = {rep.margin:.6g})",
-    ])
-    return 0 if rep.holds else 3
+    ]
 
 
 def _required_ints(*names: str) -> Dict[str, Dict]:
@@ -711,10 +704,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: each handler returns (payload, text lines), which
+    main alone prints and turns into the exit status; scan writes its report."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        result = args.func(args)
+        if result is None:
+            return 0
+        payload, lines = result
+        print(_dumps(payload, indent=2) if args.json else "\n".join(lines))
+        return 3 if isinstance(payload, sumeval.DifferencingReport) and not payload.holds else 0
     except BoundViolation as exc:
         print("THEOREM VIOLATION (implementation bug): counterexample follows",
               file=sys.stderr)

@@ -121,6 +121,7 @@ def count_occurrences(a: int, m: int, pattern: DigitPattern, N: int) -> Occurren
 def deviation_report(a: int, m: int, pattern: DigitPattern, N: int, P: PrimeSet) -> DeviationReport:
     """Occurrence count plus the theorem-shaped envelope N exp(-c (log log m)^(3/2)),
     for P-smooth m in the pattern's base."""
+    _check_expansion_args(a, m, pattern.base)
     factor_smooth(m, P)
     occurrence = count_occurrences(a, m, pattern, N)
     envelope = N * decay_envelope(m)

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -420,6 +421,48 @@ class TestCommands:
         assert code == 0
         assert "fast path, certified margin rhs/lhs^2 = " in capsys.readouterr().out
 
+    def test_verify_that_does_not_hold_exits_3(self, monkeypatch, capsys):
+        report = se.DifferencingReport(lhs_squared=10.0, rhs=5.0, m_prime=3, tau=2, holds=False,
+                                       path="exact", margin=0.5)
+        monkeypatch.setattr(se, "verify_differencing", lambda *args: report)
+        argv = ["verify", "--a", "1", "--b", "2", "--m", "9", "--m-prime", "3", "--n", "6"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().out == (
+            "lhs^2 = 10  rhs = 5  (m'=3, tau=2)\n"
+            "holds: False  (decided by the exact path, certified margin rhs/lhs^2 = 0.5)\n")
+        assert cli.main(argv + ["--json"]) == 3
+        assert json.loads(capsys.readouterr().out)["holds"] is False
+
+    @pytest.mark.parametrize("command", [
+        ["order", "--b", "2", "--m", "9"],
+        ["bound", "--m", "9", "--n", "3", "--b", "2"],
+        ["constants", "--b", "2"],
+        ["digits", "--a", "1", "--m", "7", "--base", "10", "--pattern", "1", "--n", "5"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("primes,message", [("4", "4 is not prime"), ("", "prime set must be non-empty"),
+                                                ("3,3", "primes must be strictly ascending and distinct")])
+    def test_primes_must_be_a_prime_set(self, capsys, command, primes, message):
+        # the flag parses to a PrimeSet, so every command rejects alike (an
+        # empty list too, which order and digits used to drop)
+        assert cli.main(command + [f"--primes={primes}"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        "bound --m 0 --n 5 --primes 3 --b 2",
+        "bound --m 0 --n 5 --primes 3 --b 2 --form best",
+        "bound --m -4 --n 5 --primes 3 --b 2 --form short",
+        "order --m 0 --b 2 --primes 3",
+        "order --m 0 --b 2",
+        "digits --m 0 --a 1 --base 10 --pattern 1 --n 5 --primes 3",
+        "digits --m 0 --a 1 --base 10 --pattern 1 --n 5",
+    ])
+    def test_a_modulus_below_one_is_named(self, capsys, argv):
+        assert cli.main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert "modulus must be positive" in err or "m must be at least 2" in err
+        assert "n must be positive" not in err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_scan_rejects_non_positive_workers(self, tmp_path, capsys, workers):
         config_path = tmp_path / "scan.json"
@@ -617,6 +660,20 @@ class TestFlagRanges:
         monkeypatch.setattr(cli, "MAX_SCAN_TERMS", 30519)
         with pytest.raises(ConfigError, match="up to 30520 terms, more than 30519"):
             cli.run_scan(cli.load_scan_config(doc))
+
+    def test_scan_past_the_modulus_enumeration_cap(self, tmp_path, monkeypatch, capsys):
+        # billions of moduli below 10^30 are smooth over the first 12 primes;
+        # listing them is refused at the cap, before any bound or sum
+        for name in ("eval_scan_sums", "eval_sum", "eval_sum_reduced"):
+            monkeypatch.setattr(se, name, self._tripwire(name))
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(make_config(primes=[2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37], b=41,
+                                               m_range=[2, 10**30], N_policy={"kind": "explicit", "values": [1]})))
+        started = time.perf_counter()
+        assert cli.main(["scan", "--config", str(path)]) == 2
+        assert time.perf_counter() - started < 5
+        assert capsys.readouterr().err == (f"error: config field 'm_range': more than {nt.MAX_SMOOTH_NUMBERS} "
+                                           f"P-smooth integers lie in [1, {10**30}]\n")
 
     def test_readme_scan_is_within_the_work_limits(self):
         # its bounds: 6,104 rows and 3.2e8 terms; it takes 6,062 rows

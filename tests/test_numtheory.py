@@ -106,6 +106,22 @@ class TestFactorSmooth:
         assert info.value.leftover == 4
 
 
+class TestSmoothNumbers:
+    def test_counts_those_below_lo_against_the_cap(self, monkeypatch):
+        # 3^a 5^b <= 30: 1, 3, 5, 9, 15, 25, 27
+        monkeypatch.setattr(nt, "MAX_SMOOTH_NUMBERS", 7)
+        assert nt.smooth_numbers(P35, 30, lo=25) == [25, 27]
+        monkeypatch.setattr(nt, "MAX_SMOOTH_NUMBERS", 6)
+        with pytest.raises(OutOfRange, match=r"more than 6 P-smooth integers lie in \[1, 30\]"):
+            nt.smooth_numbers(P35, 30, lo=25)
+
+    def test_the_scans_stay_below_the_cap(self):
+        # the README scan widened to m <= 10^7 (criterion 06 takes its primes
+        # to 10^6), and the benchmark's scan over five primes to 10^9
+        assert len(nt.smooth_numbers(P35, 10**7)) < nt.MAX_SMOOTH_NUMBERS
+        assert len(nt.smooth_numbers(nt.PrimeSet.of(3, 5, 7, 11, 13), 10**9)) < nt.MAX_SMOOTH_NUMBERS
+
+
 class TestOrders:
     def test_naive_modulus_one(self):
         assert mult_order_naive(2, 1) == 1

@@ -99,6 +99,13 @@ def test_the_window_rule_is_read_outside_the_coset_walk():
     assert sites == {"sumeval.eval_sum", "sumeval.eval_sum_reduced", "sumeval._inner_sums"}
 
 
+def test_only_main_and_scan_write_output():
+    # every other command handler returns (payload, text lines); main alone
+    # prints them and picks the exit status, and scan writes its report
+    sites = {site for module, tree in _trees().items() for site in _sites(tree, module[:-3], {"print", "stdout"})}
+    assert sites == {"cli.main", "cli._cmd_scan"}
+
+
 def test_only_digit_frequencies_reads_the_base_cap():
     # a pattern count compares residues with two integer edges and forms no
     # digit; only the frequencies form b r // m, and their base cap (beside
