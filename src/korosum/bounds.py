@@ -320,8 +320,8 @@ class BoundTable(NamedTuple):
 
     long: np.ndarray  # (rows, 3): sqrt m, M N / sqrt m, bound (gcd(a, m) = 1)
     short: np.ndarray  # (rows, 2): sqrt m, bound (d = 1)
-    recursive: Optional[np.ndarray]  # (rows, levels, 3): terms with A_k, B_k, bound
-    best: Optional[np.ndarray]  # (rows,): index of the least recursive bound, ties to the first
+    recursive: Optional[np.ndarray]  # (rows, 3): level `best` with A_k, B_k: the least recursive bound
+    best: Optional[np.ndarray]  # (rows,): index in ks of the least recursive bound, ties to the first
     main: Optional[np.ndarray]  # (rows, 3): level `best` with K1 K2^k, K3 for A_k, B_k
 
 
@@ -332,14 +332,38 @@ def _float_or_inf(n: int) -> float:
         return math.inf
 
 
+#: Relative margin of the level screen in bound_table, far above its estimates' error.
+_SCREEN_MARGIN = 2.0**-30
+
+
 def bound_table(rows: Sequence[Tuple[int, int]], P: PrimeSet, b: int,
                 ks: Sequence[int] = ()) -> BoundTable:
-    """Every bound of the rows (m, N), m P-smooth and N >= 1, at the levels
-    ks (none but long and short when ks is empty), with the float operations
+    """Every bound of the rows (m, N), m P-smooth and N >= 1: long and short,
+    and at the levels ks (none when empty) the least recursive bound, its
+    level and the main bound there.  Each is taken with the float operations
     of the formulas in bound_eval and bound_baseline, in order, as array
     passes over rows x levels.  numpy's +, *, /, min and argmin are exact
     IEEE operations; its exp and power differ from libm's in the last bit on
-    about 5 % and 4 % of arguments, so those two are math's."""
+    about 5 % and 4 % of arguments, so the exp and ** of every bound taken
+    are math's.
+
+    Only levels that can be least are taken.  A screen first estimates each
+    level's bound as A_k e^(x + l) + B_k e^(y + l), l = 2^-k log(1 + log m),
+    e^t taken as np.power(math.e, t) (a kernel the scan's other passes have
+    loaded already; np.exp would map new code pages).  Every t is at least
+    -355 (y >= -alpha_k log m), so no term underflows, and where t passes
+    709.8 both e^t read inf.  Below that the estimate is within a relative
+    2^-38 of the bound: power is within 1 ulp of libm's pow (10^6 samples,
+    5.3 % of them off by one), log(math.e) = 1 - 5.3e-17 moves e^t by at most
+    3.8e-14, the rounding of x + l by 7.9e-14, the two factors 1 + UPPER_SLACK
+    the estimate omits by 2e-12, and the bound's own roundings by a few ulps.
+    A level is taken where its estimate is at most the row's least estimate
+    times 1 + _SCREEN_MARGIN (2^-30): the least bound and every bound tied
+    with it have estimates within (1 + 2^-38)^2 of the least estimate, so
+    they are always taken, and where every level reads inf the margin is
+    inf.  A level screened out is never reported: bound_eval and best_k take
+    their levels exactly, and a scan that finds a sum above the least bound
+    takes each level anew."""
     import numpy as np  # here, so that cli compiles sumeval before numpy loads
 
     def exp(x):  # math.exp of every element, inf above _EXP_MAX
@@ -366,20 +390,27 @@ def bound_table(rows: Sequence[Tuple[int, int]], P: PrimeSet, b: int,
         if not ks:
             return BoundTable(long, short, None, None, None)
         alpha, gamma, nu, a_k, b_k, log_main, log_k3, roots = np.transpose(level_rows(tuple(ks), P, b))
-        fac = np.array([x**r for x in (1.0 + log_m).tolist() for r in roots.tolist()])
-        fac = (fac.reshape(len(index), len(ks)) * up)[at]
         al = (log_m[:, None] * alpha)[at]
         log_n = np.array([math.log(N) for _, N in rows])
-        e = exp(np.stack([al + gamma * log_n[:, None], -al + nu * log_n[:, None]]))
-        tm, ts = a_k * e[0] * up, b_k * e[1] * up
+        x, y = al + gamma * log_n[:, None], -al + nu * log_n[:, None]
+        l = (np.log(1.0 + log_m)[:, None] * roots)[at]
+        estimate = np.power(math.e, x + l)
+        estimate *= a_k
+        estimate += np.power(math.e, np.add(y, l, out=l), out=l) * b_k
+        row, level = np.nonzero(estimate <= estimate.min(axis=1, keepdims=True) * (1.0 + _SCREEN_MARGIN))
+        fac = np.fromiter(map(pow, memoryview((1.0 + log_m)[at[row]]), memoryview(roots[level])), float, row.size) * up
+        tm, ts = a_k[level] * exp(x[row, level]) * up, b_k[level] * exp(y[row, level]) * up
         bound = (tm + ts) * fac
-        best = bound.argmin(axis=1)
-        pick = np.arange(len(rows)), best
-        al = al[pick]
+        estimate[:] = math.inf  # now the bounds taken, and inf at the levels screened out
+        estimate[row, level] = bound
+        best = estimate.argmin(axis=1)
+        # row, level ascend as flat indices; this picks each row's least bound
+        pick = np.searchsorted(row * len(ks) + level, np.arange(len(rows)) * len(ks) + best)
+        al = al[np.arange(len(rows)), best]
         e = exp(np.stack([log_main[best] + (al + gamma[best] * log_n),
                           log_k3[best] + (-al + nu[best] * log_n)])) * up
         main = np.stack([e[0], e[1], (e[0] + e[1]) * fac[pick]], axis=1)
-    return BoundTable(long, short, np.stack([tm, ts, bound], axis=2), best, main)
+    return BoundTable(long, short, np.stack([tm[pick], ts[pick], bound[pick]], axis=1), best, main)
 
 
 def _one_row(m: int, N: int, P: PrimeSet, b: int, ks: Sequence[int] = ()) -> BoundTable:
@@ -398,7 +429,7 @@ def bound_eval(m: int, N: int, k: int, P: PrimeSet, b: int, form: str = "recursi
     for the terms, and as K1 K2^k >= A_k, K3 >= B_k, main >= recursive."""
     table = _one_row(m, N, P, b, (k,))
     if form == "recursive":
-        tm, ts, bound = table.recursive[0, 0].tolist()
+        tm, ts, bound = table.recursive[0].tolist()
     elif form == "main":
         tm, ts, bound = table.main[0].tolist()
     else:
@@ -483,7 +514,7 @@ def best_k(m: int, N: int, P: PrimeSet, b: int, k_max: int) -> BestK:
         raise OutOfRange("k_max must be non-negative")
     table = _one_row(m, N, P, b, range(k_max + 1))
     k_star = int(table.best[0])
-    tm, ts, bound = table.recursive[0, k_star].tolist()
+    tm, ts, bound = table.recursive[0].tolist()
     winner = BoundReport(m, N, k_star, bound, tm, ts, bound < N, "recursive")
     k_hat = None
     if m > 1:

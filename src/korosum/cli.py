@@ -18,7 +18,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, lt, truediv
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # bounds and sumeval come first, and numpy after them, so that they are
@@ -229,16 +230,16 @@ def load_scan_config(doc: Dict) -> ScanConfig:
                       fields["output.format"], fields["workers"])
 
 
-def _units_for(fac: numtheory.SmoothFactorization, policy: Dict, seed: int) -> List[int]:
-    """The units a of the scan at m = fac.n, ascending."""
-    m = fac.n
+def _units_for(m: int, exponents, policy: Dict, seed: int) -> List[int]:
+    """The units a of the scan at m, ascending; exponents ((p, e), ...) are
+    m's, as smooth_numbers lists them."""
     if policy["kind"] == "fixed":
         chosen = sorted({a % m for a in policy["values"]})
         return [a for a in chosen if a and math.gcd(a, m) == 1]
     if policy["kind"] == "all":
         return [a for a in range(1, m) if math.gcd(a, m) == 1]
     count = policy["count"]
-    phi = math.prod((p - 1) * p ** (e - 1) for p, e in fac.exponents.items() if e)
+    phi = math.prod((p - 1) * p ** (e - 1) for p, e in exponents)
     if phi <= count:
         return [a for a in range(1, m) if math.gcd(a, m) == 1]
     rng = random.Random(f"{seed}:{m}")
@@ -250,10 +251,22 @@ def _units_for(fac: numtheory.SmoothFactorization, policy: Dict, seed: int) -> L
     return sorted(picked)
 
 
-def _n_values_for(m: int, policy: Dict) -> List[int]:
+def _most_units(m: int, policy: Dict) -> int:
+    """At most the units _units_for takes at m, from the policy alone."""
+    if policy["kind"] == "fixed":
+        return len(policy["values"])
+    if policy["kind"] == "sample":
+        return min(policy["count"], m - 1)
+    return m - 1
+
+
+def _n_values(policy: Dict) -> Callable[[int], List[int]]:
+    """m -> the N values of the scan at m, ascending (one shared list where
+    they do not depend on m)."""
     if policy["kind"] == "explicit":
-        return sorted(set(policy["values"]))
-    return sorted({max(1, math.ceil(m**x)) for x in policy["exponents"]})
+        values = sorted(set(policy["values"]))
+        return lambda m: values
+    return lambda m: sorted({max(1, math.ceil(m**x)) for x in policy["exponents"]})
 
 
 #: Most rows of one scan: units (as many as its a_policy names: len(values),
@@ -270,55 +283,62 @@ MAX_SCAN_TERMS = 10**9
 
 #: Most sum terms (over a modulus's N values, min(N, m) each) that one scan
 #: task of consecutive moduli takes on: many moduli with short sums, which
-#: batch, or few with long ones, so that the workers stay balanced.
+#: batch, or few with long ones, so that the workers stay balanced.  Every
+#: task takes at least two moduli (where the scan has two): a task's bounds
+#: and batches cost some 0.3 ms whatever its size, and the README-shaped
+#: scan of the benchmark's sums workload, which had 39 tasks of which 34
+#: held one modulus, takes 21.
 _CHUNK_TERMS = 1 << 14
 
 
-def _scan_chunk(moduli: Sequence[int], config: ScanConfig) -> Tuple[List[ScanRow], Optional[Dict]]:
-    """All rows for consecutive moduli; returns (rows, violation_or_None),
-    stopping at the first violation in (m, a, N) order.
+def _scan_chunk(moduli: Sequence[Tuple[int, Tuple]], config: ScanConfig) -> Tuple[List[ScanRow], Optional[Dict]]:
+    """All rows for consecutive moduli, each given with its exponents as
+    smooth_numbers lists them; returns (rows, violation_or_None), stopping at
+    the first violation in (m, a, N) order.
 
     The bounds depend on (m, N) alone: one bound_table call evaluates them
     for every (m, N) of the chunk, and each is checked against every unit's
-    sum; the sums of the whole chunk come from one eval_scan_sums call.
+    sum; the sums of the whole chunk come from one eval_scan_sums call.  All
+    sums are checked in one array comparison, and the rows are built from
+    columns gathered by (m, N).
     """
-    b, P = config.b, PrimeSet(config.primes)
-    cells, pairs, in_order = [], [], []
-    for m in moduli:
-        fac = numtheory.factor_smooth(m, P)
-        T = fac.order_structure(b).order
-        Ns = _n_values_for(m, config.n_policy)
-        cells.append((m, T, tuple(_units_for(fac, config.a_policy, config.seed)), Ns))
+    b, P, n_values = config.b, PrimeSet(config.primes), _n_values(config.n_policy)
+    cells, pairs = [], []
+    for m, exponents in moduli:
+        Ns = n_values(m)
+        units = tuple(_units_for(m, exponents, config.a_policy, config.seed))
+        cells.append((m, numtheory.smooth_order(b, m, exponents), units, Ns))
         pairs += [(m, N) for N in Ns]
-        in_order += [N <= T for N in Ns]
-    table = bounds.bound_table(pairs, P, b, range(config.k_lo, config.k_hi + 1))
-    levels = table.recursive[..., 2]
-    rec = levels.min(axis=1)
-    main, long, short = table.main[:, 2], table.long[:, 2], table.short[:, 1]
+    in_order = [N <= T for _, T, _, Ns in cells for N in Ns]
+    ks = range(config.k_lo, config.k_hi + 1)
+    table = bounds.bound_table(pairs, P, b, ks)
+    rec, main, long, short = table.recursive[:, 2], table.main[:, 2], table.long[:, 2], table.short[:, 1]
     # x -> x * (1 + slack) is monotone: a sum exceeds some bound beyond
     # slack exactly when it exceeds the least one
     limits = np.minimum(np.minimum(rec, main), np.minimum(long, np.where(in_order, short, np.inf)))
-    limits = (limits * (1.0 + VALIDITY_SLACK)).tolist()
-    k_stars = (table.best + config.k_lo).tolist()
     rec, main, long, short = rec.tolist(), main.tolist(), long.tolist(), short.tolist()
-    sums = sumeval.eval_scan_sums(b, cells)
-    rows: List[ScanRow] = []
-    start = 0
-    for (m, _, units, Ns), values in zip(cells, sums):
-        at, start = range(start, start + len(Ns)), start + len(Ns)
-        short_m = short[at[0]]  # the rows of m share one float
-        per_n = [(j, N, (rec[j], main[j], long[j], short_m if in_order[j] else None,
-                         rec[j] < N, main[j] < N)) for j, N in zip(at, Ns)]
-        for a, unit_values in zip(units, values):
-            for (j, N, row_bounds), value in zip(per_n, unit_values):
-                s_abs = abs(value)
-                if s_abs > limits[j]:
-                    valid = levels[j].tolist() + [main[j], long[j]]
-                    valid += [short_m] if in_order[j] else []
-                    v = next(v for v in valid if s_abs > v * (1.0 + VALIDITY_SLACK))
-                    return rows, {"m": m, "a": a, "N": N, "s_abs": s_abs, "violated_bound": v}
-                rows.append(ScanRow(m, a, N, k_stars[j], s_abs, s_abs / N, *row_bounds))
-    return rows, None
+    s_abs = list(map(abs, chain.from_iterable(chain.from_iterable(sumeval.eval_scan_sums(b, cells)))))
+    at, a_col, short_col = [], [], []  # per row, in (m, a, N) order, its (m, N) and a; per (m, N) its short bound
+    for m, _, units, Ns in cells:
+        first = len(short_col)
+        at += list(range(first, first + len(Ns))) * len(units)
+        a_col += [a for a in units for _ in Ns]
+        short_col += [short[first] if in_order[j] else None for j in range(first, first + len(Ns))]  # one float per m
+    over = np.flatnonzero(np.array(s_abs) > (limits * (1.0 + VALIDITY_SLACK))[at])
+    end = int(over[0]) if over.size else len(at)
+    m_of, N_of = zip(*pairs)
+    per_pair = (m_of, N_of, (table.best + config.k_lo).tolist(), rec, main, long, short_col,
+                list(map(lt, rec, N_of)), list(map(lt, main, N_of)))
+    m_col, N_col, k_col, *bound_cols = (list(map(column.__getitem__, at[:end])) for column in per_pair)
+    rows = list(map(ScanRow, m_col, a_col, N_col, k_col, s_abs[:end], map(truediv, s_abs, N_col), *bound_cols))
+    if end == len(at):
+        return rows, None
+    j, x, slack = at[end], s_abs[end], 1.0 + VALIDITY_SLACK
+    m, N = pairs[j]
+    # the first bound exceeded, in order: levels k_lo..k_hi, each taken anew, main, long, short
+    levels = (bounds.bound_table([(m, N)], P, b, (k,)).recursive[0, 2].item() for k in ks)
+    v = next(v for v in chain(levels, [main[j], long[j]], [short[j]] if in_order[j] else []) if x > v * slack)
+    return rows, {"m": m, "a": a_col[end], "N": N, "s_abs": x, "violated_bound": v}
 
 
 def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]:
@@ -334,31 +354,30 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
         raise ConfigError("m_range", str(exc)) from None
     if not moduli:
         raise ConfigError("m_range", "contains no smooth modulus")
-    chunks, terms, per_modulus = [], _CHUNK_TERMS, []
+    chunks, terms, n_values = [[]], 0, _n_values(config.n_policy)
     rows = work = 0
-    for m in moduli:
-        Ns = _n_values_for(m, config.n_policy)
+    for modulus in moduli:
+        m = modulus[0]
+        Ns, units = n_values(m), _most_units(m, config.a_policy)
         n = sum(min(N, m) for N in Ns)
-        units = m - 1  # at most the units _units_for takes, from the policy alone
-        if config.a_policy["kind"] == "fixed":
-            units = len(config.a_policy["values"])
-        elif config.a_policy["kind"] == "sample":
-            units = min(config.a_policy["count"], m - 1)
-        per_modulus.append((m, units, Ns))
         rows += units * len(Ns)
         work += 2 * units * n  # a fold takes fewer than 2 min(N, T) terms
-        if terms + n > _CHUNK_TERMS:
+        if len(chunks[-1]) > 1 and terms + n > _CHUNK_TERMS:
             chunks.append([])
             terms = 0
-        chunks[-1].append(m)
+        chunks[-1].append(modulus)
         terms += n
+    if len(chunks) > 1 and len(chunks[-1]) == 1:
+        last = chunks.pop()
+        chunks[-1] += last
     if rows > MAX_SCAN_ROWS:
         raise ConfigError("a_policy", f"the scan takes up to {rows} rows, more than {MAX_SCAN_ROWS}")
     if work > MAX_SCAN_TERMS:  # recount the windows the folds take; every unit folds alike
         work = 0
-        for m, units, Ns in per_modulus:
-            T = numtheory.factor_smooth(m, P).order_structure(config.b).order
-            work += units * sum(L for N in Ns for _, _, L in sumeval._fold_windows(1, config.b, m, T, N))
+        for m, exponents in moduli:
+            T = numtheory.smooth_order(config.b, m, exponents)
+            work += _most_units(m, config.a_policy) * sum(
+                L for N in n_values(m) for _, _, L in sumeval._fold_windows(1, config.b, m, T, N))
     if work > MAX_SCAN_TERMS:
         raise ConfigError("N_policy", f"the scan's sums take up to {work} terms, more than {MAX_SCAN_TERMS}")
     cell = partial(_scan_chunk, config=config)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import fsum, gcd
+from operator import itemgetter
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
@@ -367,17 +368,17 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     out, walks = [], []
     for m, T, units, Ns in cells:
         out.append([[0j] * len(Ns) for _ in units])
-        short = [j for j, N in enumerate(Ns) if min(N, T) < _SCALAR_CUTOFF]
+        short = [j for j, N in enumerate(Ns) if N < _SCALAR_CUTOFF or T < _SCALAR_CUTOFF]
         for j, N in enumerate(Ns):
             if j not in short:
                 for row, res in zip(out[-1], eval_sum_reduced(units, b, m, N)):
                     row[j] = res.value
         for a, row in zip(units, out[-1]):
-            folds = [(j, _fold_windows(a, b, m, T, Ns[j])) for j in short]
-            lengths = sorted({L for _, windows in folds for _, _, L in windows})
-            if lengths:  # else every short sum is 0j: whole periods that vanish
-                walks.append((lengths[-1], a, m, folds, lengths, row))
-    walks.sort(key=lambda w: w[0])
+            folds = [_fold_windows(a, b, m, T, Ns[j]) for j in short]
+            longest = max([L for fold in folds for _, _, L in fold], default=0)
+            if longest:  # else every short sum is 0j: whole periods that vanish
+                walks.append((longest, a, m, row, short, folds))
+    walks.sort(key=itemgetter(0))
     while walks:
         n = 1
         while n < len(walks) and (n + 1) * walks[n][0] <= _BLOCK:
@@ -389,14 +390,18 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
         z = _phases(_powers(first, b % m, m, batch[-1][0]), m).swapaxes(0, 1)
         prefix, exact = _prefix_fsums(z)
         for i in np.flatnonzero(~exact.all(axis=1)):
-            for L in batch[i][4]:
+            for L in {L for fold in batch[i][5] for _, _, L in fold}:
                 prefix[i, :, L - 1] = [fsum(x) for x in z[i, :, :L].tolist()]
-        at, ends = zip(*[(i, L - 1) for i, w in enumerate(batch) for L in w[4]])
-        got = iter(prefix[at, :, ends].tolist())
-        for _, _, _, folds, lengths, row in batch:  # every short window has k = 0
-            sums = {(0, L): complex(*next(got)) for L in lengths}
-            for j, windows in folds:
-                row[j] = _fold(windows, sums)
+        # every short window has k = 0, and _fold adds a fold's windows to 0j
+        # in turn; np.bincount adds each fold's terms t S_L to 0.0 in that
+        # order, which gives _fold's bits on the real and imaginary parts alike
+        # (0.0 + t S is 0.0 + (t Re S - 0.0 Im S), and so on, for finite S)
+        folds = [(i, fold) for i, w in enumerate(batch) for fold in w[5]]
+        walk, fold_of, times, ends = zip(*[(i, f, t, L - 1) for f, (i, fold) in enumerate(folds) for t, _, L in fold])
+        terms = np.array(times, dtype=float)[:, None] * prefix[walk, :, ends]
+        re, im = (np.bincount(fold_of, terms[:, c], len(folds)).tolist() for c in (0, 1))
+        for (row, j), x, y in zip([(w[3], j) for w in batch for j in w[4]], re, im):
+            row[j] = complex(x, y)
     return out
 
 

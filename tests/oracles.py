@@ -3,7 +3,8 @@
 Each is the direct definition of a quantity: the order by iteration up to
 lambda(m), divisor-power sums and the totient from a trial-division
 factorization, primality and factorization by trial division, restricted totients by
-counting, interval relations by endpoint comparison, the CSV report by
+counting, interval relations by endpoint comparison, the bound table at every level by
+math's exp and ** (as bound_table took it before its level screen), the CSV report by
 csv.writer one field at a time, exponential sums by the scalar and blocked
 loops the library once had and by a plain-Python table of phase factors.  Most take time that grows with their input,
 and no library code uses any of them, so they live with the tests.
@@ -18,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from korosum import bounds
 from korosum.bounds import RationalInterval
 from korosum.cli import ScanRow
 from korosum.errors import NotCoprime, OutOfRange
@@ -222,3 +224,40 @@ def eval_sum_tabled(a0: int, b0: int, m: int, N: int, block: int = 4096) -> comp
         re_parts.append(float(np.sum(np.array([z.real for z in zs]))))
         im_parts.append(float(np.sum(np.array([z.imag for z in zs]))))
     return complex(math.fsum(re_parts), math.fsum(im_parts))
+
+
+def bound_table_every_level(rows, P: PrimeSet, b: int, ks):
+    """(long, short, recursive, best, main) of bounds.bound_table with every
+    level of every row taken by math.exp and **, recursive holding all
+    levels, shape (rows, levels, 3): the table before its level screen."""
+    def exp(x):  # math.exp of every element, inf above bounds._EXP_MAX
+        e = np.array([math.exp(v) for v in np.minimum(x, bounds._EXP_MAX).ravel().tolist()]).reshape(x.shape)
+        e[x > bounds._EXP_MAX] = math.inf
+        return e
+
+    up = 1.0 + bounds.UPPER_SLACK
+    index = {}
+    at = np.array([index.setdefault(m, len(index)) for m, _ in rows], dtype=np.intp)
+    log_m = np.array([math.log(m) for m in index])
+    root = np.array([math.sqrt(bounds._float_or_inf(m)) for m in index])[at]
+    sqrt_up, log_fac = root * up, ((1.0 + log_m) * up)[at]
+    mn = np.array([bounds._float_or_inf(bounds.capital_m(P, b) * N) for _, N in rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        long_ts = np.where(root < math.inf, mn / root, math.inf) * up
+        long = np.stack([sqrt_up, long_ts, (sqrt_up + long_ts) * log_fac], axis=1)
+        short = np.stack([sqrt_up, sqrt_up * log_fac], axis=1)
+        alpha, gamma, nu, a_k, b_k, log_main, log_k3, roots = np.transpose(bounds.level_rows(tuple(ks), P, b))
+        fac = np.array([x**r for x in (1.0 + log_m).tolist() for r in roots.tolist()])
+        fac = (fac.reshape(len(index), len(ks)) * up)[at]
+        al = (log_m[:, None] * alpha)[at]
+        log_n = np.array([math.log(N) for _, N in rows])
+        e = exp(np.stack([al + gamma * log_n[:, None], -al + nu * log_n[:, None]]))
+        tm, ts = a_k * e[0] * up, b_k * e[1] * up
+        bound = (tm + ts) * fac
+        best = bound.argmin(axis=1)
+        pick = np.arange(len(rows)), best
+        al = al[pick]
+        e = exp(np.stack([log_main[best] + (al + gamma[best] * log_n),
+                          log_k3[best] + (-al + nu[best] * log_n)])) * up
+        main = np.stack([e[0], e[1], (e[0] + e[1]) * fac[pick]], axis=1)
+    return long, short, np.stack([tm, ts, bound], axis=2), best, main

@@ -73,7 +73,7 @@ def test_criterion_04_order_structure_equivalence():
     checked = 0
     ok = True
     for P, b in combos:
-        for m in nt.smooth_numbers(P, 10**5):
+        for m, _ in nt.smooth_numbers(P, 10**5):
             if math.gcd(b, m) != 1:
                 continue
             ok = ok and nt.factor_smooth(m, P).order_structure(b).order == mult_order_naive(b, m)
@@ -134,7 +134,7 @@ def test_criterion_06_bound_validity_sweep():
     rng = random.Random(6)
     ok = True
     cells = 0
-    for m in nt.smooth_numbers(P, 10**6, lo=3):
+    for m, _ in nt.smooth_numbers(P, 10**6, lo=3):
         units = set()
         phi = euler_phi(m)
         while len(units) < min(20, phi):
@@ -168,7 +168,7 @@ def test_criterion_07_gcd_structure_exhaustive():
     checks = 0
     # b = 7 is 3 mod 4: even moduli walk the doubled-order branch
     for P, b in ((nt.PrimeSet.of(3, 5, 7), 2), (nt.PrimeSet.of(2, 3), 5), (nt.PrimeSet.of(2, 3), 7)):
-        for m in nt.smooth_numbers(P, 10**4, lo=3):
+        for m, _ in nt.smooth_numbers(P, 10**4, lo=3):
             if math.gcd(b, m) != 1:
                 continue
             fac = nt.factor_smooth(m, P).exponents

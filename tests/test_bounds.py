@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from korosum import bounds as bd
@@ -11,7 +13,7 @@ from korosum import cli
 from korosum import numtheory as nt
 from korosum import sumeval as se
 from korosum.errors import OutOfRange
-from oracles import contains_interval, overlaps
+from oracles import bound_table_every_level, contains_interval, overlaps
 
 P3 = nt.PrimeSet.of(3)
 P2 = nt.PrimeSet.of(2)
@@ -441,6 +443,11 @@ def _bits(values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
 
+def _listed(moduli, P):
+    """The moduli with their exponents, as smooth_numbers lists them."""
+    return [(m, tuple((p, e) for p, e in nt.factor_smooth(m, P).exponents.items() if e)) for m in moduli]
+
+
 class TestAgainstPerCallReference:
     """Scan rows, bound_eval, best_k and bound_baseline against the per-call
     formulas above, bit for bit."""
@@ -482,16 +489,17 @@ class TestAgainstPerCallReference:
             P = nt.PrimeSet(primes)
             config = cli.ScanConfig(primes, b, min(moduli), max(moduli), a_policy, n_policy,
                                     k_lo, k_hi, 42, None, "csv", 1)
-            rows, violation = cli._scan_chunk(moduli, config)
+            listed = _listed(moduli, P)
+            rows, violation = cli._scan_chunk(listed, config)
             assert violation is None
             # the same rows with a chunk boundary after every second modulus
-            pairs = [cli._scan_chunk(moduli[i : i + 2], config) for i in range(0, len(moduli), 2)]
+            pairs = [cli._scan_chunk(listed[i : i + 2], config) for i in range(0, len(moduli), 2)]
             assert [r for rs, _ in pairs for r in rs] == rows and all(v is None for _, v in pairs)
             got += [_bits(dataclasses.astuple(r)) for r in rows]
-            for m in moduli:
-                units = cli._units_for(nt.factor_smooth(m, P), a_policy, 42)
+            for m, exponents in listed:
+                units = cli._units_for(m, exponents, a_policy, 42)
                 want += [_bits(_ref_row(m, a, N, P, b, k_lo, k_hi))
-                         for a in units for N in cli._n_values_for(m, n_policy)]
+                         for a in units for N in cli._n_values(n_policy)(m)]
         assert got == want
         # the cases reach N = 1, k* = k_lo > 0, both sides of N <= ord(b, m)
         # (bound_short set or None) and m = 2^j with b = 3
@@ -545,7 +553,7 @@ class TestAgainstPerCallReference:
         monkeypatch.setattr(se, "eval_scan_sums", planted)
         config = cli.ScanConfig((3,), 2, 9, 81, {"kind": "fixed", "values": [1, 2]},
                                 {"kind": "explicit", "values": [2, N, 50]}, 0, 3, 42, None, "csv", 1)
-        rows, violation = cli._scan_chunk([9, 27, 81], config)
+        rows, violation = cli._scan_chunk(_listed([9, 27, 81], P), config)
         keys = [(r.m, r.a, r.N) for r in rows]
         if want is None:
             assert violation is None and len(keys) == 18 and (m, a, N) in keys
@@ -553,6 +561,68 @@ class TestAgainstPerCallReference:
         assert violation == {"m": m, "a": a, "N": N, "s_abs": s_abs, "violated_bound": want}
         assert keys == [(9, 1, 2), (9, 1, 6), (9, 1, 50), (9, 2, 2), (9, 2, 6), (9, 2, 50),
                         (27, 1, 2), (27, 1, 6), (27, 1, 50), (27, 2, 2)]
+
+    def test_violation_of_a_level_screened_out(self, monkeypatch):
+        """A sum above a level that is not the least, so that bound_table's
+        screen did not take it, and below every bound before it in order:
+        the scan reports that level's exact bound, bound_eval's bits."""
+        P, m, a, slack, ks = P35, 3**100 * 5**10, 1, cli.VALIDITY_SLACK, range(0, 11)
+        N = int(math.exp(math.log(m) * 0.2))
+        levels = [bd.bound_eval(m, N, k, P, 2).bound_value for k in ks]
+        # levels 0 > 1 > 2 > 3, the least; the sum lies between levels 0 and 1
+        assert levels.index(min(levels)) == 3 and levels[0] > levels[1] > levels[2] > levels[3]
+        s_abs = (levels[1] * (1.0 + 2 * slack) + levels[0]) / 2
+        assert levels[1] * (1.0 + slack) < s_abs < levels[0]
+        table = bd.bound_table([(m, N)], P, 2, ks)
+        assert int(table.best[0]) == 3 and table.recursive[0, 2] == levels[3]
+
+        def planted(b, cells):  # the one sum of the chunk, in place of its walk
+            assert [(c[0], c[2], c[3]) for c in cells] == [(m, (a,), [N])]
+            return [[[complex(s_abs, 0.0)]]]
+
+        monkeypatch.setattr(se, "eval_scan_sums", planted)
+        config = cli.ScanConfig((3, 5), 2, m, m, {"kind": "fixed", "values": [a]},
+                                {"kind": "explicit", "values": [N]}, 0, 10, 42, None, "csv", 1)
+        rows, violation = cli._scan_chunk(_listed([m], P), config)
+        assert rows == []
+        assert violation == {"m": m, "a": a, "N": N, "s_abs": s_abs, "violated_bound": levels[1]}
+        assert violation["violated_bound"].hex() == bd.bound_eval(m, N, 1, P, 2).bound_value.hex()
+
+    def test_screen_against_every_level(self):
+        """bound_table's least level, least bound, main, long and short
+        against the table that takes every level by math, bit for bit, on
+        random environments, moduli to log m = 703 (where terms read inf),
+        N to the top of the float range, exactly tied levels (a level listed
+        twice) and single levels."""
+        rng = random.Random(2026)
+        envs = [((3,), 2), ((3, 5), 2), ((3, 5, 7, 11, 13), 2), ((2,), 3), ((2, 3), 5), ((5, 7), 2)]
+        checked = ties = infinite = 0
+        for _ in range(300):
+            primes, b = rng.choice(envs)
+            P, rows = nt.PrimeSet(primes), []
+            for _ in range(rng.randrange(1, 25)):
+                log_max = rng.choice([20.0, 60.0, 703.0])
+                m = math.prod(p ** rng.randrange(0, int(log_max / math.log(p) / len(primes)) + 1) for p in primes)
+                N = rng.choice([1, 2, 8, 128, rng.randrange(1, 10**6), 10 ** rng.randrange(1, 309),
+                                10 ** rng.randrange(300, 309),
+                                int(math.exp(min(709.0, math.log(m) * rng.uniform(0.0, 1.2)))) + 1])
+                rows.append((m, N))
+            lo = rng.randrange(0, 9)
+            ks = rng.choice([[lo], list(range(lo, lo + rng.randrange(2, 12)))])
+            if len(ks) > 2 and rng.random() < 0.3:
+                ks.insert(rng.randrange(len(ks)), rng.choice(ks))  # one level twice: an exact tie
+            long, short, every, best, main = bound_table_every_level(rows, P, b, ks)
+            table = bd.bound_table(rows, P, b, ks)
+            assert table.best.tolist() == best.tolist()
+            pick = np.arange(len(rows)), best
+            for got, want in ((table.recursive, every[pick]), (table.main, main), (table.long, long),
+                              (table.short, short)):
+                assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+            least = every[..., 2].min(axis=1, keepdims=True)
+            ties += int(((every[..., 2] == least).sum(axis=1) > 1).sum())
+            infinite += int(np.isinf(every[..., 2]).any(axis=1).sum())
+            checked += len(rows)
+        assert checked > 3000 and ties > 50 and infinite > 50
 
     @pytest.mark.parametrize("primes,b,moduli", [(c[0], c[1], c[2]) for c in CASES])
     def test_single_bound_calls(self, primes, b, moduli):

@@ -53,7 +53,7 @@ def make_config(**overrides):
 def _violating_chunk(moduli, config):
     """A scan chunk reporting a violation at each of its moduli divisible by
     9 (module level, so a worker process can unpickle it)."""
-    bad = [m for m in moduli if m % 9 == 0]
+    bad = [m for m, _ in moduli if m % 9 == 0]
     return [], ({"m": bad[0], "reason": "synthetic"} if bad else None)
 
 
@@ -199,8 +199,9 @@ class TestRunScan:
         assert serial == parallel
 
     def test_bounds_work_once_per_modulus(self, monkeypatch):
-        # smoothness and the order structure of m are worked out once per
-        # modulus, not once per row or per bound
+        # the enumeration lists each modulus with its exponents, so the scan
+        # factors no modulus and builds no order structure: its orders come
+        # from the cached structure of the moduli's radicals
         counts = {"factor_smooth": 0, "order_structure": 0}
 
         def counted(name, fn):
@@ -226,10 +227,42 @@ class TestRunScan:
         )
         rows = cli.run_scan(config, workers=1)
         moduli = len({r.m for r in rows})
-        assert moduli == len(nt.smooth_numbers(nt.PrimeSet.of(3, 5), 3000, lo=3))
+        assert moduli == len([m for m, _ in nt.smooth_numbers(nt.PrimeSet.of(3, 5), 3000, lo=3)])
         assert len(rows) > 5 * moduli
-        assert 0 < counts["factor_smooth"] <= moduli
-        assert 0 < counts["order_structure"] <= moduli
+        assert counts == {"factor_smooth": 0, "order_structure": 0}
+
+    #: The benchmark's wide scan to m <= 10^7: 1,520 moduli over five primes,
+    #: one sampled unit, three short N, eleven levels.
+    WIDE = make_config(primes=[3, 5, 7, 11, 13], m_range=[3, 10**7], a_policy={"kind": "sample", "count": 1},
+                       N_policy={"kind": "explicit", "values": [8, 32, 128]}, k_range=[0, 10])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wide_scan_pin(self, workers):
+        # the report bytes of the scan before its bound table screened levels
+        # and its sums were folded by gather
+        data = cli.render_report(cli.run_scan(cli.load_scan_config(self.WIDE), workers=workers))
+        assert data.count(b"\n") == 4561
+        assert hashlib.sha256(data).hexdigest() == "51decd65e91ff2b1fe8a218f59e02415149b1563a16f9b730241569893afb076"
+
+    def test_wide_scan_sums_are_eval_sum_reduced_bits(self):
+        rows = cli.run_scan(cli.load_scan_config(self.WIDE))
+        for r in rows:
+            assert r.s_abs.hex() == abs(se.eval_sum_reduced(r.a, 2, r.m, r.N).value).hex()
+        assert len({r.m for r in rows}) == 1520
+
+    def test_wide_scan_takes_libm_only_at_the_least_level(self, monkeypatch):
+        # math.exp twice for the least level and twice for main, per row,
+        # where every level was taken before (24 a row at eleven levels)
+        calls = [0]
+
+        def exp(x):
+            calls[0] += 1
+            return math.exp(x)
+
+        monkeypatch.setattr(bd, "math", type("math", (), {**vars(math), "exp": staticmethod(exp)}))
+        rows = cli.run_scan(cli.load_scan_config(self.WIDE))
+        monkeypatch.undo()
+        assert len(rows) == 4560 and calls[0] == 4 * len(rows)
 
     def test_units_need_no_totient(self, monkeypatch):
         # phi(m) comes from the modulus's smooth factorization, so the scan
@@ -243,13 +276,13 @@ class TestRunScan:
             primes=[3, 5], m_range=[3, 2000], a_policy={"kind": "sample", "count": 5}))
         rows = cli.run_scan(config)
         monkeypatch.undo()
-        moduli = nt.smooth_numbers(nt.PrimeSet.of(3, 5), 2000, lo=3)
+        moduli = [m for m, _ in nt.smooth_numbers(nt.PrimeSet.of(3, 5), 2000, lo=3)]
         assert len(rows) == sum(min(5, oracles.euler_phi(m)) for m in moduli)
         assert any(oracles.euler_phi(m) < 5 for m in moduli)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_violation_of_the_smallest_modulus_wins(self, monkeypatch, workers):
-        monkeypatch.setattr(cli, "_CHUNK_TERMS", 1)  # one modulus per task
+        monkeypatch.setattr(cli, "_CHUNK_TERMS", 1)  # two moduli per task: 3 and 9, 27 and 81
         monkeypatch.setattr(cli, "_scan_chunk", _violating_chunk)
         with pytest.raises(BoundViolation) as info:
             cli.run_scan(cli.load_scan_config(make_config()), workers=workers)
@@ -362,8 +395,8 @@ class TestCommands:
         assert cli.main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         # the levels whose terms overflow read inf; the least bound is finite
-        table = bd.bound_table([(729, N)], nt.PrimeSet.of(3), 2, range(9))
-        levels, best = table.recursive[0, :, 2].tolist(), int(table.best[0])
+        levels = [bd.bound_table([(729, N)], nt.PrimeSet.of(3), 2, (k,)).recursive[0, 2] for k in range(9)]
+        best = int(bd.bound_table([(729, N)], nt.PrimeSet.of(3), 2, range(9)).best[0])
         assert math.inf in levels
         assert payload["k"] == best
         assert payload["bound_value"] == levels[best] < math.inf
@@ -672,8 +705,19 @@ class TestFlagRanges:
         started = time.perf_counter()
         assert cli.main(["scan", "--config", str(path)]) == 2
         assert time.perf_counter() - started < 5
-        assert capsys.readouterr().err == (f"error: config field 'm_range': more than {nt.MAX_SMOOTH_NUMBERS} "
-                                           f"P-smooth integers lie in [1, {10**30}]\n")
+        assert capsys.readouterr().err == (f"error: config field 'm_range': listing the P-smooth integers in "
+                                           f"[2, {10**30}] takes more than {nt.MAX_SMOOTH_NUMBERS} steps\n")
+
+    def test_scan_of_a_narrow_range_high_up(self, tmp_path, capsys):
+        # one modulus, 10^12 = 2^12 5^12, among 3.4 M smooth integers below it:
+        # the enumeration visits the nodes over the odd primes, not the values below lo
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(make_config(primes=[2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37], b=41,
+                                               m_range=[10**12, 10**12], N_policy={"kind": "explicit", "values": [1]},
+                                               a_policy={"kind": "sample", "count": 1})))
+        assert cli.main(["scan", "--config", str(path)]) == 0
+        rows = cli.rows_from_csv(capsys.readouterr().out.encode())
+        assert [(r.m, r.N) for r in rows] == [(10**12, 1)]
 
     def test_readme_scan_is_within_the_work_limits(self):
         # its bounds: 6,104 rows and 3.2e8 terms; it takes 6,062 rows

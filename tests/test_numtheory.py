@@ -106,22 +106,6 @@ class TestFactorSmooth:
         assert info.value.leftover == 4
 
 
-class TestSmoothNumbers:
-    def test_counts_those_below_lo_against_the_cap(self, monkeypatch):
-        # 3^a 5^b <= 30: 1, 3, 5, 9, 15, 25, 27
-        monkeypatch.setattr(nt, "MAX_SMOOTH_NUMBERS", 7)
-        assert nt.smooth_numbers(P35, 30, lo=25) == [25, 27]
-        monkeypatch.setattr(nt, "MAX_SMOOTH_NUMBERS", 6)
-        with pytest.raises(OutOfRange, match=r"more than 6 P-smooth integers lie in \[1, 30\]"):
-            nt.smooth_numbers(P35, 30, lo=25)
-
-    def test_the_scans_stay_below_the_cap(self):
-        # the README scan widened to m <= 10^7 (criterion 06 takes its primes
-        # to 10^6), and the benchmark's scan over five primes to 10^9
-        assert len(nt.smooth_numbers(P35, 10**7)) < nt.MAX_SMOOTH_NUMBERS
-        assert len(nt.smooth_numbers(nt.PrimeSet.of(3, 5, 7, 11, 13), 10**9)) < nt.MAX_SMOOTH_NUMBERS
-
-
 class TestOrders:
     def test_naive_modulus_one(self):
         assert mult_order_naive(2, 1) == 1
@@ -151,7 +135,7 @@ class TestOrders:
 
     def test_structured_matches_naive_smooth_range(self):
         for P, b in ((P35, 2), (P2, 3), (P2, 7), (P357, 10)):
-            for m in nt.smooth_numbers(P, 10_000):
+            for m, _ in nt.smooth_numbers(P, 10_000):
                 if math.gcd(b, m) != 1:
                     continue
                 assert nt.factor_smooth(m, P).order_structure(b).order == mult_order_naive(b, m)
@@ -159,7 +143,7 @@ class TestOrders:
     def test_radical_cache_against_uncached_derivation(self):
         # criterion 04's (P, b) pairs; P = {2} with b = 3 and b = 7 takes mu = 1
         for P, b in ((P357, 2), (P357, 10), (P2, 3), (P2, 7)):
-            moduli = [m for m in nt.smooth_numbers(P, 10_000) if math.gcd(b, m) == 1]
+            moduli = [m for m, _ in nt.smooth_numbers(P, 10_000) if math.gcd(b, m) == 1]
             for m in moduli:
                 st = nt.factor_smooth(m, P).order_structure(b)
                 assert st == order_structure_uncached(m, P, b)
@@ -192,12 +176,12 @@ class TestCapitalM:
         # m / M <= ord(b, m) over a smooth range
         for P, b in ((P35, 2), (P2, 3)):
             M = nt.capital_m(P, b)
-            for m in nt.smooth_numbers(P, 5000):
+            for m, _ in nt.smooth_numbers(P, 5000):
                 assert m <= M * nt.mult_order(b, m)
 
     def test_beta_dominates_structured_beta(self):
         M = nt.capital_m(P35, 2)
-        for m in nt.smooth_numbers(P35, 5000):
+        for m, _ in nt.smooth_numbers(P35, 5000):
             assert M % nt.factor_smooth(m, P35).order_structure(2).m1 == 0
 
     def test_not_coprime(self):
@@ -251,7 +235,7 @@ class TestDivisorPowerSum:
     @pytest.mark.parametrize("alpha", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2)])
     def test_dominated_by_c_p_alpha(self, alpha):
         cap = nt.c_p_alpha(P35, alpha)
-        for n in nt.smooth_numbers(P35, 100_000):
+        for n, _ in nt.smooth_numbers(P35, 100_000):
             assert divisor_power_sum(n, alpha, P35) <= cap * n ** float(alpha) * (1 + 1e-9)
             assert divisor_power_sum(n, -alpha, P35) <= cap * (1 + 1e-9)
 
@@ -288,9 +272,51 @@ class TestPhiD:
 
 class TestSmoothNumbers:
     def test_small(self):
-        assert nt.smooth_numbers(P35, 30) == [1, 3, 5, 9, 15, 25, 27]
+        # 3^a 5^b <= 30, each with its exponents over the primes dividing it
+        assert nt.smooth_numbers(P35, 30) == [
+            (1, ()), (3, ((3, 1),)), (5, ((5, 1),)), (9, ((3, 2),)), (15, ((3, 1), (5, 1))),
+            (25, ((5, 2),)), (27, ((3, 3),))]
 
     def test_bounds(self):
         values = nt.smooth_numbers(P357, 10_000, lo=100)
-        assert all(100 <= v <= 10_000 for v in values)
-        assert values == sorted(set(values))
+        assert all(100 <= v <= 10_000 for v, _ in values)
+        assert [v for v, _ in values] == sorted({v for v, _ in values})
+
+    @pytest.mark.parametrize("primes", [(2,), (3, 5), (2, 3, 5, 7), (3, 5, 7, 11, 13)])
+    def test_against_trial_division(self, primes):
+        P = nt.PrimeSet(primes)
+        for lo, hi in [(1, 1), (1, 3000), (2, 5000), (100, 100), (97, 99), (1000, 20000)]:
+            want = []
+            for n in range(lo, hi + 1):
+                exps = {p: e for p, e in nt.factor_smooth(n, P).exponents.items() if e} if all(
+                    f in primes for f in factorize_trial(n)) else None
+                if exps is not None:
+                    want.append((n, tuple(exps.items())))
+            assert nt.smooth_numbers(P, hi, lo) == want
+
+    def test_counts_nodes_and_values_against_the_cap(self, monkeypatch):
+        # over {3, 5} the nodes are 1, 5, 25 (powers of 5 up to 30), and 25
+        # and 27 lie in [25, 30]: five steps, none for the values below 25
+        monkeypatch.setattr(nt, "MAX_SMOOTH_NUMBERS", 5)
+        assert [m for m, _ in nt.smooth_numbers(P35, 30, lo=25)] == [25, 27]
+        monkeypatch.setattr(nt, "MAX_SMOOTH_NUMBERS", 4)
+        with pytest.raises(OutOfRange, match=r"in \[25, 30\] takes more than 4 steps"):
+            nt.smooth_numbers(P35, 30, lo=25)
+
+    def test_the_scans_stay_below_the_cap(self):
+        # the README scan widened to m <= 10^7 (criterion 06 takes its primes
+        # to 10^6), and the benchmark's scan over five primes to 10^9
+        assert len(nt.smooth_numbers(P35, 10**7)) < nt.MAX_SMOOTH_NUMBERS
+        assert len(nt.smooth_numbers(nt.PrimeSet.of(3, 5, 7, 11, 13), 10**9)) < nt.MAX_SMOOTH_NUMBERS
+
+    def test_a_narrow_range_high_up(self):
+        # 3.4 M integers below 10^12 are smooth over the first 12 primes; the
+        # range [10^12, 10^12] visits the 640,131 nodes over the 11 odd primes
+        P = nt.PrimeSet((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+        assert nt.smooth_numbers(P, 10**12, lo=10**12) == [(10**12, ((2, 12), (5, 12)))]
+
+    def test_smooth_order_matches_order_structure(self):
+        for P, b in ((P357, 2), (P2, 3), (P2, 7), (nt.PrimeSet.of(2, 3, 5, 7), 11)):
+            for m, exps in nt.smooth_numbers(P, 20_000, lo=2):
+                if math.gcd(b, m) == 1:
+                    assert nt.smooth_order(b, m, exps) == nt.factor_smooth(m, P).order_structure(b).order

@@ -196,7 +196,7 @@ class TestEvalSumReduced:
     def test_agreement_with_direct(self):
         rng = random.Random(101)
         for _ in range(40):
-            m = rng.choice(nt.smooth_numbers(P35, 20000, lo=3))
+            m = rng.choice([m for m, _ in nt.smooth_numbers(P35, 20000, lo=3)])
             b = rng.choice([2, 7, 11])
             a = rng.randrange(1, m)
             N = rng.randrange(1, 4000)
@@ -358,7 +358,7 @@ class TestVanishingPeriods:
         fired, mu_cases = 0, 0
         for primes, b in self.ENVIRONMENTS:
             P = nt.PrimeSet(primes)
-            for m in nt.smooth_numbers(P, 3000, lo=2):
+            for m, _ in nt.smooth_numbers(P, 3000, lo=2):
                 if gcd(b, m) != 1:
                     continue
                 T = nt.mult_order(b, m)
@@ -678,7 +678,7 @@ class TestWalkTrigCount:
         # N = ceil(m^x)) over the moduli whose long windows are walked
         b, B = 2, se._BLOCK
         cells = []
-        for m in nt.smooth_numbers(P35, 10**6, lo=10**5):
+        for m, _ in nt.smooth_numbers(P35, 10**6, lo=10**5):
             units = tuple(sorted(random.Random(m).sample([a for a in range(1, 400) if gcd(a, m) == 1], 5)))
             cells.append((m, nt.mult_order(b, m), units, sorted({math.ceil(m**x) for x in (0.15, 0.4, 1.0)})))
         se.eval_scan_sums(b, cells)
@@ -810,7 +810,7 @@ class TestChooseMPrime:
     def test_reduction_bound(self):
         rng = random.Random(7)
         for _ in range(200):
-            m = rng.choice(nt.smooth_numbers(P35, 10**6, lo=10))
+            m = rng.choice([m for m, _ in nt.smooth_numbers(P35, 10**6, lo=10)])
             alpha = Fraction(1, rng.choice([2, 6, 14, 30]))
             gamma = Fraction(rng.randrange(0, 8), 8)
             nu = Fraction(1)
@@ -890,7 +890,7 @@ class TestClaims:
         self.cases = []
         for P, b in ((P35, 2), (P23, 5)):
             M = nt.capital_m(P, b)
-            for m in nt.smooth_numbers(P, 500, lo=3):
+            for m, _ in nt.smooth_numbers(P, 500, lo=3):
                 if gcd(b, m) != 1:
                     continue
                 fac = nt.factor_smooth(m, P).exponents
@@ -946,7 +946,7 @@ class TestVerifyDifferencing:
         rng = random.Random(55)
         done = 0
         while done < 60:
-            m = rng.choice(nt.smooth_numbers(P35, 10**5, lo=15))
+            m = rng.choice([m for m, _ in nt.smooth_numbers(P35, 10**5, lo=15)])
             fac = nt.factor_smooth(m, P35).exponents
             m_prime = rng.choice(valid_reduced_moduli(m, fac))
             N = rng.randrange(2, 600)
@@ -973,7 +973,7 @@ class TestVerifyDifferencing:
         assert se._phase_error(3**21) < se._phase_error(3**34) == se._phase_error(3**41)
         rng = random.Random(91)
         while len(cases) < 19:
-            m = rng.choice(nt.smooth_numbers(P35, 10**6, lo=15))
+            m = rng.choice([m for m, _ in nt.smooth_numbers(P35, 10**6, lo=15)])
             fac = nt.factor_smooth(m, P35).exponents
             cases.append((rng.randrange(1, m), 2, m, rng.choice(valid_reduced_moduli(m, fac)),
                           rng.randrange(2, 1500)))
@@ -1119,7 +1119,7 @@ class TestShortSumBound:
         # |S_N| < sqrt(m/d) (1 + log(m/d)) for N <= ord(b, m), d = gcd(a, m)
         # valid when d = 1 or d < m/m1
         b = 2
-        for m in nt.smooth_numbers(P35, 2000, lo=3):
+        for m, _ in nt.smooth_numbers(P35, 2000, lo=3):
             struct = nt.factor_smooth(m, P35).order_structure(b)
             order = struct.order
             sample = {1, 2, m // 3, m // 5, m - 1, 3 * (m // 9) or 1}
