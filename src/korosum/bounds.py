@@ -303,15 +303,20 @@ def _exp_or_inf(log_value: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def level_rows(ks: Tuple[int, ...], P: PrimeSet, b: int) -> Tuple[Tuple[float, ...], ...]:
-    """Rows ks of the (P, b) level table, the floats the level-k bounds use:
+def level_rows(ks: Tuple[int, ...], P: PrimeSet, b: int) -> np.ndarray:
+    """Rows ks of the (P, b) level table, the floats the level-k bounds use,
+    as one read-only array row per k:
     (alpha_k, gamma_k, nu_k, A_k, B_k, log K1 + k log K2, log K3, 2^-k)."""
+    import numpy as np  # here, so that cli compiles sumeval before numpy loads
+
     kc, rows = k_constants(P, b), []
     for k in ks:
         cs, ex = constants(k, P, b), exponents(k)
         rows.append((float(ex.alpha), float(ex.gamma), float(ex.nu), cs.a_k, cs.b_k,
                      kc.log_k1 + k * math.log(kc.k2), kc.log_k3, 2.0**-k))
-    return tuple(rows)
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
 
 
 class BoundTable(NamedTuple):
@@ -334,6 +339,11 @@ def _float_or_inf(n: int) -> float:
 
 #: Relative margin of the level screen in bound_table, far above its estimates' error.
 _SCREEN_MARGIN = 2.0**-30
+#: Fewest (row, level) entries bound_table screens: below, its dozen array
+#: passes cost more than the libm calls they save.  Every level against the
+#: screen took 72 against 84 us on a 5 x 5 table (the sums workload's), 101
+#: against 93 us on 9 x 11 (2-vCPU Xeon guest).
+_SCREEN_FROM = 64
 
 
 def bound_table(rows: Sequence[Tuple[int, int]], P: PrimeSet, b: int,
@@ -347,23 +357,29 @@ def bound_table(rows: Sequence[Tuple[int, int]], P: PrimeSet, b: int,
     about 5 % and 4 % of arguments, so the exp and ** of every bound taken
     are math's.
 
-    Only levels that can be least are taken.  A screen first estimates each
-    level's bound as A_k e^(x + l) + B_k e^(y + l), l = 2^-k log(1 + log m),
-    e^t taken as np.power(math.e, t) (a kernel the scan's other passes have
-    loaded already; np.exp would map new code pages).  Every t is at least
-    -355 (y >= -alpha_k log m), so no term underflows, and where t passes
-    709.8 both e^t read inf.  Below that the estimate is within a relative
-    2^-38 of the bound: power is within 1 ulp of libm's pow (10^6 samples,
-    5.3 % of them off by one), log(math.e) = 1 - 5.3e-17 moves e^t by at most
-    3.8e-14, the rounding of x + l by 7.9e-14, the two factors 1 + UPPER_SLACK
-    the estimate omits by 2e-12, and the bound's own roundings by a few ulps.
-    A level is taken where its estimate is at most the row's least estimate
-    times 1 + _SCREEN_MARGIN (2^-30): the least bound and every bound tied
-    with it have estimates within (1 + 2^-38)^2 of the least estimate, so
-    they are always taken, and where every level reads inf the margin is
-    inf.  A level screened out is never reported: bound_eval and best_k take
-    their levels exactly, and a scan that finds a sum above the least bound
-    takes each level anew."""
+    Only levels that can be least are taken, in tables of at least
+    _SCREEN_FROM entries (smaller ones take every level).  A screen first
+    estimates each level's bound as A_k e^(x + l) + B_k e^(y + l), l = 2^-k
+    log(1 + log m), e^t taken as np.power(math.e, t) (a kernel the scan's
+    other passes have loaded already; np.exp would map new code pages).  Every
+    t is at least -355 (y >= -alpha_k log m), so no term underflows, and where
+    t passes 709.8 both e^t read inf.  Below that the estimate is within a
+    relative 2^-38 of the bound: power is within 1 ulp of libm's pow (10^6
+    samples, 5.3 % of them off by one), log(math.e) = 1 - 5.3e-17 moves e^t by
+    at most 3.8e-14, the rounding of x + l by 7.9e-14, the two factors 1 +
+    UPPER_SLACK the estimate omits by 2e-12, and the bound's own roundings by
+    a few ulps.  A level is taken where its estimate is at most the row's
+    least estimate times 1 + _SCREEN_MARGIN (2^-30): the least bound and every
+    bound tied with it have estimates within (1 + 2^-38)^2 of the least
+    estimate, so they are always taken, and where every level reads inf the
+    margin is inf.  At the top of the float range a bound can overflow where
+    its estimate does not, but then the estimate lies within a relative 2^-37
+    of the largest float, so where it is the row's least the margin overflows
+    too and the row takes every level; and a level whose estimate overflows
+    has a bound above (1 - 2^-38) times the largest float, more than the least
+    bound of any row whose margin is finite.  A level screened out is never
+    reported: bound_eval and best_k take their levels exactly, and a scan that
+    finds a sum above the least bound takes each level anew."""
     import numpy as np  # here, so that cli compiles sumeval before numpy loads
 
     def exp(x):  # math.exp of every element, inf above _EXP_MAX
@@ -389,17 +405,21 @@ def bound_table(rows: Sequence[Tuple[int, int]], P: PrimeSet, b: int,
         short = np.stack([sqrt_up, sqrt_up * log_fac], axis=1)
         if not ks:
             return BoundTable(long, short, None, None, None)
-        alpha, gamma, nu, a_k, b_k, log_main, log_k3, roots = np.transpose(level_rows(tuple(ks), P, b))
+        alpha, gamma, nu, a_k, b_k, log_main, log_k3, roots = level_rows(tuple(ks), P, b).T
         al = (log_m[:, None] * alpha)[at]
         log_n = np.array([math.log(N) for _, N in rows])
         x, y = al + gamma * log_n[:, None], -al + nu * log_n[:, None]
-        l = (np.log(1.0 + log_m)[:, None] * roots)[at]
-        estimate = np.power(math.e, x + l)
-        estimate *= a_k
-        estimate += np.power(math.e, np.add(y, l, out=l), out=l) * b_k
-        row, level = np.nonzero(estimate <= estimate.min(axis=1, keepdims=True) * (1.0 + _SCREEN_MARGIN))
+        if x.size < _SCREEN_FROM:  # every level: libm costs less here than the screen
+            estimate, (row, level) = np.empty(x.shape), np.divmod(np.arange(x.size), len(ks))
+        else:
+            l = (np.log(1.0 + log_m)[:, None] * roots)[at]
+            estimate = np.power(math.e, x + l)
+            estimate *= a_k
+            estimate += np.power(math.e, np.add(y, l, out=l), out=l) * b_k
+            row, level = np.nonzero(estimate <= np.minimum.reduce(estimate, axis=1)[:, None] * (1.0 + _SCREEN_MARGIN))
         fac = np.fromiter(map(pow, memoryview((1.0 + log_m)[at[row]]), memoryview(roots[level])), float, row.size) * up
-        tm, ts = a_k[level] * exp(x[row, level]) * up, b_k[level] * exp(y[row, level]) * up
+        e = exp(np.stack([x[row, level], y[row, level]]))
+        tm, ts = a_k[level] * e[0] * up, b_k[level] * e[1] * up
         bound = (tm + ts) * fac
         estimate[:] = math.inf  # now the bounds taken, and inf at the levels screened out
         estimate[row, level] = bound

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
-from operator import attrgetter, lt, truediv
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # bounds and sumeval come first, and numpy after them, so that they are
@@ -283,11 +283,7 @@ MAX_SCAN_TERMS = 10**9
 
 #: Most sum terms (over a modulus's N values, min(N, m) each) that one scan
 #: task of consecutive moduli takes on: many moduli with short sums, which
-#: batch, or few with long ones, so that the workers stay balanced.  Every
-#: task takes at least two moduli (where the scan has two): a task's bounds
-#: and batches cost some 0.3 ms whatever its size, and the README-shaped
-#: scan of the benchmark's sums workload, which had 39 tasks of which 34
-#: held one modulus, takes 21.
+#: batch, or few with long ones, so that the workers stay balanced.
 _CHUNK_TERMS = 1 << 14
 
 
@@ -298,47 +294,44 @@ def _scan_chunk(moduli: Sequence[Tuple[int, Tuple]], config: ScanConfig) -> Tupl
 
     The bounds depend on (m, N) alone: one bound_table call evaluates them
     for every (m, N) of the chunk, and each is checked against every unit's
-    sum; the sums of the whole chunk come from one eval_scan_sums call.  All
-    sums are checked in one array comparison, and the rows are built from
-    columns gathered by (m, N).
+    sum; the sums of the whole chunk come from one eval_scan_sums call.
     """
     b, P, n_values = config.b, PrimeSet(config.primes), _n_values(config.n_policy)
-    cells, pairs = [], []
+    cells, pairs, in_order = [], [], []
     for m, exponents in moduli:
+        T = numtheory.smooth_order(b, m, exponents)
         Ns = n_values(m)
-        units = tuple(_units_for(m, exponents, config.a_policy, config.seed))
-        cells.append((m, numtheory.smooth_order(b, m, exponents), units, Ns))
+        cells.append((m, T, tuple(_units_for(m, exponents, config.a_policy, config.seed)), Ns))
         pairs += [(m, N) for N in Ns]
-    in_order = [N <= T for _, T, _, Ns in cells for N in Ns]
+        in_order += [N <= T for N in Ns]
     ks = range(config.k_lo, config.k_hi + 1)
     table = bounds.bound_table(pairs, P, b, ks)
     rec, main, long, short = table.recursive[:, 2], table.main[:, 2], table.long[:, 2], table.short[:, 1]
     # x -> x * (1 + slack) is monotone: a sum exceeds some bound beyond
     # slack exactly when it exceeds the least one
     limits = np.minimum(np.minimum(rec, main), np.minimum(long, np.where(in_order, short, np.inf)))
+    limits = (limits * (1.0 + VALIDITY_SLACK)).tolist()
+    k_stars = (table.best + config.k_lo).tolist()
     rec, main, long, short = rec.tolist(), main.tolist(), long.tolist(), short.tolist()
-    s_abs = list(map(abs, chain.from_iterable(chain.from_iterable(sumeval.eval_scan_sums(b, cells)))))
-    at, a_col, short_col = [], [], []  # per row, in (m, a, N) order, its (m, N) and a; per (m, N) its short bound
-    for m, _, units, Ns in cells:
-        first = len(short_col)
-        at += list(range(first, first + len(Ns))) * len(units)
-        a_col += [a for a in units for _ in Ns]
-        short_col += [short[first] if in_order[j] else None for j in range(first, first + len(Ns))]  # one float per m
-    over = np.flatnonzero(np.array(s_abs) > (limits * (1.0 + VALIDITY_SLACK))[at])
-    end = int(over[0]) if over.size else len(at)
-    m_of, N_of = zip(*pairs)
-    per_pair = (m_of, N_of, (table.best + config.k_lo).tolist(), rec, main, long, short_col,
-                list(map(lt, rec, N_of)), list(map(lt, main, N_of)))
-    m_col, N_col, k_col, *bound_cols = (list(map(column.__getitem__, at[:end])) for column in per_pair)
-    rows = list(map(ScanRow, m_col, a_col, N_col, k_col, s_abs[:end], map(truediv, s_abs, N_col), *bound_cols))
-    if end == len(at):
-        return rows, None
-    j, x, slack = at[end], s_abs[end], 1.0 + VALIDITY_SLACK
-    m, N = pairs[j]
-    # the first bound exceeded, in order: levels k_lo..k_hi, each taken anew, main, long, short
-    levels = (bounds.bound_table([(m, N)], P, b, (k,)).recursive[0, 2].item() for k in ks)
-    v = next(v for v in chain(levels, [main[j], long[j]], [short[j]] if in_order[j] else []) if x > v * slack)
-    return rows, {"m": m, "a": a_col[end], "N": N, "s_abs": x, "violated_bound": v}
+    sums = sumeval.eval_scan_sums(b, cells)
+    rows: List[ScanRow] = []
+    start = 0
+    for (m, _, units, Ns), values in zip(cells, sums):
+        at, start = range(start, start + len(Ns)), start + len(Ns)
+        short_m = short[at[0]]  # the rows of m share one float
+        per_n = [(j, N, (rec[j], main[j], long[j], short_m if in_order[j] else None,
+                         rec[j] < N, main[j] < N)) for j, N in zip(at, Ns)]
+        for a, unit_values in zip(units, values):
+            for (j, N, row_bounds), value in zip(per_n, unit_values):
+                s_abs = abs(value)
+                if s_abs > limits[j]:
+                    # the first bound exceeded, in order: levels k_lo..k_hi, each taken anew, main, long, short
+                    levels = (bounds.bound_table([(m, N)], P, b, (k,)).recursive[0, 2].item() for k in ks)
+                    valid = chain(levels, [main[j], long[j]], [short_m] if in_order[j] else [])
+                    v = next(v for v in valid if s_abs > v * (1.0 + VALIDITY_SLACK))
+                    return rows, {"m": m, "a": a, "N": N, "s_abs": s_abs, "violated_bound": v}
+                rows.append(ScanRow(m, a, N, k_stars[j], s_abs, s_abs / N, *row_bounds))
+    return rows, None
 
 
 def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]:
@@ -354,7 +347,7 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
         raise ConfigError("m_range", str(exc)) from None
     if not moduli:
         raise ConfigError("m_range", "contains no smooth modulus")
-    chunks, terms, n_values = [[]], 0, _n_values(config.n_policy)
+    chunks, terms, n_values = [], _CHUNK_TERMS, _n_values(config.n_policy)
     rows = work = 0
     for modulus in moduli:
         m = modulus[0]
@@ -362,14 +355,11 @@ def run_scan(config: ScanConfig, workers: Optional[int] = None) -> List[ScanRow]
         n = sum(min(N, m) for N in Ns)
         rows += units * len(Ns)
         work += 2 * units * n  # a fold takes fewer than 2 min(N, T) terms
-        if len(chunks[-1]) > 1 and terms + n > _CHUNK_TERMS:
+        if terms + n > _CHUNK_TERMS:
             chunks.append([])
             terms = 0
         chunks[-1].append(modulus)
         terms += n
-    if len(chunks) > 1 and len(chunks[-1]) == 1:
-        last = chunks.pop()
-        chunks[-1] += last
     if rows > MAX_SCAN_ROWS:
         raise ConfigError("a_policy", f"the scan takes up to {rows} rows, more than {MAX_SCAN_ROWS}")
     if work > MAX_SCAN_TERMS:  # recount the windows the folds take; every unit folds alike

@@ -624,6 +624,27 @@ class TestAgainstPerCallReference:
             checked += len(rows)
         assert checked > 3000 and ties > 50 and infinite > 50
 
+    def test_screen_at_the_top_of_the_float_range(self):
+        """A least level whose estimate is finite and whose bound overflows:
+        at m = 3^1293 every level but 1 reads inf at these N (sqrt m alone
+        passes the largest float), and N is the least at which level 1's
+        bound overflows too, so its terms are finite and its estimate lies
+        just below the largest float.  The row must take every level and
+        keep level 0, as the table of every level does."""
+        P, ks, m = nt.PrimeSet.of(3), list(range(6)), 3**1293
+        lo, hi = 1 << 1200, 1 << 1400  # level 1's bound is finite at lo, inf at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if bd.bound_eval(m, mid, 1, P, 2).bound_value < math.inf else (lo, mid)
+        for N in (lo, hi):
+            long, short, every, best, main = bound_table_every_level([(m, N)], P, 2, ks)
+            table = bd.bound_table([(m, N)], P, 2, ks)
+            assert table.best.tolist() == best.tolist()
+            for got, want in ((table.recursive, every[0, best]), (table.main, main)):
+                assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+        assert math.isfinite(every[0, 1, 0]) and math.isfinite(every[0, 1, 1]) and np.isinf(every[0, :, 2]).all()
+        assert best.tolist() == [0] and math.isinf(table.recursive[0, 0])
+
     @pytest.mark.parametrize("primes,b,moduli", [(c[0], c[1], c[2]) for c in CASES])
     def test_single_bound_calls(self, primes, b, moduli):
         P = nt.PrimeSet(primes)

@@ -282,7 +282,7 @@ class TestRunScan:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_violation_of_the_smallest_modulus_wins(self, monkeypatch, workers):
-        monkeypatch.setattr(cli, "_CHUNK_TERMS", 1)  # two moduli per task: 3 and 9, 27 and 81
+        monkeypatch.setattr(cli, "_CHUNK_TERMS", 1)  # one modulus per task
         monkeypatch.setattr(cli, "_scan_chunk", _violating_chunk)
         with pytest.raises(BoundViolation) as info:
             cli.run_scan(cli.load_scan_config(make_config()), workers=workers)
