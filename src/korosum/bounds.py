@@ -424,9 +424,13 @@ def bound_table(rows: Sequence[Tuple[int, int]], P: PrimeSet, b: int,
         estimate[:] = math.inf  # now the bounds taken, and inf at the levels screened out
         estimate[row, level] = bound
         best = estimate.argmin(axis=1)
-        # row, level ascend as flat indices; this picks each row's least bound
-        pick = np.searchsorted(row * len(ks) + level, np.arange(len(rows)) * len(ks) + best)
-        al = al[np.arange(len(rows)), best]
+        # (row, level) -> its index among the bounds taken, by a table: np.searchsorted
+        # would map 64 KB of numpy code that no other pass of a scan loads
+        taken = np.empty(x.shape, np.intp)
+        taken[row, level] = np.arange(row.size)
+        every = np.arange(len(rows))
+        pick = taken[every, best]
+        al = al[every, best]
         e = exp(np.stack([log_main[best] + (al + gamma[best] * log_n),
                           log_k3[best] + (-al + nu[best] * log_n)])) * up
         main = np.stack([e[0], e[1], (e[0] + e[1]) * fac[pick]], axis=1)
