@@ -13,7 +13,6 @@ import dataclasses
 import io
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,6 +229,61 @@ def load_scan_config(doc: Dict) -> ScanConfig:
                       fields["output.format"], fields["workers"])
 
 
+#: SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+#: generators", OOPSLA 2014): its state steps by the odd gamma, and each
+#: output is the state through the finalizer of _mix64.
+_GAMMA, _MASK64 = 0x9E3779B97F4A7C15, (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer, a bijection of 64-bit words."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def _words(n: int) -> List[int]:
+    """n >= 0 as 64-bit words, least significant first, at least one."""
+    return [n] if n <= _MASK64 else [n >> s & _MASK64 for s in range(0, n.bit_length(), 64)]
+
+
+def _absorb(state: int, words) -> int:
+    """The stream state with `words` absorbed, one finalizer step each."""
+    for word in words:
+        state = _mix64(state + _GAMMA & _MASK64 ^ word)
+    return state
+
+
+@lru_cache(maxsize=4)
+def _seed_state(seed: int) -> int:
+    """The state once the seed is absorbed: one word of its sign and word
+    count, then its words, so that the key words name (seed, m)."""
+    words = _words(abs(seed))
+    return _absorb(0, [2 * len(words) + (seed < 0), *words])
+
+
+def _sample_units(m: int, count: int, seed: int) -> List[int]:
+    """`count` distinct units of m, ascending, count < phi(m), drawn from the
+    SplitMix64 stream keyed on the words of seed and m alone.  A candidate
+    is ceil(k / 64) outputs, the first least significant, cut to their low
+    k = bits(m - 1) bits; one below m - 1 gives a = candidate + 1, kept if
+    it is a unit not yet taken.  So every unit is equally likely."""
+    state = _absorb(_seed_state(seed), _words(m))
+    k = (m - 1).bit_length()
+    wide, mask = range(64, k, 64), (1 << k) - 1
+    picked = set()
+    while len(picked) < count:
+        state = state + _GAMMA & _MASK64
+        x = _mix64(state)
+        for shift in wide:
+            state = state + _GAMMA & _MASK64
+            x |= _mix64(state) << shift
+        x &= mask
+        if x < m - 1 and math.gcd(x + 1, m) == 1:
+            picked.add(x + 1)
+    return sorted(picked)
+
+
 def _units_for(m: int, exponents, policy: Dict, seed: int) -> List[int]:
     """The units a of the scan at m, ascending; exponents ((p, e), ...) are
     m's, as smooth_numbers lists them."""
@@ -242,13 +296,7 @@ def _units_for(m: int, exponents, policy: Dict, seed: int) -> List[int]:
     phi = math.prod((p - 1) * p ** (e - 1) for p, e in exponents)
     if phi <= count:
         return [a for a in range(1, m) if math.gcd(a, m) == 1]
-    rng = random.Random(f"{seed}:{m}")
-    picked = set()
-    while len(picked) < count:
-        a = rng.randrange(1, m)
-        if math.gcd(a, m) == 1:
-            picked.add(a)
-    return sorted(picked)
+    return _sample_units(m, count, seed)
 
 
 def _most_units(m: int, policy: Dict) -> int:

@@ -43,6 +43,11 @@ _SCALAR_CUTOFF = 2048
 #: Block length of the orbit and phase blocks (also the power-table length).
 _BLOCK = 4096
 
+#: Most residues (rows times the longest walk) of one batch of eval_scan_sums'
+#: short walks: a task of the benchmark's wide scan peaks at 420 KB with it
+#: (tracemalloc), at 1.0 MB with four times it, which was no faster.
+_BATCH_RESIDUES = _BLOCK
+
 #: A window of L >= _SCALAR_CUTOFF terms mod m takes table phases when
 #: L >= _TABLE_RATIO sqrt(m): its terms then repay the tables' ~2 sqrt(m)
 #: cos/sin even if no other window shares them (one window at 4 sqrt(m)
@@ -148,16 +153,18 @@ def _power_table(b_red: int, m: int):
     return pows, pow(b_red, _BLOCK, m)
 
 
-def _orbit_blocks(r0: int, b0: int, m: int, N: int, keep=None):
+def _orbit_blocks(r0: int, b0: int, m: int, N: int, spans=None):
     """Exact residues r0 * b0^n mod m for n = 0..N-1, 0 <= r0 < m, in blocks of
     up to _BLOCK entries, each lead residue times the power table: the one
-    orbit kernel of sums, digits and normal-number points.  Given a set
-    `keep`, the i-th block is formed only if i is in it, and None stands for
-    the others; the lead residue of every block is still advanced exactly."""
+    orbit kernel of sums, digits and normal-number points.  Given a dict
+    `spans` {i: (lo, hi)}, the i-th block is formed only over its offsets
+    lo..hi-1, if i is in it, and None stands for the others; the lead
+    residue of every block is still advanced exactly."""
     pows, step = _power_table(b0, m)
     lead = r0
     for i, done in enumerate(range(0, N, _BLOCK)):
-        yield lead * pows[: N - done] % m if keep is None or i in keep else None
+        lo, hi = (0, N - done) if spans is None else spans.get(i, (0, 0))
+        yield lead * pows[lo:hi] % m if hi else None
         lead = lead * step % m
 
 
@@ -347,10 +354,18 @@ def _prefix_fsums(x):
     exact h2 prefix is -0.0 (rest = x - h1 never is), so a zero total is
     +0.0, as fsum's is.
     """
-    h1 = np.rint(x * 2.0**40) * 2.0**-40
+    h1 = x * 2.0**40
+    np.rint(h1, out=h1)
+    h1 *= 2.0**-40
     rest = x - h1
-    h2 = np.rint(rest * 2.0**80) * 2.0**-80
-    return np.cumsum(h1, axis=-1) + np.cumsum(h2, axis=-1), (rest == h2).all(axis=-1)
+    h2 = rest * 2.0**80
+    np.rint(h2, out=h2)
+    h2 *= 2.0**-80
+    exact = (rest == h2).all(axis=-1)
+    del rest  # three arrays of x's size at most, beside x
+    s = np.cumsum(h1, axis=-1, out=h1)
+    s += np.cumsum(h2, axis=-1, out=h2)
+    return s, exact
 
 
 def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
@@ -360,10 +375,10 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     A sum is short when min(N, T) < _SCALAR_CUTOFF, whatever m is: every
     window of its fold (_fold_windows) is then a prefix of the walk
     a b^n mod m, n = 1..min(T, N), which stops at the longest window.  The
-    walks go in batches of at most _BLOCK residues (_powers), and a window
-    is the fsum of its terms, by _prefix_fsums or by fsum where a walk
-    cannot be split exactly.  Other sums take one eval_sum_reduced call per
-    (m, N).
+    walks go in batches of at most _BATCH_RESIDUES residues (_powers), and a
+    window is the fsum of its terms, by _prefix_fsums or by fsum where a
+    walk cannot be split exactly.  Other sums take one eval_sum_reduced
+    call per (m, N).
     """
     out, walks = [], []
     for m, T, units, Ns in cells:
@@ -379,11 +394,12 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
             if longest:  # else every short sum is 0j: whole periods that vanish
                 walks.append((longest, a, m, row, short, folds))
     walks.sort(key=itemgetter(0))
-    while walks:
-        n = 1
-        while n < len(walks) and (n + 1) * walks[n][0] <= _BLOCK:
-            n += 1
-        batch, walks = walks[:n], walks[n:]
+    end = 0
+    while end < len(walks):
+        start, end = end, end + 1
+        while end < len(walks) and (end + 1 - start) * walks[end][0] <= _BATCH_RESIDUES:
+            end += 1
+        batch = walks[start:end]
         m = np.array([[w[2]] for w in batch], dtype=object)
         first = [[a % mw * (b % mw) % mw] for _, a, mw, *_ in batch]
         # z[i, :, j] = (cos, sin) of a b^(j+1) mod m for walk i
@@ -444,9 +460,10 @@ def _coset_window_sums(
     w_s = x b0 (_starts).  Each window is cut into pieces, eval_sum's blocks
     of it, each starting below T; as w_{T+j} = w_j exactly, every piece lies
     in w_j, j < T + _BLOCK.  One pass over those terms takes _phases of the
-    _BLOCK-term blocks that some piece covers, skips the others, reduces each
-    piece by _phase_sum once the terms held cover it, and stops after the
-    last piece.  A window is the fsum of its pieces.
+    _BLOCK-term blocks that some piece covers, each over the hull of the
+    pieces that read it, skips the others, reduces each piece by _phase_sum
+    once the terms held cover it, and stops after the last piece.  A window
+    is the fsum of its pieces.
     """
     def pieces(s, L):  # (start, size) of eval_sum's blocks of w_s .. w_{s+L-1}
         return [((s + k) % T, min(_BLOCK, L - k)) for k in range(0, L, _BLOCK)]
@@ -459,12 +476,18 @@ def _coset_window_sums(
     for c in dict.fromkeys(c for c, _ in starts.values()):
         requests = sorted({p for x, k, L in windows if starts[targets[x]][0] == c
                            for p in pieces(starts[targets[x]][1] + k, L)}, key=sum)
-        needed = {i for start, size in requests for i in range(start // _BLOCK, (start + size - 1) // _BLOCK + 1)}
+        hulls = {}  # block -> (lo, hi): the offsets its pieces read
+        for start, size in requests:
+            for i in range(start // _BLOCK, (start + size - 1) // _BLOCK + 1):
+                lo, hi = max(start - i * _BLOCK, 0), min(start + size - i * _BLOCK, _BLOCK)
+                held = hulls.get(i, (lo, hi))
+                hulls[i] = (min(held[0], lo), max(held[1], hi))
         i = 0
-        for index, block in enumerate(_orbit_blocks(c, b0, m, T + _BLOCK, needed)):
+        for index, block in enumerate(_orbit_blocks(c, b0, m, T + _BLOCK, hulls)):
             if block is None:
                 continue
-            _phases(block, m, out=z[:, _BLOCK : _BLOCK + block.size], table=True)
+            lo = _BLOCK + hulls[index][0]
+            _phases(block, m, out=z[:, lo : lo + block.size], table=True)
             # a piece ending in this block is at most _BLOCK long, so it starts inside z,
             # and every block it spans was taken; every window has L >= _SCALAR_CUTOFF
             base = (index - 1) * _BLOCK

@@ -6,7 +6,9 @@ factorization, primality and factorization by trial division, restricted totient
 counting, interval relations by endpoint comparison, the bound table at every level by
 math's exp and ** (as bound_table took it before its level screen), the CSV report by
 csv.writer one field at a time, exponential sums by the scalar and blocked
-loops the library once had and by a plain-Python table of phase factors.  Most take time that grows with their input,
+loops the library once had and by a plain-Python table of phase factors, the
+scan's sampled units by a SplitMix64 stream over byte strings and by the
+Mersenne Twister draw the scan once took.  Most take time that grows with their input,
 and no library code uses any of them, so they live with the tests.
 """
 
@@ -14,6 +16,7 @@ import csv
 import dataclasses
 import io
 import math
+import random
 from fractions import Fraction
 from typing import Union
 
@@ -261,3 +264,62 @@ def bound_table_every_level(rows, P: PrimeSet, b: int, ks):
                           log_k3[best] + (-al + nu[best] * log_n)])) * up
         main = np.stack([e[0], e[1], (e[0] + e[1]) * fac[pick]], axis=1)
     return long, short, np.stack([tm, ts, bound], axis=2), best, main
+
+
+def splitmix64(state: int, count: int):
+    """The first `count` outputs of SplitMix64 (Steele, Lea and Flood, OOPSLA
+    2014) from a 64-bit state, as its reference C code forms them."""
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def sample_units_splitmix(m: int, count: int, seed: int) -> list:
+    """count distinct units of m by the scan's sample draw, from its
+    definition: the key words are one word 2 w + (seed < 0), w the number of
+    64-bit words of |seed|, those words and m's (little-endian byte strings
+    cut in 8-byte words), each absorbed as state = mix(state + gamma XOR word);
+    a candidate is ceil(k / 64) outputs, the first least significant, cut to
+    k = bits(m - 1) bits, and a = candidate + 1 is kept below m, coprime to
+    m and new."""
+    def words(n):
+        raw = n.to_bytes(max(1, -(-n.bit_length() // 64)) * 8, "little")
+        return [int.from_bytes(raw[i : i + 8], "little") for i in range(0, len(raw), 8)]
+
+    def mix(z):
+        return splitmix64((z - 0x9E3779B97F4A7C15) % 2**64, 1)[0]
+
+    seed_words = words(abs(seed))
+    state = 0
+    for word in [2 * len(seed_words) + (seed < 0)] + seed_words + words(m):
+        state = mix(((state + 0x9E3779B97F4A7C15) % 2**64) ^ word)
+    k = (m - 1).bit_length()
+    picked = []
+    while len(picked) < count:
+        outputs = splitmix64(state, -(-k // 64))
+        state = (state + len(outputs) * 0x9E3779B97F4A7C15) % 2**64
+        a = sum(x << (64 * i) for i, x in enumerate(outputs)) % 2**k + 1
+        if a < m and math.gcd(a, m) == 1 and a not in picked:
+            picked.append(a)
+    return sorted(picked)
+
+
+def units_mersenne(m: int, exponents, policy, seed: int) -> list:
+    """The scan's units of m as cli._units_for took them before its SplitMix64
+    draw: the sample policy from a Mersenne Twister seeded with "seed:m"."""
+    if policy["kind"] == "fixed":
+        return [a for a in sorted({a % m for a in policy["values"]}) if a and math.gcd(a, m) == 1]
+    if policy["kind"] == "all" or math.prod((p - 1) * p ** (e - 1) for p, e in exponents) <= policy["count"]:
+        return [a for a in range(1, m) if math.gcd(a, m) == 1]
+    rng = random.Random(f"{seed}:{m}")
+    picked = set()
+    while len(picked) < policy["count"]:
+        a = rng.randrange(1, m)
+        if math.gcd(a, m) == 1:
+            picked.add(a)
+    return sorted(picked)

@@ -238,11 +238,11 @@ class TestRunScan:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_wide_scan_pin(self, workers):
-        # the report bytes of the scan before its bound table screened levels
-        # and its sums were folded by gather
+        # the report bytes of the scan since its units come from the SplitMix64
+        # draw; TestSampleDraw checks the bytes before it with the old draw
         data = cli.render_report(cli.run_scan(cli.load_scan_config(self.WIDE), workers=workers))
         assert data.count(b"\n") == 4561
-        assert hashlib.sha256(data).hexdigest() == "51decd65e91ff2b1fe8a218f59e02415149b1563a16f9b730241569893afb076"
+        assert hashlib.sha256(data).hexdigest() == "6929fb52f297de04d276f0fd0e0dcc3e634e241a767dfe27fd498c1166156492"
 
     def test_wide_scan_sums_are_eval_sum_reduced_bits(self):
         rows = cli.run_scan(cli.load_scan_config(self.WIDE))
@@ -295,6 +295,87 @@ class TestRunScan:
         monkeypatch.setattr(cli, "_scan_chunk", fake_chunk)
         with pytest.raises(BoundViolation):
             cli.run_scan(cli.load_scan_config(make_config()))
+
+
+class TestSampleDraw:
+    """The sample policy's units: SplitMix64 outputs keyed on the words of
+    (seed, m), uniform over the units by rejection, the same in any slice
+    of the range and at any worker count."""
+
+    POLICY = {"kind": "sample", "count": 4}
+
+    def test_stream_is_splitmix64(self):
+        # the reference C code's first outputs from the state 1234567
+        want = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                4593380528125082431, 16408922859458223821]
+        assert oracles.splitmix64(1234567, 5) == want
+        assert [cli._mix64(1234567 + i * cli._GAMMA & cli._MASK64) for i in range(1, 6)] == want
+
+    @pytest.mark.parametrize("m,exponents,seed,count,want", [
+        (1215, ((3, 5), (5, 1)), 7, 4, [52, 187, 566, 991]),
+        (1215, ((3, 5), (5, 1)), -7, 4, [241, 319, 662, 766]),  # the sign is a key word
+        (1215, ((3, 5), (5, 1)), 2**64 + 3, 4, [358, 418, 958, 1013]),  # a seed of two words
+        (3**41, ((3, 41),), 42, 3,  # m of two words, each unit one output cut to 65 bits
+         [13117994743450095158, 20132519564178913928, 28443270320791830692]),
+        (3**81, ((3, 81),), 42, 2,  # m past 2^128: two outputs per candidate
+         [205073974133205962834115863010570659629, 417862148634143345185330303798534861850]),
+    ])
+    def test_known_answers(self, m, exponents, seed, count, want):
+        assert cli._units_for(m, exponents, dict(self.POLICY, count=count), seed) == want
+        assert oracles.sample_units_splitmix(m, count, seed) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(2**130), 2**130), st.sampled_from([5, 9, 15, 1215, 3**20, 2**64 + 1, 3**41 * 5, 7**50]),
+           st.integers(1, 3))
+    def test_units_are_distinct_sorted_coprime_and_in_range(self, seed, m, count):
+        units = cli._sample_units(m, count, seed)
+        assert units == sorted(set(units)) and len(units) == count
+        assert all(0 < a < m and math.gcd(a, m) == 1 for a in units)
+        assert units == oracles.sample_units_splitmix(m, count, seed)
+
+    def test_all_but_one_unit_terminates(self):
+        for m in (4, 9, 15, 1215):
+            phi = oracles.euler_phi(m)
+            units = cli._sample_units(m, phi - 1, 5)
+            assert len(units) == phi - 1 and set(units) < {a for a in range(1, m) if math.gcd(a, m) == 1}
+
+    def test_units_are_uniform(self):
+        # one unit of 1215 = 3^5 5 from each of 10^4 seeds, over its 648 units:
+        # the statistic reads 647.8 (647 degrees of freedom); the bounds are
+        # the chi-square quantiles 0.001 and 0.999 by Wilson and Hilferty
+        m = 3**5 * 5
+        counts = dict.fromkeys((a for a in range(1, m) if math.gcd(a, m) == 1), 0)
+        for seed in range(10**4):
+            counts[cli._sample_units(m, 1, seed)[0]] += 1
+        expected, df = 10**4 / len(counts), len(counts) - 1
+        statistic = sum((c - expected) ** 2 / expected for c in counts.values())
+        quantile = [df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3 for z in (-3.090, 3.090)]
+        assert quantile[0] < statistic < quantile[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slices_give_the_whole_scan(self, workers):
+        # what perfbench relies on: a scan of [lo, hi] is the scans of
+        # consecutive sub-ranges, one after another
+        doc = make_config(primes=[3, 5, 7], m_range=[3, 10**5], a_policy={"kind": "sample", "count": 3},
+                          N_policy={"kind": "explicit", "values": [8, 100]}, k_range=[0, 3], seed=-11)
+        whole = cli.run_scan(cli.load_scan_config(doc), workers=workers)
+        parts = [row for lo, hi in ([3, 500], [501, 6075], [6076, 10**5])
+                 for row in cli.run_scan(cli.load_scan_config(dict(doc, m_range=[lo, hi])), workers=workers)]
+        assert parts == whole and len({r.m for r in whole}) > 100
+
+    def test_the_old_draw_gives_the_old_pins(self, monkeypatch, tmp_path):
+        # every report bit but the sampled units is unchanged: with the
+        # Mersenne Twister draw back in place, the scans read their old bytes
+        monkeypatch.setattr(cli, "_units_for", oracles.units_mersenne)
+        readme = make_config(primes=[3, 5], m_range=[3, 10**6], a_policy={"kind": "sample", "count": 20},
+                             N_policy={"kind": "powers", "exponents": [0.15, 0.25, 0.4, 0.6, 1.0]}, k_range=[0, 4])
+        for doc, workers, digest in (
+                (readme, 1, "f5418c0b50259eec141f1e96f22dc00b23b0bd25a85edead992efef8a34f8f1c"),
+                (TestRunScan.WIDE, 1, "51decd65e91ff2b1fe8a218f59e02415149b1563a16f9b730241569893afb076"),
+                (TestPinnedCommandLine.README_SCAN, 1,
+                 "669ec4f895a24f8f527030aed17eaf07b95ae3c3c4acaaff9fafc2b44e2ce86f")):
+            data = cli.render_report(cli.run_scan(cli.load_scan_config(doc), workers=workers))
+            assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestRenderReport:
@@ -725,7 +806,7 @@ class TestFlagRanges:
                           N_policy={"kind": "powers", "exponents": [0.15, 0.25, 0.4, 0.6, 1.0]}, k_range=[0, 4])
         data = cli.render_report(cli.run_scan(cli.load_scan_config(doc)))
         assert data.count(b"\n") == 6063
-        assert hashlib.sha256(data).hexdigest() == "f5418c0b50259eec141f1e96f22dc00b23b0bd25a85edead992efef8a34f8f1c"
+        assert hashlib.sha256(data).hexdigest() == "7d9adb8613129d827e657efd3b8c7e4e688e6d4be4a15746717a3bf80a1ae705"
 
     @pytest.mark.parametrize("m,n", [(3**17, cli.MAX_SUM_TERMS + 1),  # T = 86093442: T + (N - T)
                                      (3**18, cli.MAX_SUM_TERMS + 1),  # T = 258280326 > N
@@ -956,7 +1037,7 @@ class TestPinnedCommandLine:
         "verify --a 1 --b 2 --m 531441 --m-prime 3 --n 5000 --json":
             "846f60426b46a9493b2224e45f65f395d80200972a2dc1a8610f42bad065b294",
         "scan --config scan.json --out rows.csv":
-            "669ec4f895a24f8f527030aed17eaf07b95ae3c3c4acaaff9fafc2b44e2ce86f",
+            "02c44aae475724f0e1743d538a68f737e66ede75fbdc354295fb4b24182f6850",
     }
 
     @pytest.mark.parametrize("argv", README_OUTPUTS)

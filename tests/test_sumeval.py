@@ -609,6 +609,51 @@ class TestScanSums:
             [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
 
 
+    # walks of a vanishing period (1215 = 3^5 5, T = 324: S_T = 0 for a = 1
+    # and 7, whose walks stop at r = 50; a = 3 keeps its period, a 324-term
+    # walk) beside walks of N < T at 3^8, 3^9 and 5^6; each case's rows times
+    # its longest walk are the batch cap minus one, the cap and the cap plus one
+    BATCH_CASES = {
+        -1: ([(1215, (1, 7, 3), [698]), (3**8, (1,), [700]), (3**9, (2,), [819])], [(5, 2, 819)]),
+        0: ([(1215, (1, 3), [698]), (3**8, (1,), [1000]), (5**6, (2,), [1024])], [(4, 2, 1024)]),
+        1: ([(1215, (1, 7), [698]), (3**8, tuple(a for a in range(1, 23) if a % 3), [241])],
+            [(16, 2, 241), (1, 2, 241)]),
+    }
+
+    @pytest.mark.parametrize("extra", sorted(BATCH_CASES))
+    def test_batches_at_the_cap(self, monkeypatch, extra):
+        b, cap = 2, se._BATCH_RESIDUES
+        cells, want_shapes = self.BATCH_CASES[extra]
+        cells = [(m, nt.mult_order(b, m), units, Ns) for m, units, Ns in cells]
+        shapes = []
+        prefix_fsums = se._prefix_fsums
+        monkeypatch.setattr(se, "_prefix_fsums", lambda x: shapes.append(x.shape) or prefix_fsums(x))
+        got = se.eval_scan_sums(b, cells)
+        monkeypatch.undo()
+        rows, longest = sum(len(units) for _, _, units, _ in cells), max(L for _, _, L in want_shapes)
+        assert rows * longest == cap + extra and shapes == want_shapes
+        want = [[[se.eval_sum_reduced(a, b, m, N).value for N in Ns] for a in units] for m, T, units, Ns in cells]
+        assert [[[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in got] == [
+            [[(v.real.hex(), v.imag.hex()) for v in row] for row in cell] for cell in want]
+        assert got[0][0][0] != 0j and se._vanishing_primes(b, 1215, 324)
+
+    def test_memory_of_a_wide_scan_chunk(self):
+        # a chunk of the benchmark's wide scan: the 97 largest {3, 5, 7, 11, 13}-
+        # smooth moduli below 10^9, one unit each, N = 8, 32, 128.  Its call
+        # peaks at 420 KB under tracemalloc
+        b, P = 2, nt.PrimeSet.of(3, 5, 7, 11, 13)
+        cells = [(m, nt.smooth_order(b, m, e), (next(a for a in range(m // 2, m) if gcd(a, m) == 1),), [8, 32, 128])
+                 for m, e in nt.smooth_numbers(P, 10**9, lo=888_000_000)]
+        assert len(cells) == 97
+        se.eval_scan_sums(b, cells)  # the power tables are built once
+        tracemalloc.start()
+        try:
+            se.eval_scan_sums(b, cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 480_000
+
     def test_vanishing_periods_equal_eval_sum_reduced(self):
         # S_T = 0 at T = 324 (batched windows), T = 2500 and T = 4374 (the
         # coset walk), on both sides of r = T/2; 3 and m keep their periods
@@ -648,8 +693,9 @@ class TestScanSums:
 
 class TestWalkTrigCount:
     """The coset walk takes table phases of the _BLOCK-term blocks of
-    w_j, j < T + _BLOCK, that some window covers, not of whole periods, and
-    no cos/sin where residues are int64."""
+    w_j, j < T + _BLOCK, that some window covers, each over the hull of the
+    spans its windows read, not of whole periods, and no cos/sin where
+    residues are int64."""
 
     def test_walk_takes_only_the_covered_blocks(self, monkeypatch):
         counted = {"trig": 0, "table": 0, "build": 0}
@@ -682,11 +728,12 @@ class TestWalkTrigCount:
             units = tuple(sorted(random.Random(m).sample([a for a in range(1, 400) if gcd(a, m) == 1], 5)))
             cells.append((m, nt.mult_order(b, m), units, sorted({math.ceil(m**x) for x in (0.15, 0.4, 1.0)})))
         se.eval_scan_sums(b, cells)
-        # the union of blocks the tabled windows cover, per coset and per walk
-        # (one walk per (m, N) with N >= T whose tabled windows take at least
-        # T / 64 terms), each piece starting below T, against whole periods;
+        # per coset and per walk (one walk per (m, N) with N >= T whose tabled
+        # windows take at least T / 64 terms), each block the tabled windows
+        # cover, over the hull of the offsets they read in it, each piece
+        # starting below T, against whole periods and whole covered blocks;
         # at most 3 sqrt(m) table entries per modulus
-        covered, whole, tables = 0, 0, 0
+        covered, blocks_covered, whole, tables = 0, 0, 0, 0
         for m, T, units, Ns in cells:
             for N in Ns:
                 q, r = divmod(N, T)
@@ -704,13 +751,17 @@ class TestWalkTrigCount:
                 for a, k, L in windows:
                     c, s = starts[a * b % m]
                     for j in range(0, L, B):
-                        first = (s + k + j) % T
-                        held.setdefault(c, set()).update(range(first // B, (first + min(B, L - j) - 1) // B + 1))
-                covered += sum(min(B, T + B - i * B) for blocks in held.values() for i in blocks)
+                        first, size = (s + k + j) % T, min(B, L - j)
+                        for i in range(first // B, (first + size - 1) // B + 1):
+                            read = held.setdefault(c, {}).setdefault(i, set())
+                            read.update(range(max(first, i * B), min(first + size, (i + 1) * B)))
+                covered += sum(max(read) - min(read) + 1 for spans in held.values() for read in spans.values())
+                blocks_covered += sum(min(B, T + B - i * B) for spans in held.values() for i in spans)
                 whole += T * len(held)
             tables += 3 * math.isqrt(m)
         assert counted["trig"] == 0 and counted["table"] == covered
-        assert counted["table"] < 0.8 * whole
+        # here 2,335,640 hull terms against 2,516,746 in the covered blocks
+        assert counted["table"] < 0.95 * blocks_covered and blocks_covered < 0.8 * whole
         # each walked modulus builds its tables once
         assert counted["table"] > 0 and 0 < counted["build"] <= tables
 
