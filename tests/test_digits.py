@@ -175,8 +175,9 @@ class TestPeriodFold:
     n >= 1 with r_n = r_0) and equal the unfolded counts bit for bit."""
 
     # T = 6; a/m = 1/21 with a shared factor (T = 6); T = 2 3^8 = 13122 and
-    # T = 4 5^5 = 12500 span blocks
-    CASES = [(1, 7, "14", 10), (3, 63, "4", 10), (5, 3**9, "101", 2), (2, 5**6, "21", 3)]
+    # T = 4 5^5 = 12500 span blocks; T = 64 past the int64 residues
+    CASES = [(1, 7, "14", 10), (3, 63, "4", 10), (5, 3**9, "101", 2), (2, 5**6, "21", 3),
+             (12345, 2**64 - 1, "0001", 2)]
 
     @pytest.mark.parametrize("a,m,text,b", CASES)
     def test_counts_equal_the_unfolded_ones(self, a, m, text, b):
