@@ -6,9 +6,7 @@ of one block.  Digit n is b r_n // m.  The k digits from position n are
 the first k digits of r_n / m, so they read a pattern P (its base-b value)
 exactly when P <= b^k r_n / m < P + 1, that is when r_n lies in the
 integer interval [ceil(P m / b^k), ceil((P + 1) m / b^k)): a pattern count
-compares each residue with two edges and forms no digit.  As
-r_(n+T) = r_n once the walk meets r_0 again at n = T, counts over N >= T
-positions fold over that period (_orbit_count).
+compares each residue with two edges and forms no digit.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 from .bounds import decay_envelope
 from .errors import NotCoprime, OutOfRange
 from .numtheory import PrimeSet, factor_smooth
-from .sumeval import _BLOCK, _orbit_blocks
+from .sumeval import _orbit_blocks
 
 #: Most counters of digit_frequencies (an 8 MB list): b r < 2^20 * 3.04e9 < 2^63
 #: for every int64 residue r, so the digit b r // m forms in the residues' kind.
@@ -92,37 +90,6 @@ def _check_expansion_args(a: int, m: int, b: int) -> None:
         raise NotCoprime(b, m)
 
 
-def _orbit_count(a: int, m: int, b: int, N: int, count):
-    """The sum of count(block), additive over blocks, over the first N orbit
-    residues r_n = a b^(n-1) mod m, folded over their period T: the first
-    n >= 1 with r_n = r_0, found as the walk meets it (no order is taken).
-    Where T < N the walk stops there, and with q, r = divmod(N, T) the sum
-    is q C_T + C_r, C_j the sum over the first j residues; C_r is taken from
-    r_0, or as C_T minus the residues r..T-1 where those are fewer.  So at
-    most min(N, 3 T / 2) residues are counted, and the block that holds T is
-    formed whole."""
-    b0 = b % m
-
-    def walk(r0, n, to_period=False):
-        total, T = 0, n
-        for k, block in zip(range(0, n, _BLOCK), _orbit_blocks(r0, b0, m, n)):
-            if to_period and np.count_nonzero(block == r0) > (k == 0):  # r_0 itself leads block 0
-                T = k + int(np.flatnonzero(block == r0)[int(k == 0)])
-                block = block[: T - k]
-            total += count(block)
-            if T < n:
-                break
-        return total, T
-
-    full, T = walk(a, N, to_period=True)
-    if T == N:
-        return full
-    q, r = divmod(N, T)
-    if 2 * r <= T:
-        return q * full + walk(a, r)[0]
-    return (q + 1) * full - walk(a * pow(b0, r, m) % m, T - r)[0]
-
-
 def digit_at(a: int, m: int, b: int, n: int) -> int:
     """Digit n (1-indexed) of the base-b expansion of a/m."""
     _check_expansion_args(a, m, b)
@@ -144,7 +111,9 @@ def count_occurrences(a: int, m: int, pattern: DigitPattern, N: int) -> Occurren
     for d in pattern.digits:
         P = P * b + d
     lo, hi = -(-P * m // b**k), -(-(P + 1) * m // b**k)
-    count = _orbit_count(a, m, b, N, lambda r: int(np.count_nonzero((r >= lo) & (r < hi))))
+    count = 0
+    for r in _orbit_blocks(a, b % m, m, N):
+        count += int(np.count_nonzero((r >= lo) & (r < hi)))
     expected = N / b**k
     return OccurrenceReport(count, expected, count - expected, N, pattern)
 
@@ -167,5 +136,8 @@ def digit_frequencies(a: int, m: int, b: int, N: int) -> Sequence[int]:
         raise OutOfRange("N must be positive")
     if b > _MAX_FREQUENCY_BASE:
         raise OutOfRange(f"base must be at most {_MAX_FREQUENCY_BASE} for digit frequencies, got {b}")
-    return _orbit_count(a, m, b, N, lambda r: np.bincount(
-        (b * r // m).astype(np.int64, copy=False), minlength=b)).tolist()
+    totals = np.zeros(b, dtype=np.int64)
+    for r in _orbit_blocks(a, b % m, m, N):
+        seen = np.bincount((b * r // m).astype(np.int64, copy=False))
+        totals[: seen.size] += seen
+    return totals.tolist()

@@ -43,11 +43,6 @@ _SCALAR_CUTOFF = 2048
 #: Block length of the orbit and phase blocks (also the power-table length).
 _BLOCK = 4096
 
-#: Most residues (rows times the longest walk) of one batch of eval_scan_sums'
-#: short walks: a task of the benchmark's wide scan peaks at 420 KB with it
-#: (tracemalloc), at 1.0 MB with four times it, which was no faster.
-_BATCH_RESIDUES = _BLOCK
-
 #: A window of L >= _SCALAR_CUTOFF terms mod m takes table phases when
 #: L >= _TABLE_RATIO sqrt(m): its terms then repay the tables' ~2 sqrt(m)
 #: cos/sin even if no other window shares them (one window at 4 sqrt(m)
@@ -354,18 +349,10 @@ def _prefix_fsums(x):
     exact h2 prefix is -0.0 (rest = x - h1 never is), so a zero total is
     +0.0, as fsum's is.
     """
-    h1 = x * 2.0**40
-    np.rint(h1, out=h1)
-    h1 *= 2.0**-40
+    h1 = np.rint(x * 2.0**40) * 2.0**-40
     rest = x - h1
-    h2 = rest * 2.0**80
-    np.rint(h2, out=h2)
-    h2 *= 2.0**-80
-    exact = (rest == h2).all(axis=-1)
-    del rest  # three arrays of x's size at most, beside x
-    s = np.cumsum(h1, axis=-1, out=h1)
-    s += np.cumsum(h2, axis=-1, out=h2)
-    return s, exact
+    h2 = np.rint(rest * 2.0**80) * 2.0**-80
+    return np.cumsum(h1, axis=-1) + np.cumsum(h2, axis=-1), (rest == h2).all(axis=-1)
 
 
 def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
@@ -375,10 +362,10 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
     A sum is short when min(N, T) < _SCALAR_CUTOFF, whatever m is: every
     window of its fold (_fold_windows) is then a prefix of the walk
     a b^n mod m, n = 1..min(T, N), which stops at the longest window.  The
-    walks go in batches of at most _BATCH_RESIDUES residues (_powers), and a
-    window is the fsum of its terms, by _prefix_fsums or by fsum where a
-    walk cannot be split exactly.  Other sums take one eval_sum_reduced
-    call per (m, N).
+    walks go in batches of at most _BLOCK residues (_powers), and a window
+    is the fsum of its terms, by _prefix_fsums or by fsum where a walk
+    cannot be split exactly.  Other sums take one eval_sum_reduced call per
+    (m, N).
     """
     out, walks = [], []
     for m, T, units, Ns in cells:
@@ -394,12 +381,11 @@ def eval_scan_sums(b: int, cells) -> List[List[List[complex]]]:
             if longest:  # else every short sum is 0j: whole periods that vanish
                 walks.append((longest, a, m, row, short, folds))
     walks.sort(key=itemgetter(0))
-    end = 0
-    while end < len(walks):
-        start, end = end, end + 1
-        while end < len(walks) and (end + 1 - start) * walks[end][0] <= _BATCH_RESIDUES:
-            end += 1
-        batch = walks[start:end]
+    while walks:
+        n = 1
+        while n < len(walks) and (n + 1) * walks[n][0] <= _BLOCK:
+            n += 1
+        batch, walks = walks[:n], walks[n:]
         m = np.array([[w[2]] for w in batch], dtype=object)
         first = [[a % mw * (b % mw) % mw] for _, a, mw, *_ in batch]
         # z[i, :, j] = (cos, sin) of a b^(j+1) mod m for walk i

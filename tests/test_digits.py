@@ -170,46 +170,6 @@ class TestCountOccurrences:
         assert asked == [1000]
 
 
-class TestPeriodFold:
-    """Counts over N >= T positions fold over the walk's period T (the first
-    n >= 1 with r_n = r_0) and equal the unfolded counts bit for bit."""
-
-    # T = 6; a/m = 1/21 with a shared factor (T = 6); T = 2 3^8 = 13122 and
-    # T = 4 5^5 = 12500 span blocks; T = 64 past the int64 residues
-    CASES = [(1, 7, "14", 10), (3, 63, "4", 10), (5, 3**9, "101", 2), (2, 5**6, "21", 3),
-             (12345, 2**64 - 1, "0001", 2)]
-
-    @pytest.mark.parametrize("a,m,text,b", CASES)
-    def test_counts_equal_the_unfolded_ones(self, a, m, text, b):
-        T = nt.mult_order(b, m // math.gcd(a, m))
-        pattern = dg.DigitPattern.from_string(text, b)
-        for q in (1, 2, 3):
-            for N in (q * T - 1, q * T, q * T + 1):  # r = T - 1 (from the complement), 0 and 1
-                ds = long_division_digits(a, m, b, N + len(text) - 1)
-                assert dg.count_occurrences(a, m, pattern, N).count == sum(
-                    tuple(ds[n : n + len(text)]) == pattern.digits for n in range(N))
-                assert dg.digit_frequencies(a, m, b, N) == [ds[:N].count(d) for d in range(b)]
-
-    @pytest.mark.parametrize("N,reads", [(3 * 13122 + 1, 13122 + 1), (3 * 13122 - 1, 13122 + 1),
-                                         (13121, 13121), (13122 + 6000, 13122 + 6000)])
-    def test_reads_at_most_a_period_and_a_half(self, monkeypatch, N, reads):
-        # the walk to T = 13122 stops in its fourth block; then r = 1, or
-        # T - r = 1 from the complement, or (N < 2T, r = 6000) the first r:
-        # the block that holds T is formed whole, so the walk may form up to
-        # a block more than the N residues unfolded
-        drawn, orbit_blocks = [], dg._orbit_blocks
-
-        def spy(*args):
-            for block in orbit_blocks(*args):
-                drawn.append(block.size)
-                yield block
-
-        monkeypatch.setattr(dg, "_orbit_blocks", spy)
-        dg.count_occurrences(5, 3**9, dg.DigitPattern(2, (1, 0)), N)
-        B = se._BLOCK
-        assert reads <= sum(drawn) < reads + B and sum(drawn) < N + B
-
-
 class TestBlockedAgainstStream:
     """Blocked digits against long division, at block boundaries and past
     the int64 ranges."""
