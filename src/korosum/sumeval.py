@@ -560,6 +560,8 @@ def _dot_error_bound(n, m: int, tabled: bool = False, folded=False):
         Stability of Numerical Algorithms, ch. 3, complex inner product) is
         off by at most g n (1 + e_z)^2, g = sqrt(2) gamma_{n+2}, for any
         order of the additions, and its modulus is at most V = n (1 + e_z)^2 (1 + g);
+        a BLAS that splits the product across threads adds in one more such
+        order, so the bound covers it too;
       * the final abs() rounds once more, within 2u V.
     A folded sum, n = q T + r, is q F_hat + R_hat, dot products over T and r
     terms: as gamma is increasing, q times F_hat's errors plus R_hat's are

@@ -428,6 +428,21 @@ class TestRenderReport:
         assert [repr(dataclasses.astuple(r)) for r in parsed] == [repr(dataclasses.astuple(r)) for r in rows]
 
 
+def _run_python(args, **env_changes):
+    """A fresh interpreter on korosum's sources, with the given environment
+    variables set (a value of None unsets one)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    done = subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestCommands:
     def test_order_text(self, capsys):
         assert cli.main(["order", "--b", "2", "--m", "9", "--primes", "3"]) == 0
@@ -686,13 +701,29 @@ class TestCommands:
         assert done.stdout
 
     def test_python_dash_m_runs_the_cli(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "korosum", "--help"], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert "usage: korosum" in done.stdout
+        assert "usage: korosum" in _run_python(["-m", "korosum", "--help"])
+
+
+class TestBlasThreads:
+    """korosum loads numpy with one OpenBLAS thread, whatever the caller's
+    environment or the host's CPU count."""
+
+    def test_environment_does_not_move_verify_bits(self):
+        # the lags' dot products pass 10^4 terms, where OpenBLAS splits a dot
+        # product across its threads (and so changes its order of additions)
+        argv = ["-m", "korosum", "verify", "--a", "7", "--b", "2", "--m", "1594323",
+                "--m-prime", "243", "--n", "20000", "--json"]
+        outputs = {threads: _run_python(argv, OPENBLAS_NUM_THREADS=threads)
+                   for threads in (None, "1", "2", "4")}
+        assert len(set(outputs.values())) == 1, outputs
+        assert strict_json(outputs[None])["path"] == "fast"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    @pytest.mark.parametrize("imports", ["korosum.cli", "korosum, numpy"])
+    def test_import_starts_no_thread(self, imports):
+        status = _run_python(["-c", f"import {imports}; print(open('/proc/self/status').read())"],
+                             OPENBLAS_NUM_THREADS=None)
+        assert "\nThreads:\t1\n" in status
 
 
 class TestFlagRanges:
