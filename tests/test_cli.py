@@ -1071,6 +1071,30 @@ class TestPinnedCommandLine:
             "02c44aae475724f0e1743d538a68f737e66ede75fbdc354295fb4b24182f6850",
     }
 
+    # sha256 of the --json payloads of every other record a command prints
+    JSON_OUTPUTS = {
+        "bound --m 729 --n 27 --k 1 --primes 3 --b 2 --form recursive --json":
+            "29a38d5cd9892e7a8ddef259792ea63d10231194bf3661eaddde5e1c38165f3a",
+        "bound --m 729 --n 27 --k 1 --primes 3 --b 2 --form main --json":
+            "91b0028580de728145a52b8fa0894f16563a2d42a0ec935e4a8388ace74a6eac",
+        "bound --m 729 --n 27 --primes 3 --b 2 --form short --d 3 --json":
+            "7453fb7710e5a487255ee83c821b4482b1b20e1404fadd9c985315038ad0859d",
+        "bound --m 729 --n 27 --primes 3 --b 2 --form long --json":
+            "d1eb9f929546e03a41821870c09aafd85fcb01f9bedc06fc84a55bae24107955",
+        "digits --a 1 --m 7 --base 10 --pattern 14 --n 1000 --primes 7 --json":
+            "919092ae398991822393e98223f717afa66251fd253c980a3b1e589fdadc374a",
+        "order --b 2 --m 9 --json":
+            "8be1362731cc466b69b9e2381dc27eac4aa8c2b5ff3251c4766d70a891ee1c8a",
+        "sum --a 1 --b 2 --m 9 --n 20 --reduced --json":
+            "a050738789b565aefe08fcef6c711a9e7b8d3ecfefb82c38d6b36c665fd05346",
+    }
+
+    @pytest.mark.parametrize("argv", JSON_OUTPUTS)
+    def test_json_payload(self, capsys, argv):
+        assert cli.main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.JSON_OUTPUTS[argv]
+
     @pytest.mark.parametrize("argv", README_OUTPUTS)
     def test_readme_example(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
