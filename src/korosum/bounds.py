@@ -46,8 +46,7 @@ _C_LEVELS = 120
 _EXP_MAX = 709.782712893384
 
 
-@dataclass(frozen=True)
-class ExponentState:
+class ExponentState(NamedTuple):
     """Exact rational exponents at one level, plus both c_k extractions.
 
     c_gamma and c_nu rewrite gamma_k = 1 - (k+3+c)/2^(k+2) and
@@ -62,8 +61,7 @@ class ExponentState:
     c_nu: Fraction
 
 
-@dataclass(frozen=True)
-class ConstantState:
+class ConstantState(NamedTuple):
     """Certified-upper constants at one level."""
 
     k: int
@@ -71,8 +69,7 @@ class ConstantState:
     b_k: float
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """One evaluated bound; bound_value = (term_main + term_secondary) * logfac."""
 
     m: int
@@ -103,8 +100,7 @@ class RationalInterval:
         return self.lo < x and (self.hi is None or x < self.hi)
 
 
-@dataclass(frozen=True)
-class LimitConstant:
+class LimitConstant(NamedTuple):
     """The scaled-difference sequence and its limit with a certified tail."""
 
     eps_primes: Tuple[Fraction, ...]
@@ -114,8 +110,7 @@ class LimitConstant:
     tail_exact: Fraction
 
 
-@dataclass(frozen=True)
-class KConstants:
+class KConstants(NamedTuple):
     """Closed-form constants; K1 and K3 also carried in log space since
     b**(4Q) overflows floats already for mid-sized prime sets."""
 
@@ -131,8 +126,7 @@ class KConstants:
         return 10.0 ** (e10 - exp), exp
 
 
-@dataclass(frozen=True)
-class BestK:
+class BestK(NamedTuple):
     """Exhaustive minimizer over levels, plus the interval-based prediction."""
 
     k_star: int
@@ -140,8 +134,7 @@ class BestK:
     k_hat: Optional[int]
 
 
-@dataclass(frozen=True)
-class CorollaryResult:
+class CorollaryResult(NamedTuple):
     """Constants realizing |S_N| <= C m^(-delta) N (1+log m) for N >= m^epsilon."""
 
     k: int

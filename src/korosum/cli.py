@@ -8,11 +8,8 @@ unless numpy was imported before korosum (see the package docstring).
 
 from __future__ import annotations
 
-import argparse
-import csv
 import dataclasses
 import io
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -20,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # bounds and sumeval come first, and numpy after them, so that they are
 # compiled before numpy loads (sumeval loads it): a module compiled after
@@ -31,6 +28,9 @@ from . import digits, normalnum, numtheory
 import numpy as np
 from .errors import BoundViolation, ConfigError, KorosumError, OutOfRange
 from .numtheory import PrimeSet
+
+if TYPE_CHECKING:
+    import argparse
 
 #: Relative slack allowed between an empirical sum and any proven bound.
 VALIDITY_SLACK = 1e-6
@@ -82,8 +82,7 @@ def _csv_template(words: Tuple[Optional[str], ...]):
     return (line + "\n").encode(), attrgetter(*(f for f, t in zip(_CSV_FIELDS, texts) if t is None))
 
 
-@dataclass
-class ScanConfig:
+class ScanConfig(NamedTuple):
     primes: Tuple[int, ...]
     b: int
     m_lo: int
@@ -453,6 +452,7 @@ def render_report(rows: Sequence[ScanRow], format: str = "csv") -> bytes:
 
 def rows_from_csv(data: bytes) -> List[ScanRow]:
     """Parse render_report CSV output back into rows (lossless)."""
+    import csv
     return [
         ScanRow(**{name: read(record[name]) for name, _, _, read in _CSV_COLUMNS})
         for record in csv.DictReader(io.StringIO(data.decode("utf-8")))
@@ -475,6 +475,8 @@ def _to_jsonable(obj):
         return _fmt_float(obj)  # "inf", "-inf" or "nan", as in the CSV report
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if hasattr(obj, "_asdict"):  # a NamedTuple record: its fields by name
+        return _to_jsonable(obj._asdict())
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
@@ -489,11 +491,13 @@ def _to_jsonable(obj):
 def _dumps(payload, indent: int) -> str:
     """RFC 8259 JSON: a non-finite float is written as a string, never as
     the bare Infinity or NaN that strict parsers reject."""
+    import json
     return json.dumps(_to_jsonable(payload), indent=indent, allow_nan=False)
 
 
 def _parse_primes(text: str) -> PrimeSet:
     """argparse type of --primes; main reports the OutOfRange of a non-prime set."""
+    import argparse
     try:
         return PrimeSet(tuple(sorted(int(tok) for tok in text.split(",") if tok)))
     except ValueError:
@@ -528,6 +532,7 @@ def _int_in(lo: int, hi: Optional[int] = None):
     limits = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
 
     def parse(text: str) -> int:
+        import argparse
         try:
             value = int(text)
         except ValueError:
@@ -572,7 +577,7 @@ def _cmd_bound(args):
     if args.form == "best":
         best = bounds.best_k(args.m, args.n, args.primes, args.b, args.k_max)
         rep = best.report
-        return {**dataclasses.asdict(rep), "k_hat": best.k_hat}, [
+        return {**rep._asdict(), "k_hat": best.k_hat}, [
             f"best level k*={best.k_star} (interval prediction k_hat={best.k_hat})",
             f"bound = {rep.bound_value:.6g}  nontrivial={rep.nontrivial}",
         ]
@@ -630,6 +635,7 @@ def _cmd_constants(args):
 
 
 def _load_json(path: str):
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -748,6 +754,7 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="korosum",
         description="Exponential sums e(a b^n / m): exact evaluation, explicit "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class DigitPattern:
         return len(self.digits)
 
 
-@dataclass
-class OccurrenceReport:
+class OccurrenceReport(NamedTuple):
     """Count of pattern starts in the first N positions vs. N / base^k."""
 
     count: int
@@ -65,8 +64,7 @@ class OccurrenceReport:
     pattern: DigitPattern
 
 
-@dataclass
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Occurrence count against the advisory decay envelope.
 
     The envelope's implicit constant is unknown, so `ratio` (deviation over

@@ -10,10 +10,9 @@ construction is about.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,8 +25,7 @@ from .sumeval import _BLOCK, _orbit_blocks, eval_sum
 ERDOS_TURAN_CONSTANT = 3.0
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Generators (c_k, m_k), k >= 1, together with the prime environment.
 
     Hypotheses: c_k strictly increasing, P-smooth, c_k | c_{k+1}; m_k
@@ -75,8 +73,7 @@ class Schedule:
         return tuple(g**k if isinstance(g, int) else g[k - 1] for g in (self.c, self.m))
 
 
-@dataclass
-class AncillaryState:
+class AncillaryState(NamedTuple):
     """Block-k state: x_{m_k + j} = (a_k b^j mod c_k) / c_k."""
 
     k: int
@@ -85,18 +82,16 @@ class AncillaryState:
     value: Fraction
 
 
-@dataclass
-class ScheduleValidation:
+class ScheduleValidation(NamedTuple):
     """Structural checks plus the advisory hypothesis-ratio trend."""
 
     horizon: int
     ratios: List[Tuple[int, float]]
     ratio_decreasing: bool
-    notes: List[str] = field(default_factory=list)
+    notes: List[str]
 
 
-@dataclass
-class TraceResult:
+class TraceResult(NamedTuple):
     """Star discrepancy at geometric checkpoints, with trend statistics."""
 
     rows: List[Tuple[int, float]]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Tuple, Union
 
 from .errors import NotCoprime, NotSmooth, OutOfRange
 
@@ -111,8 +111,7 @@ class PrimeSet:
         return iter(self.primes)
 
 
-@dataclass
-class SmoothFactorization:
+class SmoothFactorization(NamedTuple):
     """n = prod p_i ** exponents[p_i] over the primes of one PrimeSet."""
 
     n: int
@@ -163,8 +162,7 @@ def smooth_order(b: int, m: int, exponents: Tuple[Tuple[int, int], ...]) -> int:
     return (m // m1) * tau_prime
 
 
-@dataclass
-class ModulusStructure:
+class ModulusStructure(NamedTuple):
     """Order decomposition ord(b, m) = (m / m1) * tau_prime.
 
     tau1 is the order of b modulo the radical of m; mu flags the one parity

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import fsum, gcd
 from operator import itemgetter
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -90,8 +89,7 @@ def _tabled(L: int, m: int) -> bool:
     return L >= _SCALAR_CUTOFF and L * L >= _TABLE_RATIO**2 * m
 
 
-@dataclass
-class SumResult:
+class SumResult(NamedTuple):
     """One evaluated exponential sum with its parameters."""
 
     value: complex
@@ -102,8 +100,7 @@ class SumResult:
     b: int
 
 
-@dataclass
-class DifferencingReport:
+class DifferencingReport(NamedTuple):
     """Both sides of the squared differencing inequality for one instance."""
 
     lhs_squared: float

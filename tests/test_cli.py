@@ -726,6 +726,14 @@ class TestBlasThreads:
         assert "\nThreads:\t1\n" in status
 
 
+def test_import_loads_no_command_line_module():
+    # argparse, json and csv load where the command line uses them, so a
+    # program that imports korosum.cli for run_scan pays for none of them
+    loaded = _run_python(["-c", "import sys, korosum.cli; "
+                                "print(sorted({'argparse', 'json', 'csv'} & set(sys.modules)))"])
+    assert loaded == "[]\n"
+
+
 class TestFlagRanges:
     @pytest.mark.parametrize("k_max", ["51", "100000", "-1"])
     def test_intervals_k_max_out_of_range(self, capsys, k_max):

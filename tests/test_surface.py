@@ -152,3 +152,20 @@ def test_every_error_class_is_told_apart():
                     if c.name not in caught | carries_data and c.name not in DISTINCT_ERRORS)
     assert untold == [], f"error classes no caller tells apart (raise OutOfRange instead): {untold}"
     assert set(DISTINCT_ERRORS) <= {c.name for c in classes} - caught - carries_data
+
+
+#: The only dataclasses in src/, each kept for a stated reason; every other
+#: record is a NamedTuple, which costs no generated code at import.
+DATACLASSES = {
+    "PrimeSet": "validates its primes in __post_init__, caches Q, iterates its primes",
+    "RationalInterval": "validates its endpoints in __post_init__",
+    "DigitPattern": "validates its base and digits in __post_init__",
+    "ScanRow": "read with dataclasses.astuple and asdict by perfbench and the tests",
+}
+
+
+def test_records_are_named_tuples_but_the_kept_dataclasses():
+    decorated = {node.name for tree in _trees().values() for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef)
+                 and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)}
+    assert decorated == set(DATACLASSES)
